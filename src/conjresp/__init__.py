@@ -63,7 +63,6 @@ from .dynamics import (
     DeformedMap,
     TorusMap,
     deformation_derivative,
-    deformed_map_eval,
     invariance_defect,
     make_linear,
     make_warped_doubling,
@@ -125,7 +124,6 @@ __all__ = [
     "make_warped_doubling",
     "DeformedMap",
     "ConjugatedMap",
-    "deformed_map_eval",
     "deformation_derivative",
     "invariance_defect",
     "ConvergenceReport",

@@ -29,13 +29,14 @@ from .errors import (
     QualityError,
 )
 from .exactness import (
-    MEAN_ZERO_TOL,
     add_closed_form,
+    contract_inverse,
     lie_derivative_density,
     multiply,
     solve_exactness,
     solve_for_field,
     solve_weighted_poisson,
+    weighted_response,
 )
 from .fields import VolumeDensity, gradient, save_field
 from .flow import moser_transport
@@ -45,6 +46,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_CONVERGENCE = 3
 EXIT_VERIFICATION = 4
+
+TRANSFER_RESOLUTION = 512  # default transfer-check resolution of every command
+DENSITY_MATCH_TOL = 1e-12  # eta0 vs the map's density, for moser's conjugated check
 
 __all__ = ["main"]
 
@@ -67,41 +71,43 @@ def _scenario_id(cfg: dict) -> str:
     return kind
 
 
-def _checked_rho(rho, omega):
-    weighted_mean = multiply(rho, omega.eta).mean
-    if abs(weighted_mean) > MEAN_ZERO_TOL:
-        raise NormalizationError(
-            "rho violates the mean-zero requirement: its integral against the "
-            f"invariant density is {weighted_mean!r} (must vanish; set "
-            '"center": true in the rho section to project it out)',
-            weighted_mean,
-        )
-    return rho
+def _problem(cfg: dict, grid):
+    """The map, its invariant density, the gated rho and the strategy on one
+    grid: the set-up shared by solve, verify and every sweep resolution."""
+    torus_map = build_map(cfg, grid)
+    omega = torus_map.density
+    rho = build_rho(cfg, grid, omega)
+    weighted_response(rho, omega)  # fail before any work if rho is not mean-zero
+    return torus_map, omega, rho, build_strategy(cfg, grid)
+
+
+def _deformed_transfer(torus_map, omega, X, t: float, steps, verify_cfg: dict):
+    """(resolution, residual) of the transfer check of phi^t_* omega under the
+    deformed map phi^t o T o phi^{-t}."""
+    resolution = int(verify_cfg.get("transfer_resolution", TRANSFER_RESOLUTION))
+    eta_t = pushforward_density(omega, X, t, steps=steps)
+    residual = transfer_check(DeformedMap(torus_map, X, t, steps=steps), eta_t, resolution)
+    return resolution, residual
 
 
 def cmd_solve(cfg: dict, out: Path, quiet: bool, fmt: str) -> int:
     grid = build_grid(cfg)
-    torus_map = build_map(cfg, grid)
-    omega = torus_map.density
-    rho = _checked_rho(build_rho(cfg, grid, omega), omega)
-    strategy = build_strategy(cfg, grid)
+    _, omega, rho, strategy = _problem(cfg, grid)
     prefix = cfg.get("output", {}).get("prefix", "solve")
 
+    target = multiply(rho, omega.eta)
     if strategy.kind == "gradient":
-        u = solve_weighted_poisson(omega, -multiply(rho, omega.eta))
+        u = solve_weighted_poisson(omega, -target)
         X = gradient(u)
         save_field(u, out / f"{prefix}_u.{fmt}", fmt)
     else:
-        theta = solve_exactness(rho, omega)
-        if strategy.kind == "custom":
-            theta = add_closed_form(theta, strategy)
+        theta = add_closed_form(solve_exactness(rho, omega), strategy)
         for i, component in enumerate(theta.components):
             save_field(component, out / f"{prefix}_theta{i}.{fmt}", fmt)
-        X = solve_for_field(rho, omega, strategy)
+        X = contract_inverse(theta, omega)
     for i, component in enumerate(X.components):
         save_field(component, out / f"{prefix}_X{i}.{fmt}", fmt)
 
-    target = multiply(rho, omega.eta)
     residual = (lie_derivative_density(X, omega) + target).max_abs
     scale = max(target.max_abs, 1e-300)
     _say(quiet, f"strategy {strategy.kind}: max|div(eta X) + rho eta| = "
@@ -111,10 +117,7 @@ def cmd_solve(cfg: dict, out: Path, quiet: bool, fmt: str) -> int:
 
 def cmd_verify(cfg: dict, out: Path, quiet: bool, fmt: str) -> int:
     grid = build_grid(cfg)
-    torus_map = build_map(cfg, grid)
-    omega = torus_map.density
-    rho = _checked_rho(build_rho(cfg, grid, omega), omega)
-    strategy = build_strategy(cfg, grid)
+    torus_map, omega, rho, strategy = _problem(cfg, grid)
     verify_cfg = cfg.get("verify", {})
     if "t_values" not in verify_cfg:
         raise ConfigError("verify section needs 't_values'")
@@ -129,10 +132,8 @@ def cmd_verify(cfg: dict, out: Path, quiet: bool, fmt: str) -> int:
     transfer_passed = True
     if grid.dim == 1 and torus_map.expansion_margin() > 0.0:
         t_def = float(verify_cfg.get("transfer_t", 0.02))
-        resolution = int(verify_cfg.get("transfer_resolution", 512))
-        eta_t = pushforward_density(omega, X, t_def, steps=steps)
-        residual = transfer_check(DeformedMap(torus_map, X, t_def, steps=steps),
-                                  eta_t, resolution)
+        resolution, residual = _deformed_transfer(torus_map, omega, X, t_def, steps,
+                                                  verify_cfg)
         transfer_passed = residual <= 1e-4
         transfer = {"t": t_def, "resolution": resolution, "residual": residual,
                     "passed": transfer_passed}
@@ -170,6 +171,16 @@ def cmd_moser(cfg: dict, out: Path, quiet: bool, fmt: str) -> int:
     steps = int(moser_cfg.get("steps", 256))
     pushforward_tol = float(moser_cfg.get("pushforward_tol", 1e-6))
     transfer_tol = float(moser_cfg.get("transfer_tol", 1e-4))
+    torus_map = None
+    if moser_cfg.get("check_conjugated", False):
+        # psi o T o psi^{-1} preserves psi_* eta0 = eta1 only if T preserves eta0
+        torus_map = build_map(cfg, grid)
+        mismatch = float(np.max(np.abs(omega0.eta.values - torus_map.density.eta.values)))
+        if mismatch > DENSITY_MATCH_TOL:
+            raise ConfigError(
+                "check_conjugated needs eta0 to be the map's invariant density; "
+                f"max|eta0 - map density| = {mismatch:.3e}"
+            )
 
     transport = moser_transport(omega0, omega1, steps=steps)
     pushed = transport.pushforward_density()
@@ -178,10 +189,9 @@ def cmd_moser(cfg: dict, out: Path, quiet: bool, fmt: str) -> int:
 
     transfer = None
     transfer_ok = True
-    if moser_cfg.get("check_conjugated", False):
-        torus_map = build_map(cfg, grid)
+    if torus_map is not None:
         conjugated = ConjugatedMap.from_moser(torus_map, transport)
-        resolution = int(moser_cfg.get("transfer_resolution", 512))
+        resolution = int(moser_cfg.get("transfer_resolution", TRANSFER_RESOLUTION))
         transfer_residual = transfer_check(conjugated, omega1, resolution)
         transfer_ok = transfer_residual <= transfer_tol
         transfer = {"resolution": resolution, "residual": transfer_residual,
@@ -218,23 +228,18 @@ def cmd_sweep(cfg: dict, out: Path, quiet: bool, fmt: str) -> int:
     rows = []
     for n in resolutions:
         grid = build_grid(cfg, resolution_override=n)
-        torus_map = build_map(cfg, grid)
-        omega = torus_map.density
-        rho = _checked_rho(build_rho(cfg, grid, omega), omega)
-        strategy = build_strategy(cfg, grid)
+        torus_map, omega, rho, strategy = _problem(cfg, grid)
         steps = verify_cfg.get("steps", cfg.get("flow", {}).get("steps"))
         X = solve_for_field(rho, omega, strategy)
         response = response_check(omega, rho, X, t_values, steps=steps)
         derivative = derivative_check(torus_map, X, t_values, steps=steps)
         fitted = response.fitted_order if response.fitted_order is not None else float("nan")
         expanding = grid.dim == 1 and torus_map.expansion_margin() > 0.0
-        resolution = int(verify_cfg.get("transfer_resolution", 256))
         for t, response_error, derivative_error in zip(
                 response.t_values, response.errors, derivative.errors):
             if expanding:
-                eta_t = pushforward_density(omega, X, t, steps=steps)
-                transfer_residual = transfer_check(
-                    DeformedMap(torus_map, X, t, steps=steps), eta_t, resolution)
+                _, transfer_residual = _deformed_transfer(torus_map, omega, X, t, steps,
+                                                          verify_cfg)
             else:
                 transfer_residual = float("nan")
             rows.append((scenario, n, t, response_error, derivative_error,

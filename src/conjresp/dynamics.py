@@ -40,7 +40,6 @@ __all__ = [
     "make_warped_doubling",
     "DeformedMap",
     "ConjugatedMap",
-    "deformed_map_eval",
     "deformation_derivative",
     "invariance_defect",
 ]
@@ -234,36 +233,51 @@ def make_warped_doubling(generator: VectorFieldT, construction_steps: int = 128)
     return TorusMap(grid, [[2]], displacement, density, family="warped_doubling")
 
 
-def _conjugated_eval(base: TorusMap, forward, inverse, points) -> np.ndarray:
-    down = inverse(points, jacobian=False)
-    middle = base(down.points)
-    return forward(middle, jacobian=False).points
+class ConjugatedMap:
+    """h o T o h^{-1} for a diffeomorphism h given as a pair of transports
+    (for example a Moser time-one flow and its inverse, or the flow pair of
+    a field)."""
 
+    def __init__(self, base: TorusMap, forward, inverse):
+        self.base = base
+        self.forward = forward
+        self.inverse = inverse
 
-def _conjugated_lift(base: TorusMap, forward, inverse, points) -> np.ndarray:
-    down = inverse(points, jacobian=False)
-    middle = base.lift(down.lifts)
-    return forward(middle, jacobian=False).lifts
+    @classmethod
+    def from_moser(cls, base: TorusMap, transport) -> "ConjugatedMap":
+        return cls(base, transport.transport, transport.inverse_transport)
 
+    def __call__(self, points) -> np.ndarray:
+        down = self.inverse(as_points(points, self.base.dim), jacobian=False)
+        return self.forward(self.base(down.points), jacobian=False).points
 
-def _conjugated_preimages(base: TorusMap, forward, inverse, y):
-    """Preimages of h o T o h^{-1} through the conjugacy: pull y back by h,
-    enumerate base preimages there, push forward by h.  The derivative at a
-    preimage follows from the chain rule,
-    (h o T o h^{-1})'(z_j) = T'(w_j) / (Dh^{-1}(y) * Dh(w_j))."""
-    y = as_points(y, 1)
-    down = inverse(y, jacobian=True)
-    j_down = down.jacobians[:, 0, 0]
-    w, base_deriv = base.preimages_with_derivative(down.points[:, 0])
-    up = forward(w.reshape(-1, 1), jacobian=True)
-    pre = up.points[:, 0].reshape(w.shape)
-    j_up = up.jacobians[:, 0, 0].reshape(w.shape)
-    deriv = base_deriv / (j_down[None, :] * j_up)
-    return pre, deriv
+    def lift(self, points) -> np.ndarray:
+        down = self.inverse(as_points(points, self.base.dim), jacobian=False)
+        return self.forward(self.base.lift(down.lifts), jacobian=False).lifts
+
+    @property
+    def degree(self) -> int:
+        return self.base.degree
+
+    def preimages_with_derivative(self, y):
+        """Preimages through the conjugacy: pull y back by h, enumerate base
+        preimages there, push forward by h.  The derivative at a preimage
+        follows from the chain rule,
+        (h o T o h^{-1})'(z_j) = T'(w_j) / (Dh^{-1}(y) * Dh(w_j))."""
+        y = as_points(y, 1)
+        down = self.inverse(y, jacobian=True)
+        j_down = down.jacobians[:, 0, 0]
+        w, base_deriv = self.base.preimages_with_derivative(down.points[:, 0])
+        up = self.forward(w.reshape(-1, 1), jacobian=True)
+        pre = up.points[:, 0].reshape(w.shape)
+        j_up = up.jacobians[:, 0, 0].reshape(w.shape)
+        deriv = base_deriv / (j_down[None, :] * j_up)
+        return pre, deriv
 
 
 class DeformedMap:
-    """The conjugated family T_t = phi^t o T o phi^{-t} for a fixed field.
+    """The conjugated family T_t = phi^t o T o phi^{-t} for a fixed field:
+    the ConjugatedMap of the flow pair of X at time t.
 
     At t = 0 evaluation short-circuits to the base map, exactly.
     """
@@ -276,6 +290,7 @@ class DeformedMap:
         self.field = field
         self.t = float(t)
         self.steps = steps
+        self._conjugated = ConjugatedMap(base, self._forward, self._inverse)
 
     def _forward(self, points, jacobian=True) -> FlowEvaluation:
         return integrate_flow(self.field, self.t, points, steps=self.steps,
@@ -286,16 +301,10 @@ class DeformedMap:
                             jacobian=jacobian)
 
     def __call__(self, points) -> np.ndarray:
-        pts = as_points(points, self.base.dim)
-        if self.t == 0.0:
-            return self.base(pts)
-        return _conjugated_eval(self.base, self._forward, self._inverse, pts)
+        return self.base(points) if self.t == 0.0 else self._conjugated(points)
 
     def lift(self, points) -> np.ndarray:
-        pts = as_points(points, self.base.dim)
-        if self.t == 0.0:
-            return self.base.lift(pts)
-        return _conjugated_lift(self.base, self._forward, self._inverse, pts)
+        return self.base.lift(points) if self.t == 0.0 else self._conjugated.lift(points)
 
     @property
     def degree(self) -> int:
@@ -304,41 +313,7 @@ class DeformedMap:
     def preimages_with_derivative(self, y):
         if self.t == 0.0:
             return self.base.preimages_with_derivative(y)
-        return _conjugated_preimages(self.base, self._forward, self._inverse, y)
-
-
-class ConjugatedMap:
-    """h o T o h^{-1} for a diffeomorphism h given as a pair of transports
-    (for example a Moser time-one flow and its inverse)."""
-
-    def __init__(self, base: TorusMap, forward, inverse):
-        self.base = base
-        self.forward = forward
-        self.inverse = inverse
-
-    @classmethod
-    def from_moser(cls, base: TorusMap, transport) -> "ConjugatedMap":
-        return cls(base, transport.transport, transport.inverse_transport)
-
-    def __call__(self, points) -> np.ndarray:
-        return _conjugated_eval(self.base, self.forward, self.inverse,
-                                as_points(points, self.base.dim))
-
-    def lift(self, points) -> np.ndarray:
-        return _conjugated_lift(self.base, self.forward, self.inverse,
-                                as_points(points, self.base.dim))
-
-    @property
-    def degree(self) -> int:
-        return self.base.degree
-
-    def preimages_with_derivative(self, y):
-        return _conjugated_preimages(self.base, self.forward, self.inverse, y)
-
-
-def deformed_map_eval(deformed: DeformedMap, points) -> np.ndarray:
-    """Evaluate phi^t(T(phi^{-t}(x))) pointwise."""
-    return deformed(points)
+        return self._conjugated.preimages_with_derivative(y)
 
 
 def deformation_derivative(T: TorusMap, X: VectorFieldT) -> VectorFieldT:
@@ -357,14 +332,10 @@ def deformation_derivative(T: TorusMap, X: VectorFieldT) -> VectorFieldT:
 
 
 def invariance_defect(T: TorusMap, V: VectorFieldT):
-    """Pointwise magnitude and sup of DT(V)(x) - V(T(x)); the sup vanishes
-    exactly when V is T-invariant."""
-    if T.grid != V.grid:
-        raise ValueError("map and field live on different grids")
-    grid = T.grid
-    pts = grid.points()
-    defect = np.einsum("mij,mj->mi", T.jacobian_on_grid(), V.values_matrix())
-    defect -= V.sample(T(pts))
+    """Pointwise magnitude and sup of DT(V)(x) - V(T(x)), the deformation
+    derivative of V up to sign; the sup vanishes exactly when V is
+    T-invariant."""
+    defect = deformation_derivative(T, V).values_matrix()
     magnitude = np.sqrt((defect**2).sum(axis=1))
-    field = ScalarField(grid, magnitude.reshape(grid.shape))
+    field = ScalarField(T.grid, magnitude.reshape(T.grid.shape))
     return field, float(magnitude.max())

@@ -36,6 +36,7 @@ from .fields import (
     TorusGrid,
     VectorFieldT,
     VolumeDensity,
+    divergence,
     divide,
     gradient,
     multiply,
@@ -57,6 +58,7 @@ __all__ = [
     "lie_derivative_density",
     "solve_weighted_poisson",
     "solve_for_field",
+    "weighted_response",
     "remove_weighted_mean",
 ]
 
@@ -130,16 +132,24 @@ def exact_primitive(h: ScalarField) -> CoVectorForm:
     return CoVectorForm((-u.derivative(1), u.derivative(0)))
 
 
-def solve_exactness(rho: ScalarField, omega: VolumeDensity) -> CoVectorForm:
-    """theta with d theta = -(rho eta) vol; requires zero mean of rho eta."""
+def weighted_response(rho: ScalarField, omega: VolumeDensity) -> ScalarField:
+    """rho * eta, after the gate that every construction needs: the integral
+    of rho against the density must vanish."""
     weighted = multiply(rho, omega.eta)
     if abs(weighted.mean) > MEAN_ZERO_TOL:
         raise NormalizationError(
-            "the response must have zero integral against the density; "
-            f"integral of rho d(omega) is {weighted.mean!r}",
+            "rho violates the mean-zero requirement: its integral against the "
+            f"density is {weighted.mean!r} (must vanish; "
+            'remove_weighted_mean, or "center": true in the rho section of a '
+            "run config, projects it out)",
             weighted.mean,
         )
-    return exact_primitive(-weighted)
+    return weighted
+
+
+def solve_exactness(rho: ScalarField, omega: VolumeDensity) -> CoVectorForm:
+    """theta with d theta = -(rho eta) vol; requires zero mean of rho eta."""
+    return exact_primitive(-weighted_response(rho, omega))
 
 
 def exterior_derivative(theta: CoVectorForm) -> ScalarField:
@@ -188,26 +198,13 @@ def lie_derivative_density(X: VectorFieldT, omega: VolumeDensity) -> ScalarField
     A correct solution field satisfies div(eta X) = -(rho eta); this is the
     residual oracle used throughout the tests.
     """
-    out = multiply(omega.eta, X.components[0]).derivative(0)
-    for i in range(1, X.dim):
-        out = out + multiply(omega.eta, X.components[i]).derivative(i)
-    return out
+    return divergence(VectorFieldT([multiply(omega.eta, c) for c in X.components]))
 
 
 def remove_weighted_mean(rho: ScalarField, omega: VolumeDensity) -> ScalarField:
     """Subtract the eta-weighted mean so the zero-integral gate passes."""
     shift = multiply(rho, omega.eta).mean / omega.eta.mean
     return rho - shift
-
-
-def _zero_nyquist(coefficients: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    out = np.array(coefficients)
-    for axis in range(grid.dim):
-        n = grid.resolution[axis]
-        idx = [slice(None)] * grid.dim
-        idx[axis] = n // 2
-        out[tuple(idx)] = 0.0
-    return out
 
 
 def solve_weighted_poisson(
@@ -236,15 +233,7 @@ def solve_weighted_poisson(
         return ScalarField.constant(grid, 0.0)
 
     eta = omega.eta.values
-    symbols = []
-    for axis in range(grid.dim):
-        n = grid.resolution[axis]
-        k = grid.wavenumbers(axis)
-        s = (2j * np.pi) * k
-        s[k == -(n // 2)] = 0.0
-        shape = [1] * grid.dim
-        shape[axis] = n
-        symbols.append(s.reshape(shape))
+    symbols = [grid.derivative_symbol(axis) for axis in range(grid.dim)]
     lap = grid.laplacian_symbol()
     inv_neg_lap = np.zeros(grid.shape)
     nonzero = lap != 0.0
@@ -262,7 +251,10 @@ def solve_weighted_poisson(
     def precondition(r: np.ndarray) -> np.ndarray:
         return np.fft.ifftn(inv_neg_lap * np.fft.fftn(r)).real
 
-    b = np.fft.ifftn(_zero_nyquist(np.fft.fftn(-g.values), grid)).real
+    b_hat = np.fft.fftn(-g.values)
+    for axis, n in enumerate(grid.resolution):
+        b_hat[(slice(None),) * axis + (n // 2,)] = 0.0
+    b = np.fft.ifftn(b_hat).real
     scale = float(np.max(np.abs(b)))
     cap = max_iterations if max_iterations is not None else 10 * max(grid.resolution)
 
@@ -320,15 +312,6 @@ def solve_for_field(
     strategy = strategy if strategy is not None else SolutionStrategy.canonical()
     strategy.validate_for(rho.grid)
     if strategy.kind == "gradient":
-        forcing = -multiply(rho, omega.eta)
-        if abs(forcing.mean) > MEAN_ZERO_TOL:
-            raise NormalizationError(
-                "the response must have zero integral against the density; "
-                f"integral of rho d(omega) is {-forcing.mean!r}",
-                -forcing.mean,
-            )
-        return gradient(solve_weighted_poisson(omega, forcing))
-    theta = solve_exactness(rho, omega)
-    if strategy.kind == "custom":
-        theta = add_closed_form(theta, strategy)
+        return gradient(solve_weighted_poisson(omega, -weighted_response(rho, omega)))
+    theta = add_closed_form(solve_exactness(rho, omega), strategy)
     return contract_inverse(theta, omega)

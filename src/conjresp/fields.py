@@ -93,6 +93,18 @@ class TorusGrid:
         n = self.resolution[axis]
         return np.fft.fftfreq(n, d=1.0 / n)
 
+    def derivative_symbol(self, axis: int) -> np.ndarray:
+        """Fourier symbol of d/dx_axis, 2 pi i k, shaped to broadcast against
+        the grid.  The Nyquist mode is zeroed so real fields stay real and
+        the operator stays skew-symmetric."""
+        n = self.resolution[axis]
+        k = self.wavenumbers(axis)
+        symbol = (2j * np.pi) * k
+        symbol[k == -(n // 2)] = 0.0
+        shape = [1] * self.dim
+        shape[axis] = n
+        return symbol.reshape(shape)
+
     def laplacian_symbol(self) -> np.ndarray:
         """Fourier symbol of the Laplacian, -4 pi^2 |k|^2, shaped like the grid."""
         ks = [self.wavenumbers(i) for i in range(self.dim)]
@@ -230,18 +242,11 @@ class ScalarField:
         return self._max_abs
 
     def derivative(self, axis: int) -> "ScalarField":
-        """Spectral partial derivative; the Nyquist mode is zeroed so real
-        fields stay real and the operator stays skew-symmetric."""
+        """Spectral partial derivative (see `TorusGrid.derivative_symbol`)."""
         if not 0 <= axis < self.grid.dim:
             raise ValueError(f"axis {axis} out of range for a {self.grid.dim}-d field")
-        n = self.grid.resolution[axis]
-        k = self.grid.wavenumbers(axis)
-        symbol = (2j * np.pi) * k
-        symbol[k == -(n // 2)] = 0.0
-        shape = [1] * self.grid.dim
-        shape[axis] = n
         return ScalarField.from_coefficients(
-            self.grid, self.coefficients * symbol.reshape(shape)
+            self.grid, self.coefficients * self.grid.derivative_symbol(axis)
         )
 
     def sample(self, points) -> np.ndarray:
@@ -324,17 +329,23 @@ def _dealiased_product(f: ScalarField, g: ScalarField) -> ScalarField:
 def divide(f: ScalarField, g: ScalarField) -> ScalarField:
     """Pointwise quotient; the denominator must be strictly positive."""
     _require_same_grid(f, g)
-    minimum = float(g.values.min())
+    _require_positive(g, "quotient denominator")
+    return ScalarField(f.grid, f.values / g.values)
+
+
+def _require_positive(f: ScalarField, what: str) -> None:
+    """Raise PositivityError, naming the minimum and where it sits, unless
+    f is strictly positive at every grid point."""
+    minimum = float(f.values.min())
     if minimum <= 0.0:
-        idx = np.unravel_index(int(np.argmin(g.values)), g.values.shape)
-        location = tuple(i / n for i, n in zip(idx, g.grid.resolution))
+        idx = np.unravel_index(int(np.argmin(f.values)), f.values.shape)
+        location = tuple(i / n for i, n in zip(idx, f.grid.resolution))
         raise PositivityError(
-            f"quotient denominator must be strictly positive; minimum {minimum:.6g} "
+            f"{what} must be strictly positive; minimum {minimum:.6g} "
             f"at grid point {location}",
             minimum,
             location,
         )
-    return ScalarField(f.grid, f.values / g.values)
 
 
 def wrap_difference(delta: np.ndarray) -> np.ndarray:
@@ -348,15 +359,7 @@ class VolumeDensity:
     MASS_TOL = 1e-6
 
     def __init__(self, eta: ScalarField, mass_tol: float = MASS_TOL):
-        minimum = float(eta.values.min())
-        if minimum <= 0.0:
-            idx = np.unravel_index(int(np.argmin(eta.values)), eta.values.shape)
-            location = tuple(i / n for i, n in zip(idx, eta.grid.resolution))
-            raise PositivityError(
-                f"density must be strictly positive; minimum {minimum:.6g} at {location}",
-                minimum,
-                location,
-            )
+        _require_positive(eta, "density")
         mean = eta.mean
         if abs(mean - 1.0) > mass_tol:
             raise NormalizationError(

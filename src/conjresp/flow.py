@@ -80,35 +80,36 @@ def default_steps(X: VectorFieldT, t: float) -> int:
     return int(math.ceil(64.0 * max(1.0, X.sup_norm * abs(t))))
 
 
-class _SampledField:
-    """Evaluator of an autonomous field (and its Jacobian) at flying points.
+class _FieldSampler:
+    """Values of F scalar fields, and optionally their gradients, at flying
+    points.
 
-    One stacked interpolation per integrator stage: components first, then
-    the n*n spectral partial derivatives when Jacobians are requested.
+    One stacked interpolation per call: the F values first, then the n
+    spectral partial derivatives of each field in turn, so the gradients of
+    a vector field's components read off as its Jacobian matrix.
     """
 
-    def __init__(self, X: VectorFieldT, with_jacobian: bool):
-        self.grid = X.grid
-        self.n = X.dim
-        self.with_jacobian = with_jacobian
-        coeffs = [c.coefficients for c in X.components]
-        if with_jacobian:
-            for i in range(self.n):
-                for j in range(self.n):
-                    coeffs.append(X.components[i].derivative(j).coefficients)
+    def __init__(self, fields, with_gradients: bool):
+        self.grid = fields[0].grid
+        self.count = len(fields)
+        coeffs = [f.coefficients for f in fields]
+        if with_gradients:
+            coeffs += [f.derivative(j).coefficients
+                       for f in fields for j in range(self.grid.dim)]
+        self.with_gradients = with_gradients
         self.stack = np.stack(coeffs)
 
-    def __call__(self, s: float, pts: np.ndarray):
+    def __call__(self, pts: np.ndarray):
+        """(M, F) values and (M, F, n) gradients (None when not requested)."""
         out = sample_coefficients(self.grid, self.stack, pts)
-        vel = out[:, : self.n]
-        if not self.with_jacobian:
-            return vel, None
-        jac = out[:, self.n :].reshape(-1, self.n, self.n)
-        return vel, jac
+        values = out[:, : self.count]
+        if not self.with_gradients:
+            return values, None
+        return values, out[:, self.count :].reshape(-1, self.count, self.grid.dim)
 
 
 def _rk4(evaluator, s0: float, s1: float, points: np.ndarray, steps: int,
-         with_jacobian: bool):
+         with_jacobian: bool) -> FlowEvaluation:
     p = np.array(points, dtype=float)
     m, n = p.shape
     J = np.tile(np.eye(n), (m, 1, 1)) if with_jacobian else None
@@ -126,7 +127,7 @@ def _rk4(evaluator, s0: float, s1: float, points: np.ndarray, steps: int,
             k4 = m4 @ (J + h * k3)
             J = J + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         p = p + (h / 6.0) * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
-    return p, J
+    return FlowEvaluation(p % 1.0, J, s1 - s0, steps, p)
 
 
 def _identity_evaluation(pts: np.ndarray, with_jacobian: bool) -> FlowEvaluation:
@@ -150,8 +151,8 @@ def integrate_flow(
         steps = default_steps(X, t)
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    lifts, jac = _rk4(_SampledField(X, jacobian), 0.0, float(t), pts, steps, jacobian)
-    return FlowEvaluation(lifts % 1.0, jac, float(t), steps, lifts)
+    sampler = _FieldSampler(X.components, jacobian)
+    return _rk4(lambda s, p: sampler(p), 0.0, float(t), pts, steps, jacobian)
 
 
 def inverse_flow(
@@ -189,49 +190,29 @@ def transported_density(omega: VolumeDensity, inverse_eval: FlowEvaluation) -> V
     return VolumeDensity(ScalarField(grid, values.reshape(grid.shape)))
 
 
-class _MoserField:
+def _moser_field(theta, omega0: VolumeDensity, omega1: VolumeDensity,
+                 with_jacobian: bool):
     """Evaluator of the time-dependent field X_s with i_{X_s} omega_s = theta.
 
     The numerators (theta components, swapped and signed in 2-d) are fixed;
-    only the interpolated density eta_s = (1-s) eta0 + s eta1 moves.
+    only the interpolated density eta_s = (1-s) eta0 + s eta1 moves, so X_s
+    and its Jacobian follow from one sample by the quotient rule.
     """
+    n = theta.dim
+    numerators = list(theta.components) if n == 1 else [theta.components[1], -theta.components[0]]
+    sampler = _FieldSampler(numerators + [omega0.eta, omega1.eta], with_jacobian)
 
-    def __init__(self, theta, omega0: VolumeDensity, omega1: VolumeDensity,
-                 with_jacobian: bool):
-        self.grid = theta.grid
-        self.n = theta.dim
-        self.with_jacobian = with_jacobian
-        if self.n == 1:
-            numerators = [theta.components[0]]
-        else:
-            a, b = theta.components
-            numerators = [b, -a]
-        coeffs = [f.coefficients for f in numerators]
-        coeffs += [omega0.eta.coefficients, omega1.eta.coefficients]
-        if with_jacobian:
-            for f in numerators:
-                coeffs += [f.derivative(j).coefficients for j in range(self.n)]
-            coeffs += [omega0.eta.derivative(j).coefficients for j in range(self.n)]
-            coeffs += [omega1.eta.derivative(j).coefficients for j in range(self.n)]
-        self.stack = np.stack(coeffs)
-
-    def __call__(self, s: float, pts: np.ndarray):
-        n = self.n
-        out = sample_coefficients(self.grid, self.stack, pts)
-        num = out[:, :n]
-        e0 = out[:, n]
-        e1 = out[:, n + 1]
-        es = (1.0 - s) * e0 + s * e1
-        vel = num / es[:, None]
-        if not self.with_jacobian:
+    def evaluate(s: float, pts: np.ndarray):
+        values, grads = sampler(pts)
+        es = (1.0 - s) * values[:, n] + s * values[:, n + 1]
+        vel = values[:, :n] / es[:, None]
+        if grads is None:
             return vel, None
-        base = n + 2
-        dnum = out[:, base : base + n * n].reshape(-1, n, n)
-        de0 = out[:, base + n * n : base + n * n + n]
-        de1 = out[:, base + n * n + n :]
-        des = (1.0 - s) * de0 + s * de1
-        jac = (dnum - vel[:, :, None] * des[:, None, :]) / es[:, None, None]
+        des = (1.0 - s) * grads[:, n] + s * grads[:, n + 1]
+        jac = (grads[:, :n] - vel[:, :, None] * des[:, None, :]) / es[:, None, None]
         return vel, jac
+
+    return evaluate
 
 
 class MoserFlow:
@@ -255,10 +236,8 @@ class MoserFlow:
         return self.theta.grid
 
     def _run(self, points, s0: float, s1: float, jacobian: bool) -> FlowEvaluation:
-        pts = as_points(points, self.grid.dim)
-        evaluator = _MoserField(self.theta, self.omega0, self.omega1, jacobian)
-        lifts, jac = _rk4(evaluator, s0, s1, pts, self.steps, jacobian)
-        return FlowEvaluation(lifts % 1.0, jac, s1 - s0, self.steps, lifts)
+        evaluator = _moser_field(self.theta, self.omega0, self.omega1, jacobian)
+        return _rk4(evaluator, s0, s1, as_points(points, self.grid.dim), self.steps, jacobian)
 
     def transport(self, points, jacobian: bool = True) -> FlowEvaluation:
         return self._run(points, 0.0, 1.0, jacobian)

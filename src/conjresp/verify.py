@@ -91,29 +91,26 @@ def response_check(omega: VolumeDensity, rho: ScalarField, X: VectorFieldT,
                    t_values, steps: int | None = None) -> ConvergenceReport:
     """Check that the pushforward density moves at rate rho * eta:
     e(t) = max |(eta_t - eta_{-t}) / (2 t) - rho eta| should shrink like t^2."""
-    t_values = _checked_t_values(t_values)
-    target = multiply(rho, omega.eta).values
-    errors = []
-    for t in t_values:
-        plus = pushforward_density(omega, X, t, steps=steps).eta.values
-        minus = pushforward_density(omega, X, -t, steps=steps).eta.values
-        errors.append(float(np.max(np.abs((plus - minus) / (2.0 * t) - target))))
-    return _fit_report(t_values, errors)
+    return _central_difference_check(
+        t_values, lambda t: pushforward_density(omega, X, t, steps=steps).eta.values,
+        multiply(rho, omega.eta).values)
 
 
 def derivative_check(T: TorusMap, X: VectorFieldT, t_values,
                      steps: int | None = None) -> ConvergenceReport:
     """Check -DT(X) + X o T against central differences of the deformed map,
     using shortest-lift differencing on the torus."""
-    t_values = _checked_t_values(t_values)
     pts = T.grid.points()
-    target = deformation_derivative(T, X).values_matrix()
-    errors = []
-    for t in t_values:
-        plus = DeformedMap(T, X, t, steps=steps)(pts)
-        minus = DeformedMap(T, X, -t, steps=steps)(pts)
-        diff = wrap_difference(plus - minus) / (2.0 * t)
-        errors.append(float(np.max(np.abs(diff - target))))
+    return _central_difference_check(
+        t_values, lambda t: DeformedMap(T, X, t, steps=steps)(pts),
+        deformation_derivative(T, X).values_matrix(), wrap_difference)
+
+
+def _central_difference_check(t_values, at, target, difference=lambda d: d):
+    """Fitted report of e(t) = max |difference(at(t) - at(-t)) / (2 t) - target|."""
+    t_values = _checked_t_values(t_values)
+    errors = [float(np.max(np.abs(difference(at(t) - at(-t)) / (2.0 * t) - target)))
+              for t in t_values]
     return _fit_report(t_values, errors)
 
 

@@ -143,6 +143,18 @@ class TestMoser:
         assert report["pushforward_residual"] <= 1e-6
         assert report["transfer"]["residual"] <= 1e-4
 
+    def test_conjugated_check_rejects_non_invariant_eta0(self, tmp_path, capsys):
+        cfg = {
+            "grid": {"resolution": [128]},
+            "map": {"kind": "linear", "A": [[2]]},
+            "moser": {"eta0_modes": [[1, 0.2, 0.1]], "eta1_modes": [[2, 0.15, -0.1]],
+                      "steps": 128, "check_conjugated": True},
+        }
+        path = write_config(tmp_path, cfg)
+        assert main(["moser", "--config", path, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "eta0" in err and "invariant density" in err
+
     def test_missing_target_exits_2(self, tmp_path):
         cfg = {"grid": {"resolution": [64]}, "moser": {"steps": 16}}
         path = write_config(tmp_path, cfg)

@@ -16,7 +16,6 @@ from conjresp import (
     TorusGrid,
     VectorFieldT,
     deformation_derivative,
-    deformed_map_eval,
     integrate_flow,
     invariance_defect,
     make_linear,
@@ -280,10 +279,3 @@ class TestPreimages:
         pre, deriv = T.preimages_with_derivative(y)
         assert np.max(np.abs(wrap_difference(T(pre.reshape(-1, 1))[:, 0] - 0.25))) <= 1e-12
         assert np.allclose(deriv, -2.0)
-
-    def test_deformed_map_eval_wrapper(self):
-        grid = TorusGrid(64)
-        T = make_linear([[2]], grid)
-        D = DeformedMap(T, canonical_field(grid), 0.0)
-        pts = np.array([[0.3]])
-        assert np.array_equal(deformed_map_eval(D, pts), T(pts))

@@ -31,6 +31,24 @@ def single_mode_field(grid):
     return VectorFieldT([ScalarField(grid, -np.sin(2 * np.pi * x) / (2 * np.pi))])
 
 
+def central_difference_jacobian(flow, pts, h=1e-5):
+    """(M, n, n) central differences of the flowed lifts; column j differences
+    along the j-th coordinate direction, so entry (i, j) is d phi_i / d x_j."""
+    n = pts.shape[1]
+    jac = np.empty((pts.shape[0], n, n))
+    for j in range(n):
+        step = np.zeros(n)
+        step[j] = h
+        jac[:, :, j] = (flow(pts + step) - flow(pts - step)) / (2 * h)
+    return jac
+
+
+def assert_full_jacobian(jacobians, reference, tol=1e-8):
+    # the flows below shear, so a transposed Jacobian (same determinant) fails
+    assert np.max(np.abs(reference - reference.transpose(0, 2, 1))) >= 100 * tol
+    assert np.max(np.abs(jacobians - reference)) <= tol
+
+
 def closed_form(x0, t):
     """Exact flow of dx/dt = -sin(2 pi x)/(2 pi) for x0 in (0, 1/2)."""
     return np.arctan(np.tan(np.pi * x0) * np.exp(-t)) / np.pi
@@ -106,6 +124,18 @@ class TestIntegrateFlow:
         assert default_steps(X, 0.1) == 64
         big = VectorFieldT([ScalarField.constant(grid, 4.0)])
         assert default_steps(big, 1.0) == 256
+
+    def test_full_jacobian_matrix_2d(self):
+        grid = TorusGrid((32, 32))
+        X = VectorFieldT([
+            ScalarField.from_modes(grid, [[0, 1, 0.0, 0.1], [1, 1, 0.05, 0.0]]),
+            ScalarField.from_modes(grid, [[1, 0, 0.08, 0.0], [0, 2, 0.0, -0.03]]),
+        ])
+        pts = np.random.default_rng(16).random((20, 2))
+        ev = integrate_flow(X, 0.7, pts, steps=64)
+        reference = central_difference_jacobian(
+            lambda p: integrate_flow(X, 0.7, p, steps=64, jacobian=False).lifts, pts)
+        assert_full_jacobian(ev.jacobians, reference)
 
     def test_jacobian_orientation_guard(self):
         with pytest.raises(QualityError):
@@ -235,3 +265,13 @@ class TestMoserTransport:
         transport = moser_transport(omega0, omega1, steps=128)
         pushed = transport.pushforward_density()
         assert np.max(np.abs(pushed.eta.values - omega1.eta.values)) <= 1e-6
+
+    def test_two_torus_full_jacobian_matrix(self):
+        grid = TorusGrid((32, 32))
+        omega0 = VolumeDensity.from_modes(grid, [[1, 0, 0.2, 0.1], [1, 1, 0.0, 0.1]])
+        omega1 = VolumeDensity.from_modes(grid, [[0, 1, 0.15, -0.1], [2, 1, 0.05, 0.0]])
+        transport = moser_transport(omega0, omega1, steps=32)
+        pts = np.random.default_rng(17).random((20, 2))
+        reference = central_difference_jacobian(
+            lambda p: transport.transport(p, jacobian=False).lifts, pts)
+        assert_full_jacobian(transport.transport(pts).jacobians, reference)
