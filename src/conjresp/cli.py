@@ -81,13 +81,29 @@ def _problem(cfg: dict, grid):
     return torus_map, omega, rho, build_strategy(cfg, grid)
 
 
-def _deformed_transfer(torus_map, omega, X, t: float, steps, verify_cfg: dict):
-    """(resolution, residual) of the transfer check of phi^t_* omega under the
-    deformed map phi^t o T o phi^{-t}."""
+def _checks(cfg: dict, grid, transfer_ts):
+    """Response and derivative reports of verify.t_values on one grid, and on
+    an expanding circle map one {"t", "resolution", "residual"} transfer check
+    of phi^t_* omega under phi^t o T o phi^{-t} per t in transfer_ts, else None."""
+    torus_map, omega, rho, strategy = _problem(cfg, grid)
+    verify_cfg = cfg.get("verify", {})
+    if "t_values" not in verify_cfg:
+        raise ConfigError("verify section needs 't_values'")
+    t_values = verify_cfg["t_values"]
+    steps = verify_cfg.get("steps", cfg.get("flow", {}).get("steps"))
+
+    X = solve_for_field(rho, omega, strategy)
+    response = response_check(omega, rho, X, t_values, steps=steps)
+    derivative = derivative_check(torus_map, X, t_values, steps=steps)
+    if not (grid.dim == 1 and torus_map.expansion_margin() > 0.0):
+        return response, derivative, None
     resolution = int(verify_cfg.get("transfer_resolution", TRANSFER_RESOLUTION))
-    eta_t = pushforward_density(omega, X, t, steps=steps)
-    residual = transfer_check(DeformedMap(torus_map, X, t, steps=steps), eta_t, resolution)
-    return resolution, residual
+    transfers = []
+    for t in transfer_ts:
+        eta_t = pushforward_density(omega, X, t, steps=steps)
+        residual = transfer_check(DeformedMap(torus_map, X, t, steps=steps), eta_t, resolution)
+        transfers.append({"t": t, "resolution": resolution, "residual": residual})
+    return response, derivative, transfers
 
 
 def cmd_solve(cfg: dict, out: Path, quiet: bool, fmt: str) -> int:
@@ -116,27 +132,15 @@ def cmd_solve(cfg: dict, out: Path, quiet: bool, fmt: str) -> int:
 
 
 def cmd_verify(cfg: dict, out: Path, quiet: bool, fmt: str) -> int:
-    grid = build_grid(cfg)
-    torus_map, omega, rho, strategy = _problem(cfg, grid)
-    verify_cfg = cfg.get("verify", {})
-    if "t_values" not in verify_cfg:
-        raise ConfigError("verify section needs 't_values'")
-    t_values = verify_cfg["t_values"]
-    steps = verify_cfg.get("steps", cfg.get("flow", {}).get("steps"))
-
-    X = solve_for_field(rho, omega, strategy)
-    response = response_check(omega, rho, X, t_values, steps=steps)
-    derivative = derivative_check(torus_map, X, t_values, steps=steps)
+    transfer_t = float(cfg.get("verify", {}).get("transfer_t", 0.02))
+    response, derivative, transfers = _checks(cfg, build_grid(cfg), [transfer_t])
 
     transfer = None
     transfer_passed = True
-    if grid.dim == 1 and torus_map.expansion_margin() > 0.0:
-        t_def = float(verify_cfg.get("transfer_t", 0.02))
-        resolution, residual = _deformed_transfer(torus_map, omega, X, t_def, steps,
-                                                  verify_cfg)
-        transfer_passed = residual <= 1e-4
-        transfer = {"t": t_def, "resolution": resolution, "residual": residual,
-                    "passed": transfer_passed}
+    if transfers is not None:
+        transfer = transfers[0]
+        transfer_passed = transfer["residual"] <= 1e-4
+        transfer["passed"] = transfer_passed
 
     passed = response.passed and derivative.passed and transfer_passed
     report = {
@@ -221,37 +225,23 @@ def cmd_sweep(cfg: dict, out: Path, quiet: bool, fmt: str) -> int:
     t_values = verify_cfg.get("t_values", [])
     if not t_values:
         raise ConfigError("sweep needs a non-empty verify.t_values list")
-    base_resolution = build_grid(cfg).resolution[0]
-    resolutions = [int(n) for n in verify_cfg.get("resolutions", [base_resolution])]
+    grids = [build_grid(cfg)]
+    if "resolutions" in verify_cfg:
+        grids = [build_grid(cfg, resolution_override=n) for n in verify_cfg["resolutions"]]
     scenario = _scenario_id(cfg)
 
-    rows = []
-    for n in resolutions:
-        grid = build_grid(cfg, resolution_override=n)
-        torus_map, omega, rho, strategy = _problem(cfg, grid)
-        steps = verify_cfg.get("steps", cfg.get("flow", {}).get("steps"))
-        X = solve_for_field(rho, omega, strategy)
-        response = response_check(omega, rho, X, t_values, steps=steps)
-        derivative = derivative_check(torus_map, X, t_values, steps=steps)
-        fitted = response.fitted_order if response.fitted_order is not None else float("nan")
-        expanding = grid.dim == 1 and torus_map.expansion_margin() > 0.0
-        for t, response_error, derivative_error in zip(
-                response.t_values, response.errors, derivative.errors):
-            if expanding:
-                _, transfer_residual = _deformed_transfer(torus_map, omega, X, t, steps,
-                                                          verify_cfg)
-            else:
-                transfer_residual = float("nan")
-            rows.append((scenario, n, t, response_error, derivative_error,
-                         transfer_residual, fitted))
-
     lines = ["scenario_id,N,t,response_error,derivative_error,transfer_residual,fitted_order"]
-    for scenario_id, n, t, re_, de, tr, fo in rows:
-        lines.append(
-            f"{scenario_id},{n},{t:.17g},{re_:.17g},{de:.17g},{tr:.17g},{fo:.17g}"
-        )
+    for grid in grids:
+        response, derivative, transfers = _checks(cfg, grid, t_values)
+        fitted = response.fitted_order if response.fitted_order is not None else float("nan")
+        residuals = ([record["residual"] for record in transfers] if transfers is not None
+                     else [float("nan")] * len(t_values))
+        for t, re_, de, tr in zip(response.t_values, response.errors, derivative.errors,
+                                  residuals):
+            lines.append(f"{scenario},{grid.resolution[0]},{t:.17g},{re_:.17g},{de:.17g},"
+                         f"{tr:.17g},{fitted:.17g}")
     (out / "sweep.csv").write_text("\n".join(lines) + "\n")
-    _say(quiet, f"wrote {len(rows)} sweep rows to {out / 'sweep.csv'}")
+    _say(quiet, f"wrote {len(lines) - 1} sweep rows to {out / 'sweep.csv'}")
     return EXIT_OK
 
 

@@ -13,7 +13,7 @@ import json
 
 from .dynamics import TorusMap, make_linear, make_warped_doubling
 from .errors import ConfigError
-from .exactness import SolutionStrategy
+from .exactness import SolutionStrategy, remove_weighted_mean
 from .fields import ScalarField, TorusGrid, VectorFieldT, VolumeDensity
 
 _TOP_KEYS = {"scenario_id", "grid", "map", "rho", "strategy", "flow", "verify",
@@ -55,8 +55,6 @@ def load_config(path) -> dict:
     for name, allowed in _SECTION_KEYS.items():
         if name in cfg:
             if not isinstance(cfg[name], dict):
-                if name == "strategy":
-                    continue
                 raise ConfigError(f"section {name!r} must be an object")
             _check_keys(cfg[name], allowed, name)
     if "strategy" in cfg:
@@ -130,7 +128,7 @@ def build_map(cfg: dict, grid: TorusGrid) -> TorusMap:
         density = None
         if section.get("eta_modes"):
             density = VolumeDensity.from_modes(grid, section["eta_modes"])
-        return TorusMap(grid, section["A"], displacement, density, family="custom")
+        return TorusMap(grid, section["A"], displacement, density)
     raise ConfigError(f"unknown map kind {kind!r}")
 
 
@@ -140,8 +138,6 @@ def build_rho(cfg: dict, grid: TorusGrid, omega: VolumeDensity) -> ScalarField:
         raise ConfigError("rho section needs a 'modes' list")
     rho = ScalarField.from_modes(grid, section["modes"])
     if section.get("center", False):
-        from .exactness import remove_weighted_mean
-
         rho = remove_weighted_mean(rho, omega)
     return rho
 

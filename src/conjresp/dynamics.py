@@ -3,7 +3,8 @@ first-order deformation derivative.
 
 A map is stored as an integer linear part plus a periodic displacement,
 T(x) = A x + g(x) mod 1 -- the normal form any continuous torus map's lift
-forces -- together with an invariant density.  Expanding circle maps carry a
+forces -- together with an invariant density.  Integer-linear maps with a
+flat density are certified exactly; other expanding circle maps carry a
 runtime invariance certificate (a transfer-operator residual); everything
 else is accepted on trust and flagged uncertified.
 
@@ -26,6 +27,7 @@ from .fields import (
     VectorFieldT,
     VolumeDensity,
     as_points,
+    sample_coefficients,
 )
 from .flow import FlowEvaluation, integrate_flow, inverse_flow
 
@@ -33,6 +35,8 @@ BISECTION_ITERATIONS = 60
 EXPANSION_MARGIN = 0.01
 CERTIFICATE_RESOLUTION = 256
 CERTIFICATE_TOL = 1e-6
+EXPANSION_SAMPLES = 4096  # points at which the expansion margin samples F'
+WARP_CONSTRUCTION_STEPS = 128  # RK4 steps of the warped-doubling flow pair
 
 __all__ = [
     "TorusMap",
@@ -46,11 +50,14 @@ __all__ = [
 
 
 class TorusMap:
-    """Smooth torus self-map A x + g(x) mod 1 with an invariant density."""
+    """Smooth torus self-map A x + g(x) mod 1 with an invariant density
+    (default Lebesgue).  Invariance is certified exactly (residual 0.0) when
+    g = 0 and the density is flat, by a transfer residual <= CERTIFICATE_TOL
+    on any other expanding circle map (ConstructionError above it), and
+    not at all otherwise (``certified`` False)."""
 
     def __init__(self, grid: TorusGrid, matrix, displacement: VectorFieldT | None = None,
-                 density: VolumeDensity | None = None, family: str = "custom",
-                 certify: bool = True):
+                 density: VolumeDensity | None = None):
         matrix = np.asarray(matrix)
         if matrix.shape != (grid.dim, grid.dim):
             raise ValueError(f"linear part must be {grid.dim}x{grid.dim}, got {matrix.shape}")
@@ -67,17 +74,15 @@ class TorusMap:
         self.matrix = matrix
         self.displacement = displacement if displacement is not None else VectorFieldT.zero(grid)
         self.density = density if density is not None else VolumeDensity.lebesgue(grid)
-        self.family = family
         self._has_displacement = self.displacement.sup_norm > 0.0
         self._jacobian_stack = None
         self._expansion_margin = None
         self.certified = False
         self.certificate_residual = None
-        if family == "linear" and np.all(self.density.eta.values == 1.0):
-            # integer-linear maps preserve Lebesgue exactly
+        if not self._has_displacement and np.all(self.density.eta.values == 1.0):
             self.certified = True
             self.certificate_residual = 0.0
-        elif certify and grid.dim == 1 and self.expansion_margin() > 0.0:
+        elif grid.dim == 1 and self.expansion_margin() > 0.0:
             from .verify import transfer_check  # deferred: verify sits above dynamics
 
             residual = transfer_check(self, self.density, CERTIFICATE_RESOLUTION)
@@ -128,8 +133,6 @@ class TorusMap:
         n = self.dim
         out = np.tile(self.matrix.astype(float), (pts.shape[0], 1, 1))
         if self._has_displacement:
-            from .fields import sample_coefficients
-
             dg = sample_coefficients(self.grid, self._displacement_derivative_stack(), pts)
             out += dg.reshape(-1, n, n)
         return out
@@ -144,13 +147,13 @@ class TorusMap:
                     out[:, i, j] += self.displacement.components[i].derivative(j).values.ravel()
         return out
 
-    def expansion_margin(self, samples: int = 4096) -> float:
+    def expansion_margin(self) -> float:
         """min |F'| - 1 over a fine sample of the lift derivative F' of a
         circle map; negative (or -inf if F' changes sign) means not expanding."""
         if self.dim != 1:
             raise ValueError("expansion margin is only defined for circle maps")
         if self._expansion_margin is None:
-            x = np.linspace(0.0, 1.0, samples, endpoint=False).reshape(-1, 1)
+            x = np.linspace(0.0, 1.0, EXPANSION_SAMPLES, endpoint=False).reshape(-1, 1)
             deriv = self.jacobian(x)[:, 0, 0]
             if deriv.min() * deriv.max() <= 0.0:
                 self._expansion_margin = -np.inf
@@ -204,10 +207,10 @@ def make_linear(matrix, grid: TorusGrid) -> TorusMap:
     """Integer-linear torus map; Lebesgue is invariant.  The single-entry
     matrix [[2]] is the circle doubling map, [[2, 1], [1, 1]] the cat map,
     and [[1]] the (degenerate) identity."""
-    return TorusMap(grid, matrix, family="linear")
+    return TorusMap(grid, matrix)
 
 
-def make_warped_doubling(generator: VectorFieldT, construction_steps: int = 128) -> TorusMap:
+def make_warped_doubling(generator: VectorFieldT) -> TorusMap:
     """Doubling map conjugated by the time-one flow h of the generator:
     T = h o D o h^{-1}, whose invariant density is the derivative of h^{-1}
     (the pushforward of Lebesgue by h), positive by construction.
@@ -219,8 +222,8 @@ def make_warped_doubling(generator: VectorFieldT, construction_steps: int = 128)
     if grid.dim != 1:
         raise ValueError("warped doubling is a circle-map construction")
     pts = grid.points()
-    forward = integrate_flow(generator, 1.0, pts, steps=construction_steps)
-    backward = integrate_flow(generator, -1.0, pts, steps=construction_steps)
+    forward = integrate_flow(generator, 1.0, pts, steps=WARP_CONSTRUCTION_STEPS)
+    backward = integrate_flow(generator, -1.0, pts, steps=WARP_CONSTRUCTION_STEPS)
     h_displacement = ScalarField(grid, (forward.lifts[:, 0] - pts[:, 0]).reshape(grid.shape))
     inverse_lift = backward.lifts[:, 0]
     eta_values = backward.jacobians[:, 0, 0]
@@ -230,7 +233,7 @@ def make_warped_doubling(generator: VectorFieldT, construction_steps: int = 128)
     g_values = t_lift - 2.0 * pts[:, 0]
     displacement = VectorFieldT([ScalarField(grid, g_values.reshape(grid.shape))])
     density = VolumeDensity(ScalarField(grid, eta_values.reshape(grid.shape)))
-    return TorusMap(grid, [[2]], displacement, density, family="warped_doubling")
+    return TorusMap(grid, [[2]], displacement, density)
 
 
 class ConjugatedMap:

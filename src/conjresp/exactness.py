@@ -14,7 +14,7 @@ Two algebraic steps produce X:
      Laplacian u = -(rho eta), which is unique, dimension-uniform and
      spectrally exact.
   2. contraction inversion: solve i_X (eta vol) = theta, a pointwise
-     division by eta (with a component swap and sign in 2-d).
+     division of the flux of theta (`CoVectorForm.flux`) by eta.
 
 theta is not unique: any closed (n-1)-form may be added.  On the 1-torus the
 closed forms are the constants; on the 2-torus they also contain every exact
@@ -44,6 +44,7 @@ from .fields import (
 
 MEAN_ZERO_TOL = 1e-10
 DEFAULT_POISSON_TOL = 1e-10
+POISSON_ITERATIONS_PER_POINT = 10  # CG iteration cap per point of the longest axis
 
 __all__ = [
     "MEAN_ZERO_TOL",
@@ -121,15 +122,9 @@ def solve_laplace(f: ScalarField) -> ScalarField:
 
 
 def exact_primitive(h: ScalarField) -> CoVectorForm:
-    """The canonical (n-1)-form theta with d theta = h * (volume element).
-
-    Built from the potential u with Laplacian u = h: theta = u' on the
-    1-torus, theta = -u_y dx + u_x dy on the 2-torus.
-    """
-    u = solve_laplace(h)
-    if h.grid.dim == 1:
-        return CoVectorForm((u.derivative(0),))
-    return CoVectorForm((-u.derivative(1), u.derivative(0)))
+    """The canonical (n-1)-form theta with d theta = h * (volume element):
+    the form whose flux is grad u, for the potential u with Laplacian u = h."""
+    return CoVectorForm.from_flux(gradient(solve_laplace(h)))
 
 
 def weighted_response(rho: ScalarField, omega: VolumeDensity) -> ScalarField:
@@ -153,11 +148,8 @@ def solve_exactness(rho: ScalarField, omega: VolumeDensity) -> CoVectorForm:
 
 
 def exterior_derivative(theta: CoVectorForm) -> ScalarField:
-    """Density of d theta with respect to the volume element."""
-    if theta.dim == 1:
-        return theta.components[0].derivative(0)
-    a, b = theta.components
-    return b.derivative(0) - a.derivative(1)
+    """Density of d theta with respect to the volume element: div of the flux."""
+    return divergence(theta.flux())
 
 
 def add_closed_form(theta: CoVectorForm, strategy: SolutionStrategy) -> CoVectorForm:
@@ -173,32 +165,26 @@ def add_closed_form(theta: CoVectorForm, strategy: SolutionStrategy) -> CoVector
 
 
 def contract(X: VectorFieldT, omega: VolumeDensity) -> CoVectorForm:
-    """The contraction i_X (eta vol): f = eta X on the 1-torus,
-    (a, b) = (-eta X^2, eta X^1) on the 2-torus."""
-    eta = omega.eta
-    if X.dim == 1:
-        return CoVectorForm((multiply(eta, X.components[0]),))
-    return CoVectorForm(
-        (-multiply(eta, X.components[1]), multiply(eta, X.components[0]))
+    """The contraction i_X (eta vol): the form whose flux is eta X."""
+    return CoVectorForm.from_flux(
+        VectorFieldT([multiply(omega.eta, c) for c in X.components])
     )
 
 
 def contract_inverse(theta: CoVectorForm, omega: VolumeDensity) -> VectorFieldT:
-    """The unique X with i_X (eta vol) = theta (eta is nowhere zero)."""
-    eta = omega.eta
-    if theta.dim == 1:
-        return VectorFieldT((divide(theta.components[0], eta),))
-    a, b = theta.components
-    return VectorFieldT((divide(b, eta), -divide(a, eta)))
+    """The unique X with i_X (eta vol) = theta (eta is nowhere zero): the
+    flux of theta divided by eta."""
+    return VectorFieldT([divide(c, omega.eta) for c in theta.flux().components])
 
 
 def lie_derivative_density(X: VectorFieldT, omega: VolumeDensity) -> ScalarField:
-    """Density of the Lie derivative of the volume form along X: div(eta X).
+    """Density of the Lie derivative of the volume form along X, which by
+    Cartan's formula is d i_X (eta vol) = div(eta X).
 
     A correct solution field satisfies div(eta X) = -(rho eta); this is the
     residual oracle used throughout the tests.
     """
-    return divergence(VectorFieldT([multiply(omega.eta, c) for c in X.components]))
+    return exterior_derivative(contract(X, omega))
 
 
 def remove_weighted_mean(rho: ScalarField, omega: VolumeDensity) -> ScalarField:
@@ -211,15 +197,15 @@ def solve_weighted_poisson(
     omega: VolumeDensity,
     g: ScalarField,
     tol: float = DEFAULT_POISSON_TOL,
-    max_iterations: int | None = None,
 ) -> ScalarField:
     """Zero-mean u with div(eta grad u) = g, for zero-mean g.
 
     Preconditioned conjugate gradients on the (negated) operator, which is
     symmetric positive definite on zero-mean fields; the constant-coefficient
     inverse Laplacian is the preconditioner.  Stops when the sup-norm
-    residual drops below tol * max|g|.  Nyquist content of g lies in the
-    kernel of the discretized operator and is projected out.
+    residual drops below tol * max|g|, or stalls after
+    POISSON_ITERATIONS_PER_POINT * max(N) iterations.  Nyquist content of g
+    lies in the kernel of the discretized operator and is projected out.
     """
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -256,7 +242,7 @@ def solve_weighted_poisson(
         b_hat[(slice(None),) * axis + (n // 2,)] = 0.0
     b = np.fft.ifftn(b_hat).real
     scale = float(np.max(np.abs(b)))
-    cap = max_iterations if max_iterations is not None else 10 * max(grid.resolution)
+    cap = POISSON_ITERATIONS_PER_POINT * max(grid.resolution)
 
     x = np.zeros(grid.shape)
     r = b.copy()

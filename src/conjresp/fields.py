@@ -25,6 +25,7 @@ import numpy as np
 from .errors import NormalizationError, PositivityError
 
 MIN_RESOLUTION = 8
+MASS_TOL = 1e-6  # allowed |mean - 1| of a density
 
 __all__ = [
     "MIN_RESOLUTION",
@@ -81,8 +82,6 @@ class TorusGrid:
     def meshes(self) -> list:
         """Coordinate arrays of shape ``self.shape``, one per axis."""
         axes = [self.axis_points(i) for i in range(self.dim)]
-        if self.dim == 1:
-            return axes
         return list(np.meshgrid(*axes, indexing="ij"))
 
     def points(self) -> np.ndarray:
@@ -108,10 +107,7 @@ class TorusGrid:
     def laplacian_symbol(self) -> np.ndarray:
         """Fourier symbol of the Laplacian, -4 pi^2 |k|^2, shaped like the grid."""
         ks = [self.wavenumbers(i) for i in range(self.dim)]
-        if self.dim == 1:
-            k2 = ks[0] ** 2
-        else:
-            k2 = ks[0][:, None] ** 2 + ks[1][None, :] ** 2
+        k2 = sum(k**2 for k in np.meshgrid(*ks, indexing="ij"))
         return -4.0 * np.pi**2 * k2
 
     def __eq__(self, other):
@@ -356,12 +352,10 @@ def wrap_difference(delta: np.ndarray) -> np.ndarray:
 class VolumeDensity:
     """Strictly positive density of unit total mass (a volume form over Lebesgue)."""
 
-    MASS_TOL = 1e-6
-
-    def __init__(self, eta: ScalarField, mass_tol: float = MASS_TOL):
+    def __init__(self, eta: ScalarField):
         _require_positive(eta, "density")
         mean = eta.mean
-        if abs(mean - 1.0) > mass_tol:
+        if abs(mean - 1.0) > MASS_TOL:
             raise NormalizationError(
                 f"density must have unit mass; mean is {mean!r}", mean
             )
@@ -454,11 +448,28 @@ class VectorFieldT(_ComponentTuple):
 
 class CoVectorForm(_ComponentTuple):
     """(n-1)-form: a single 0-form f on the 1-torus, or a pair (a, b)
-    representing a dx + b dy on the 2-torus."""
+    representing a dx + b dy on the 2-torus.  Only `flux` and `from_flux`
+    know this layout; d theta = div(theta.flux()) vol in any dimension."""
 
     @classmethod
     def zero(cls, grid: TorusGrid) -> "CoVectorForm":
         return cls([ScalarField.constant(grid, 0.0) for _ in range(grid.dim)])
+
+    def flux(self) -> VectorFieldT:
+        """The field J with i_J vol = theta: f on the 1-torus, (b, -a) for
+        theta = a dx + b dy."""
+        if self.dim == 1:
+            return VectorFieldT(self.components)
+        a, b = self.components
+        return VectorFieldT((b, -a))
+
+    @classmethod
+    def from_flux(cls, J: VectorFieldT) -> "CoVectorForm":
+        """The form i_J vol; inverse of `flux`."""
+        if J.dim == 1:
+            return cls(J.components)
+        j1, j2 = J.components
+        return cls((-j2, j1))
 
 
 def gradient(u: ScalarField) -> VectorFieldT:

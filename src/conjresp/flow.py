@@ -194,13 +194,13 @@ def _moser_field(theta, omega0: VolumeDensity, omega1: VolumeDensity,
                  with_jacobian: bool):
     """Evaluator of the time-dependent field X_s with i_{X_s} omega_s = theta.
 
-    The numerators (theta components, swapped and signed in 2-d) are fixed;
-    only the interpolated density eta_s = (1-s) eta0 + s eta1 moves, so X_s
-    and its Jacobian follow from one sample by the quotient rule.
+    The numerators (the flux of theta) are fixed; only the interpolated
+    density eta_s = (1-s) eta0 + s eta1 moves, so X_s and its Jacobian
+    follow from one sample by the quotient rule.
     """
     n = theta.dim
-    numerators = list(theta.components) if n == 1 else [theta.components[1], -theta.components[0]]
-    sampler = _FieldSampler(numerators + [omega0.eta, omega1.eta], with_jacobian)
+    sampler = _FieldSampler(list(theta.flux().components) + [omega0.eta, omega1.eta],
+                            with_jacobian)
 
     def evaluate(s: float, pts: np.ndarray):
         values, grads = sampler(pts)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import DeformedMap, TorusMap, deformation_derivative
-from .fields import VectorFieldT, VolumeDensity, ScalarField, multiply, wrap_difference
+from .fields import ScalarField, TorusGrid, VectorFieldT, VolumeDensity, multiply, wrap_difference
 from .flow import inverse_flow, transported_density
 
 NOISE_FLOOR = 1e-11
@@ -44,7 +44,7 @@ class ConvergenceReport:
     t_values: tuple
     errors: tuple
     fitted_order: float | None
-    constant: float | None
+    constant: float
     passed: bool
     floor_reached: bool = False
 
@@ -58,10 +58,10 @@ class ConvergenceReport:
         }
 
 
-def _fit_report(t_values, errors, order_range=ORDER_RANGE) -> ConvergenceReport:
+def _fit_report(t_values, errors) -> ConvergenceReport:
     t = np.asarray(t_values, dtype=float)
     e = np.asarray(errors, dtype=float)
-    constant = float(e[-1] / t[-1] ** 2) if t.size else None
+    constant = float(e[-1] / t[-1] ** 2)
     above = e > NOISE_FLOOR
     floor = bool((~above).any())
     if above.sum() == 0:
@@ -75,7 +75,7 @@ def _fit_report(t_values, errors, order_range=ORDER_RANGE) -> ConvergenceReport:
         passed = bool(eu[0] <= 1e-9)
         return ConvergenceReport(tuple(t), tuple(e), None, constant, passed, True)
     slope = float(np.polyfit(np.log(tu), np.log(eu), 1)[0])
-    passed = order_range[0] <= slope <= order_range[1]
+    passed = ORDER_RANGE[0] <= slope <= ORDER_RANGE[1]
     return ConvergenceReport(tuple(t), tuple(e), slope, constant, passed, floor)
 
 
@@ -132,8 +132,6 @@ def transfer_check(T_t, eta_t: VolumeDensity, resolution: int) -> float:
     T_t may be a TorusMap, a DeformedMap or a ConjugatedMap; it must expose
     `preimages_with_derivative`, which enforces the expansion precondition.
     """
-    from .fields import TorusGrid
-
     y = TorusGrid((int(resolution),)).axis_points(0)
     pre, deriv = T_t.preimages_with_derivative(y)
     dens = eta_t.eta

@@ -191,6 +191,25 @@ class TestSweep:
         values = list(smallest_t.values())
         assert max(values) <= 2.0 * min(values)  # spectral saturation
 
+    def test_config_grid_matches_verify_without_resolutions(self, tmp_path):
+        # a non-square grid must run as given, exactly as verify runs it
+        cfg = {
+            "grid": {"resolution": [32, 16]},
+            "map": {"kind": "linear", "A": [[2, 1], [1, 1]]},
+            "rho": {"modes": [[1, 1, 1.0, 0.0], [0, 3, 0.5, 0.2]]},
+            "verify": {"t_values": [1e-2, 5e-3], "steps": 4},
+        }
+        path = write_config(tmp_path, cfg)
+        verify_out, sweep_out = tmp_path / "v", tmp_path / "s"
+        assert main(["verify", "--config", path, "--out", str(verify_out), "--quiet"]) == 0
+        assert main(["sweep", "--config", path, "--out", str(sweep_out), "--quiet"]) == 0
+        report = json.loads((verify_out / "report.json").read_text())
+        rows = [line.split(",") for line in
+                (sweep_out / "sweep.csv").read_text().strip().split("\n")[1:]]
+        assert [int(row[1]) for row in rows] == [32, 32]
+        assert [float(row[3]) for row in rows] == report["response"]["error"]
+        assert [float(row[4]) for row in rows] == report["derivative"]["error"]
+
     def test_empty_t_list_exits_2(self, tmp_path):
         cfg = doubling_config()
         cfg["verify"]["t_values"] = []

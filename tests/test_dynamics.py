@@ -23,6 +23,7 @@ from conjresp import (
     solve_for_field,
     wrap_difference,
     SolutionStrategy,
+    TorusMap,
     VolumeDensity,
 )
 
@@ -50,6 +51,13 @@ class TestMakeLinear:
         T = make_linear([[2, 1], [1, 1]], TorusGrid((16, 16)))
         got = T([[0.5, 0.5]])[0]
         assert np.allclose(got, [0.5, 0.0], atol=1e-15)
+
+    @pytest.mark.parametrize("resolution, matrix", [((16, 16), [[2, 1], [1, 1]]),
+                                                    (16, [[1]])])
+    def test_flat_integer_linear_map_is_certified_exactly(self, resolution, matrix):
+        # the certificate follows from the inputs, however the map is built
+        T = TorusMap(TorusGrid(resolution), matrix)
+        assert T.certified and T.certificate_residual == 0.0
 
     def test_identity(self):
         T = make_linear([[1]], TorusGrid(16))

@@ -228,6 +228,9 @@ class TestContraction:
         back = contract(contract_inverse(theta, omega), omega)
         for got, want in zip(back.components, theta.components):
             assert np.max(np.abs(got.values - want.values)) <= 1e-12 * max(1.0, want.max_abs)
+        flux_back = CoVectorForm.from_flux(theta.flux())
+        for got, want in zip(flux_back.components, theta.components):
+            assert np.array_equal(got.values, want.values)
 
 
 class TestLieDerivative:
