@@ -18,16 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import build_grid, build_map, build_rho, build_strategy, load_config
+from .config import (TRANSFER_TOL, build_grid, build_map, build_rho, build_strategy,
+                     load_config, required)
 from .dynamics import ConjugatedMap, DeformedMap
-from .errors import (
-    ConfigError,
-    ConstructionError,
-    ConvergenceError,
-    NormalizationError,
-    PositivityError,
-    QualityError,
-)
+from .errors import ConfigError, ConstructionError, ConvergenceError, QualityError
 from .exactness import (
     add_closed_form,
     contract_inverse,
@@ -47,7 +41,6 @@ EXIT_VALIDATION = 2
 EXIT_CONVERGENCE = 3
 EXIT_VERIFICATION = 4
 
-TRANSFER_RESOLUTION = 512  # default transfer-check resolution of every command
 DENSITY_MATCH_TOL = 1e-12  # eta0 vs the map's density, for moser's conjugated check
 
 __all__ = ["main"]
@@ -64,13 +57,6 @@ def _write_json(path: Path, payload: dict) -> None:
         handle.write("\n")
 
 
-def _scenario_id(cfg: dict) -> str:
-    if "scenario_id" in cfg:
-        return str(cfg["scenario_id"])
-    kind = cfg.get("map", {}).get("kind", "run") if isinstance(cfg.get("map"), dict) else "run"
-    return kind
-
-
 def _problem(cfg: dict, grid):
     """The map, its invariant density, the gated rho and the strategy on one
     grid: the set-up shared by solve, verify and every sweep resolution."""
@@ -85,19 +71,16 @@ def _checks(cfg: dict, grid, transfer_ts):
     """Response and derivative reports of verify.t_values on one grid, and on
     an expanding circle map one {"t", "resolution", "residual"} transfer check
     of phi^t_* omega under phi^t o T o phi^{-t} per t in transfer_ts, else None."""
+    t_values = required(cfg, "verify", "t_values")
+    steps = cfg["verify"]["steps"]
     torus_map, omega, rho, strategy = _problem(cfg, grid)
-    verify_cfg = cfg.get("verify", {})
-    if "t_values" not in verify_cfg:
-        raise ConfigError("verify section needs 't_values'")
-    t_values = verify_cfg["t_values"]
-    steps = verify_cfg.get("steps", cfg.get("flow", {}).get("steps"))
 
     X = solve_for_field(rho, omega, strategy)
     response = response_check(omega, rho, X, t_values, steps=steps)
     derivative = derivative_check(torus_map, X, t_values, steps=steps)
-    if not (grid.dim == 1 and torus_map.expansion_margin() > 0.0):
+    if not torus_map.expanding:
         return response, derivative, None
-    resolution = int(verify_cfg.get("transfer_resolution", TRANSFER_RESOLUTION))
+    resolution = cfg["verify"]["transfer_resolution"]
     transfers = []
     for t in transfer_ts:
         eta_t = pushforward_density(omega, X, t, steps=steps)
@@ -109,7 +92,7 @@ def _checks(cfg: dict, grid, transfer_ts):
 def cmd_solve(cfg: dict, out: Path, quiet: bool, fmt: str) -> int:
     grid = build_grid(cfg)
     _, omega, rho, strategy = _problem(cfg, grid)
-    prefix = cfg.get("output", {}).get("prefix", "solve")
+    prefix = cfg["output"]["prefix"]
 
     target = multiply(rho, omega.eta)
     if strategy.kind == "gradient":
@@ -132,19 +115,19 @@ def cmd_solve(cfg: dict, out: Path, quiet: bool, fmt: str) -> int:
 
 
 def cmd_verify(cfg: dict, out: Path, quiet: bool, fmt: str) -> int:
-    transfer_t = float(cfg.get("verify", {}).get("transfer_t", 0.02))
-    response, derivative, transfers = _checks(cfg, build_grid(cfg), [transfer_t])
+    transfer_ts = [cfg["verify"]["transfer_t"]]
+    response, derivative, transfers = _checks(cfg, build_grid(cfg), transfer_ts)
 
     transfer = None
     transfer_passed = True
     if transfers is not None:
         transfer = transfers[0]
-        transfer_passed = transfer["residual"] <= 1e-4
+        transfer_passed = transfer["residual"] <= TRANSFER_TOL
         transfer["passed"] = transfer_passed
 
     passed = response.passed and derivative.passed and transfer_passed
     report = {
-        "scenario_id": _scenario_id(cfg),
+        "scenario_id": cfg["scenario_id"],
         "response": response.to_json(),
         "derivative": derivative.to_json(),
         "transfer": transfer,
@@ -166,17 +149,14 @@ def cmd_verify(cfg: dict, out: Path, quiet: bool, fmt: str) -> int:
 
 def cmd_moser(cfg: dict, out: Path, quiet: bool, fmt: str) -> int:
     grid = build_grid(cfg)
-    moser_cfg = cfg.get("moser", {})
-    if "eta1_modes" not in moser_cfg:
-        raise ConfigError("moser section needs 'eta1_modes' (the target density)")
+    moser_cfg = cfg["moser"]
     omega0 = (VolumeDensity.from_modes(grid, moser_cfg["eta0_modes"])
-              if moser_cfg.get("eta0_modes") else VolumeDensity.lebesgue(grid))
-    omega1 = VolumeDensity.from_modes(grid, moser_cfg["eta1_modes"])
-    steps = int(moser_cfg.get("steps", 256))
-    pushforward_tol = float(moser_cfg.get("pushforward_tol", 1e-6))
-    transfer_tol = float(moser_cfg.get("transfer_tol", 1e-4))
+              if moser_cfg["eta0_modes"] else VolumeDensity.lebesgue(grid))
+    omega1 = VolumeDensity.from_modes(grid, required(cfg, "moser", "eta1_modes"))
+    steps = moser_cfg["steps"]
+    pushforward_tol = moser_cfg["pushforward_tol"]
     torus_map = None
-    if moser_cfg.get("check_conjugated", False):
+    if moser_cfg["check_conjugated"]:
         # psi o T o psi^{-1} preserves psi_* eta0 = eta1 only if T preserves eta0
         torus_map = build_map(cfg, grid)
         mismatch = float(np.max(np.abs(omega0.eta.values - torus_map.density.eta.values)))
@@ -195,16 +175,16 @@ def cmd_moser(cfg: dict, out: Path, quiet: bool, fmt: str) -> int:
     transfer_ok = True
     if torus_map is not None:
         conjugated = ConjugatedMap.from_moser(torus_map, transport)
-        resolution = int(moser_cfg.get("transfer_resolution", TRANSFER_RESOLUTION))
+        resolution = moser_cfg["transfer_resolution"]
         transfer_residual = transfer_check(conjugated, omega1, resolution)
-        transfer_ok = transfer_residual <= transfer_tol
+        transfer_ok = transfer_residual <= moser_cfg["transfer_tol"]
         transfer = {"resolution": resolution, "residual": transfer_residual,
                     "passed": transfer_ok}
         _say(quiet, f"conjugated-map transfer residual = {transfer_residual:.3e}")
 
     passed = residual <= pushforward_tol and transfer_ok
     report = {
-        "scenario_id": _scenario_id(cfg),
+        "scenario_id": cfg["scenario_id"],
         "steps": steps,
         "pushforward_residual": residual,
         "pushforward_tol": pushforward_tol,
@@ -221,24 +201,17 @@ def cmd_moser(cfg: dict, out: Path, quiet: bool, fmt: str) -> int:
 
 
 def cmd_sweep(cfg: dict, out: Path, quiet: bool, fmt: str) -> int:
-    verify_cfg = cfg.get("verify", {})
-    t_values = verify_cfg.get("t_values", [])
-    if not t_values:
-        raise ConfigError("sweep needs a non-empty verify.t_values list")
-    grids = [build_grid(cfg)]
-    if "resolutions" in verify_cfg:
-        grids = [build_grid(cfg, resolution_override=n) for n in verify_cfg["resolutions"]]
-    scenario = _scenario_id(cfg)
+    grids = [build_grid(cfg, n) for n in cfg["verify"]["resolutions"] or [None]]
 
     lines = ["scenario_id,N,t,response_error,derivative_error,transfer_residual,fitted_order"]
     for grid in grids:
-        response, derivative, transfers = _checks(cfg, grid, t_values)
+        response, derivative, transfers = _checks(cfg, grid, cfg["verify"]["t_values"])
         fitted = response.fitted_order if response.fitted_order is not None else float("nan")
         residuals = ([record["residual"] for record in transfers] if transfers is not None
-                     else [float("nan")] * len(t_values))
+                     else [float("nan")] * len(response.t_values))
         for t, re_, de, tr in zip(response.t_values, response.errors, derivative.errors,
                                   residuals):
-            lines.append(f"{scenario},{grid.resolution[0]},{t:.17g},{re_:.17g},{de:.17g},"
+            lines.append(f"{cfg['scenario_id']},{grid.resolution[0]},{t:.17g},{re_:.17g},{de:.17g},"
                          f"{tr:.17g},{fitted:.17g}")
     (out / "sweep.csv").write_text("\n".join(lines) + "\n")
     _say(quiet, f"wrote {len(lines) - 1} sweep rows to {out / 'sweep.csv'}")
@@ -270,13 +243,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        fmt = args.format or cfg.get("output", {}).get("format", "json")
-        if fmt not in ("json", "csv"):
-            raise ConfigError(f"unknown output format {fmt!r}")
+        fmt = args.format or cfg["output"]["format"]
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, out, args.quiet, fmt)
-    except (ConfigError, NormalizationError, PositivityError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError, NormalizationError, PositivityError, ...
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (ConvergenceError, ConstructionError, QualityError) as exc:

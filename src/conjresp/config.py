@@ -1,35 +1,47 @@
 """Loading and validation of run configurations for the batch front end.
 
-One JSON object per run, with sections {grid, map, rho, strategy, flow,
-verify, moser, output} plus an optional top-level scenario_id.  Unknown keys
-anywhere are rejected so typos cannot silently change a run.  Band-limited
-inputs are specified as mode lists [k1(,k2), re, im], each entry adding
-re*cos(2 pi k.x) + im*sin(2 pi k.x).
+One JSON object per run.  KEYS owns what a config means: load_config checks
+every value's JSON type against it before any work and fills in every absent
+key, so unknown keys, wrong types and map keys the kind does not take fail.
+Band-limited inputs are specified as mode lists [k1(,k2), re, im], each entry
+adding re*cos(2 pi k.x) + im*sin(2 pi k.x).
 """
 
 from __future__ import annotations
 
 import json
 
-from .dynamics import TorusMap, make_linear, make_warped_doubling
+from .dynamics import TorusMap, make_warped_doubling
 from .errors import ConfigError
 from .exactness import SolutionStrategy, remove_weighted_mean
 from .fields import ScalarField, TorusGrid, VectorFieldT, VolumeDensity
+from .verify import checked_t_values
 
-_TOP_KEYS = {"scenario_id", "grid", "map", "rho", "strategy", "flow", "verify",
-             "moser", "output"}
-_SECTION_KEYS = {
-    "grid": {"dim", "resolution"},
-    "map": {"kind", "A", "generator_modes", "displacement_modes", "eta_modes"},
-    "rho": {"modes", "center"},
-    "flow": {"steps"},
-    "verify": {"t_values", "steps", "transfer_t", "transfer_resolution", "resolutions"},
-    "moser": {"eta0_modes", "eta1_modes", "steps", "check_conjugated",
-              "pushforward_tol", "transfer_tol", "transfer_resolution"},
-    "output": {"format", "prefix"},
+TRANSFER_RESOLUTION = 512  # transfer-check targets of verify and moser
+TRANSFER_TOL = 1e-4  # verify's transfer pass threshold, moser.transfer_tol's default
+
+# section -> key -> default, or the JSON type of a key without one (it reads
+# None when absent); a float key accepts any number and reads a float
+KEYS = {
+    "grid": {"dim": int, "resolution": list},
+    "map": {"kind": str, "A": list, "generator_modes": list, "displacement_modes": list,
+            "eta_modes": list},
+    "rho": {"modes": list, "center": False},
+    "flow": {"steps": int},
+    "verify": {"t_values": list, "steps": int, "transfer_t": 0.02,
+               "transfer_resolution": TRANSFER_RESOLUTION, "resolutions": list},
+    "moser": {"eta0_modes": list, "eta1_modes": list, "steps": 256,
+              "check_conjugated": False, "pushforward_tol": 1e-6,
+              "transfer_tol": TRANSFER_TOL, "transfer_resolution": TRANSFER_RESOLUTION},
+    "output": {"format": "json", "prefix": "solve"},
 }
+CUSTOM_STRATEGY_KEYS = {"harmonic": list, "alpha_modes": list}
+MAP_KINDS = {"linear": {"A"}, "custom": {"A", "displacement_modes", "eta_modes"},
+             "warped_doubling": {"generator_modes"}}
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "a boolean", list: "a list",
+               str: "a string"}
 
-__all__ = ["load_config", "build_grid", "build_map", "build_rho", "build_strategy"]
+__all__ = ["load_config", "required", "build_grid", "build_map", "build_rho", "build_strategy"]
 
 
 def _check_keys(section: dict, allowed: set, name: str) -> None:
@@ -41,116 +53,131 @@ def _check_keys(section: dict, allowed: set, name: str) -> None:
         )
 
 
+def _value(value, spec, key: str):
+    """value if it has the JSON type of spec (a type, or a default of it)."""
+    kind = spec if isinstance(spec, type) else type(spec)
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, accepted) and isinstance(value, bool) == (kind is bool):
+        return float(value) if kind is float else value
+    raise ConfigError(f"{key} must be {_TYPE_NAMES[kind]}, got {json.dumps(value)}")
+
+
+def _typed(section, table: dict, name: str) -> dict:
+    """The section's values checked against table, absent keys filled in."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"section {name!r} must be an object")
+    _check_keys(section, set(table), name)
+    return {key: _value(section[key], spec, f"{name}.{key}") if key in section
+            else None if isinstance(spec, type) else spec
+            for key, spec in table.items()}
+
+
 def load_config(path) -> dict:
     try:
         with open(path) as handle:
-            cfg = json.load(handle)
+            raw = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
+    if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    _check_keys(cfg, _TOP_KEYS, "top level")
-    for name, allowed in _SECTION_KEYS.items():
-        if name in cfg:
-            if not isinstance(cfg[name], dict):
-                raise ConfigError(f"section {name!r} must be an object")
-            _check_keys(cfg[name], allowed, name)
-    if "strategy" in cfg:
-        _validate_strategy_shape(cfg["strategy"])
+    _check_keys(raw, {"scenario_id", "strategy", *KEYS}, "top level")
+    cfg = {name: _typed(raw.get(name, {}), table, name) for name, table in KEYS.items()}
+    cfg["strategy"] = _strategy(raw.get("strategy", "canonical"))
+
+    kind = cfg["map"]["kind"]
+    if "map" in raw:
+        if kind not in MAP_KINDS:
+            raise ConfigError(f"map.kind must be one of {sorted(MAP_KINDS)}, got {kind!r}")
+        _check_keys(raw["map"], {"kind"} | MAP_KINDS[kind], f"map of kind {kind!r}")
+    cfg["scenario_id"] = (_value(raw["scenario_id"], str, "scenario_id")
+                          if "scenario_id" in raw else kind or "run")
+    if cfg["output"]["format"] not in ("json", "csv"):
+        raise ConfigError(f"unknown output format {cfg['output']['format']!r}")
+    verify = cfg["verify"]
+    if verify["steps"] is None:
+        verify["steps"] = cfg["flow"]["steps"]
+    if verify["t_values"] is not None:
+        t_values = [_value(t, float, "verify.t_values") for t in verify["t_values"]]
+        try:
+            verify["t_values"] = checked_t_values(t_values)
+        except ValueError as exc:
+            raise ConfigError(f"verify.t_values: {exc}") from exc
     return cfg
 
 
-def _validate_strategy_shape(raw) -> None:
+def _strategy(raw):
     if isinstance(raw, str):
         if raw not in ("canonical", "gradient"):
             raise ConfigError(f"unknown strategy {raw!r}")
-        return
-    if isinstance(raw, dict):
-        if set(raw) != {"custom"} or not isinstance(raw["custom"], dict):
-            raise ConfigError('strategy object must be {"custom": {...}}')
-        _check_keys(raw["custom"], {"harmonic", "alpha_modes"}, "strategy.custom")
-        return
-    raise ConfigError("strategy must be a string or a custom object")
+        return raw
+    if isinstance(raw, dict) and set(raw) == {"custom"}:
+        return {"custom": _typed(raw["custom"], CUSTOM_STRATEGY_KEYS, "strategy.custom")}
+    raise ConfigError('strategy must be "canonical", "gradient" or {"custom": {...}}')
 
 
-def _require(cfg: dict, section: str) -> dict:
-    if section not in cfg:
-        raise ConfigError(f"config is missing the required section {section!r}")
-    return cfg[section]
+def required(cfg: dict, section: str, key: str):
+    """cfg[section][key], which the calling command cannot run without."""
+    if cfg[section][key] is None:
+        raise ConfigError(f"config needs {section}.{key}")
+    return cfg[section][key]
 
 
 def build_grid(cfg: dict, resolution_override: int | None = None) -> TorusGrid:
-    section = _require(cfg, "grid")
-    if "resolution" not in section:
-        raise ConfigError("grid section needs a 'resolution' list")
-    resolution = section["resolution"]
+    resolution = required(cfg, "grid", "resolution")
     if resolution_override is not None:
-        resolution = [int(resolution_override)] * len(list(resolution))
+        resolution = [resolution_override] * len(resolution)
     try:
         grid = TorusGrid(resolution)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if "dim" in section and int(section["dim"]) != grid.dim:
-        raise ConfigError(
-            f"grid dim {section['dim']} contradicts the resolution list (dim {grid.dim})"
-        )
+    dim = cfg["grid"]["dim"]
+    if dim is not None and dim != grid.dim:
+        raise ConfigError(f"grid dim {dim} contradicts the resolution list (dim {grid.dim})")
     return grid
 
 
 def build_map(cfg: dict, grid: TorusGrid) -> TorusMap:
-    section = _require(cfg, "map")
-    kind = section.get("kind")
-    if kind == "linear":
-        if "A" not in section:
-            raise ConfigError("linear map needs the integer matrix 'A'")
-        return make_linear(section["A"], grid)
-    if kind == "warped_doubling":
-        modes = section.get("generator_modes")
-        if modes is None:
-            raise ConfigError("warped_doubling map needs 'generator_modes'")
-        generator = VectorFieldT([ScalarField.from_modes(grid, modes)])
-        return make_warped_doubling(generator)
-    if kind == "custom":
-        if "A" not in section:
-            raise ConfigError("custom map needs the integer matrix 'A'")
-        displacement = None
-        if section.get("displacement_modes") is not None:
-            per_component = section["displacement_modes"]
-            if len(per_component) != grid.dim:
-                raise ConfigError(
-                    f"displacement_modes needs one mode list per component ({grid.dim})"
-                )
-            displacement = VectorFieldT(
-                [ScalarField.from_modes(grid, modes) for modes in per_component]
+    section = cfg["map"]
+    if required(cfg, "map", "kind") == "warped_doubling":
+        modes = required(cfg, "map", "generator_modes")
+        return make_warped_doubling(VectorFieldT([ScalarField.from_modes(grid, modes)]))
+    displacement = None
+    if section["displacement_modes"] is not None:
+        per_component = section["displacement_modes"]
+        if len(per_component) != grid.dim:
+            raise ConfigError(
+                f"displacement_modes needs one mode list per component ({grid.dim})"
             )
-        density = None
-        if section.get("eta_modes"):
-            density = VolumeDensity.from_modes(grid, section["eta_modes"])
-        return TorusMap(grid, section["A"], displacement, density)
-    raise ConfigError(f"unknown map kind {kind!r}")
+        displacement = VectorFieldT(
+            [ScalarField.from_modes(grid, modes) for modes in per_component]
+        )
+    density = None
+    if section["eta_modes"]:
+        density = VolumeDensity.from_modes(grid, section["eta_modes"])
+    try:
+        return TorusMap(grid, required(cfg, "map", "A"), displacement, density)
+    except ValueError as exc:  # the linear part is the one input still unchecked
+        raise ConfigError(f"map.A: {exc}") from exc
 
 
 def build_rho(cfg: dict, grid: TorusGrid, omega: VolumeDensity) -> ScalarField:
-    section = _require(cfg, "rho")
-    if "modes" not in section:
-        raise ConfigError("rho section needs a 'modes' list")
-    rho = ScalarField.from_modes(grid, section["modes"])
-    if section.get("center", False):
+    rho = ScalarField.from_modes(grid, required(cfg, "rho", "modes"))
+    if cfg["rho"]["center"]:
         rho = remove_weighted_mean(rho, omega)
     return rho
 
 
 def build_strategy(cfg: dict, grid: TorusGrid) -> SolutionStrategy:
-    raw = cfg.get("strategy", "canonical")
+    raw = cfg["strategy"]
     if isinstance(raw, str):
         return SolutionStrategy(raw)
     custom = raw["custom"]
     alpha = None
-    if custom.get("alpha_modes"):
+    if custom["alpha_modes"]:
         alpha = ScalarField.from_modes(grid, custom["alpha_modes"])
-    strategy = SolutionStrategy.custom(custom.get("harmonic", ()), alpha)
+    strategy = SolutionStrategy.custom(custom["harmonic"] or (), alpha)
     try:
         strategy.validate_for(grid)
     except ValueError as exc:

@@ -61,7 +61,8 @@ class TorusMap:
         matrix = np.asarray(matrix)
         if matrix.shape != (grid.dim, grid.dim):
             raise ValueError(f"linear part must be {grid.dim}x{grid.dim}, got {matrix.shape}")
-        if not np.array_equal(matrix, np.round(matrix)):
+        if not (np.issubdtype(matrix.dtype, np.number)
+                and np.array_equal(matrix, np.round(matrix))):
             raise ValueError("linear part must be an integer matrix")
         matrix = matrix.astype(int)
         if round(abs(float(np.linalg.det(matrix)))) == 0:
@@ -82,7 +83,7 @@ class TorusMap:
         if not self._has_displacement and np.all(self.density.eta.values == 1.0):
             self.certified = True
             self.certificate_residual = 0.0
-        elif grid.dim == 1 and self.expansion_margin() > 0.0:
+        elif self.expanding:
             from .verify import transfer_check  # deferred: verify sits above dynamics
 
             residual = transfer_check(self, self.density, CERTIFICATE_RESOLUTION)
@@ -161,6 +162,13 @@ class TorusMap:
                 self._expansion_margin = float(np.min(np.abs(deriv))) - 1.0
         return self._expansion_margin
 
+    @property
+    def expanding(self) -> bool:
+        """A circle map with min |F'| - 1 >= EXPANSION_MARGIN: the one rule
+        for preimage enumeration, the construction certificate and the CLI's
+        transfer checks."""
+        return self.dim == 1 and self.expansion_margin() >= EXPANSION_MARGIN
+
     def preimages_with_derivative(self, y):
         """All |degree| preimages of circle points under an expanding map,
         with the lift derivative there; shapes (d, M).
@@ -170,11 +178,10 @@ class TorusMap:
         """
         if self.dim != 1:
             raise ValueError("preimage enumeration is only implemented for circle maps")
-        margin = self.expansion_margin()
-        if margin < EXPANSION_MARGIN:
+        if not self.expanding:
             raise ExpansionError(
                 "preimage enumeration needs a uniformly expanding lift; "
-                f"min |F'| - 1 = {margin:.3g} < {EXPANSION_MARGIN}"
+                f"min |F'| - 1 = {self.expansion_margin():.3g} < {EXPANSION_MARGIN}"
             )
         y = as_points(y, 1)[:, 0] % 1.0
         z = _branch_bisection(lambda v: self.lift(v)[:, 0], abs(self.degree), y)

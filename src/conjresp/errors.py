@@ -1,5 +1,15 @@
 """Exception types shared across the toolkit."""
 
+__all__ = [
+    "NormalizationError",
+    "PositivityError",
+    "ConvergenceError",
+    "QualityError",
+    "ConstructionError",
+    "ExpansionError",
+    "ConfigError",
+]
+
 
 class NormalizationError(ValueError):
     """A field that must integrate to a fixed value (zero or one) does not.

@@ -47,7 +47,6 @@ DEFAULT_POISSON_TOL = 1e-10
 POISSON_ITERATIONS_PER_POINT = 10  # CG iteration cap per point of the longest axis
 
 __all__ = [
-    "MEAN_ZERO_TOL",
     "SolutionStrategy",
     "solve_laplace",
     "exact_primitive",
@@ -59,7 +58,6 @@ __all__ = [
     "lie_derivative_density",
     "solve_weighted_poisson",
     "solve_for_field",
-    "weighted_response",
     "remove_weighted_mean",
 ]
 

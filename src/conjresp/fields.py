@@ -28,14 +28,11 @@ MIN_RESOLUTION = 8
 MASS_TOL = 1e-6  # allowed |mean - 1| of a density
 
 __all__ = [
-    "MIN_RESOLUTION",
     "TorusGrid",
     "ScalarField",
     "VolumeDensity",
     "VectorFieldT",
     "CoVectorForm",
-    "as_points",
-    "sample_coefficients",
     "multiply",
     "divide",
     "gradient",

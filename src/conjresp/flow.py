@@ -176,18 +176,29 @@ def transported_density(omega: VolumeDensity, inverse_eval: FlowEvaluation) -> V
     if inverse_eval.points.shape[0] != grid.size:
         raise ValueError("inverse evaluation does not cover the density's grid")
     values = omega.eta.sample(inverse_eval.points) * inverse_eval.determinants()
+    transported = ScalarField(grid, values.reshape(grid.shape))
     mass_defect = abs(float(values.mean()) - 1.0)
     if mass_defect > 1e-8:
-        raise QualityError(
-            f"transported density lost mass: |mean - 1| = {mass_defect:.3e}",
-            mass_defect,
-        )
+        raise QualityError(f"transported density lost mass: |mean - 1| = {mass_defect:.3e}"
+                           f"{_resolution_hint(transported)}", mass_defect)
     minimum = float(values.min())
     if minimum <= 0.0:
-        raise QualityError(
-            f"transported density lost positivity: minimum {minimum:.6g}", minimum
-        )
-    return VolumeDensity(ScalarField(grid, values.reshape(grid.shape)))
+        raise QualityError(f"transported density lost positivity: minimum {minimum:.6g}"
+                           f"{_resolution_hint(transported)}", minimum)
+    return VolumeDensity(transported)
+
+
+def _resolution_hint(field: ScalarField) -> str:
+    """The spectral tail/peak of a field -- its largest |c_k| with |k| >= N/4
+    on some axis over its largest |c_k| -- as a hint that the grid may
+    under-resolve it; computed only on a failure path."""
+    grid = field.grid
+    high = np.logical_or.reduce(np.meshgrid(
+        *[np.abs(grid.wavenumbers(axis)) >= n / 4 for axis, n in enumerate(grid.resolution)],
+        indexing="ij"))
+    magnitudes = np.abs(field.coefficients)
+    tail = float(magnitudes[high].max() / magnitudes.max())
+    return f"; spectral tail/peak {tail:.1e}: the grid may under-resolve the density (raise N)"
 
 
 def _moser_field(theta, omega0: VolumeDensity, omega1: VolumeDensity,

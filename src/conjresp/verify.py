@@ -21,8 +21,6 @@ NOISE_FLOOR = 1e-11
 ORDER_RANGE = (1.8, 2.3)
 
 __all__ = [
-    "NOISE_FLOOR",
-    "ORDER_RANGE",
     "ConvergenceReport",
     "pushforward_density",
     "response_check",
@@ -108,13 +106,13 @@ def derivative_check(T: TorusMap, X: VectorFieldT, t_values,
 
 def _central_difference_check(t_values, at, target, difference=lambda d: d):
     """Fitted report of e(t) = max |difference(at(t) - at(-t)) / (2 t) - target|."""
-    t_values = _checked_t_values(t_values)
+    t_values = checked_t_values(t_values)
     errors = [float(np.max(np.abs(difference(at(t) - at(-t)) / (2.0 * t) - target)))
               for t in t_values]
     return _fit_report(t_values, errors)
 
 
-def _checked_t_values(t_values) -> tuple:
+def checked_t_values(t_values) -> tuple:
     ts = tuple(float(t) for t in t_values)
     if not ts:
         raise ValueError("at least one t value is required")

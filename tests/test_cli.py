@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from conjresp import load_field
 from conjresp.cli import main
@@ -107,6 +108,20 @@ class TestVerify:
         code = main(["verify", "--config", path, "--out", str(tmp_path / "o"), "--quiet"])
         assert code == 4
         assert "failed" in capsys.readouterr().err
+
+    def test_weakly_expanding_warped_map_skips_transfer(self, tmp_path):
+        # min |F'| - 1 = 0.0061 is below the one expansion rule (0.01): the
+        # map is built uncertified and verified without a transfer check
+        cfg = doubling_config()
+        cfg["grid"] = {"resolution": [64]}
+        cfg["map"] = {"kind": "warped_doubling", "generator_modes": [[1, 0.064, 0.0]]}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", path, "--out", str(out), "--quiet"]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["transfer"] is None
+        assert abs(report["response"]["fitted_order"] - 2.0) <= 1e-3
+        assert abs(report["derivative"]["fitted_order"] - 2.0) <= 1e-3
 
     def test_missing_t_values_exits_2(self, tmp_path):
         cfg = doubling_config()
@@ -259,3 +274,58 @@ class TestConfigValidation:
         cfg["grid"] = {"dim": 2, "resolution": [64]}
         path = write_config(tmp_path, cfg)
         assert main(["solve", "--config", path, "--out", str(tmp_path / "o")]) == 2
+
+
+def _set(path, value):
+    def edit(cfg):
+        section = cfg
+        for key in path[:-1]:
+            section = section.setdefault(key, {})
+        section[path[-1]] = value
+    return edit
+
+
+def _with_moser(edit):
+    def both(cfg):
+        cfg["moser"] = {"eta1_modes": [[1, 0.3, 0.0]], "steps": 16}
+        edit(cfg)
+    return both
+
+
+def _without_verify_steps(edit):
+    def both(cfg):
+        del cfg["verify"]["steps"]
+        edit(cfg)
+    return both
+
+
+# (command, edit of a valid 1-d 64-point doubling config, key the error must name)
+MALFORMED = [
+    ("verify", _set(["verify", "steps"], 16.0), "verify.steps"),
+    ("verify", _set(["verify", "steps"], "16"), "verify.steps"),
+    ("verify", _set(["verify", "t_values"], 0.01), "verify.t_values"),
+    ("sweep", _without_verify_steps(_set(["flow", "steps"], 16.0)), "flow.steps"),
+    ("verify", _set(["verify", "transfer_t"], None), "verify.transfer_t"),
+    ("verify", _set(["rho", "modes"], 5), "rho.modes"),
+    ("verify", _set(["strategy"], {"custom": {"harmonic": 5}}), "strategy.custom.harmonic"),
+    ("verify", _set(["map", "A"], [["a"]]), "map.A"),
+    ("moser", _with_moser(_set(["moser", "steps"], 16.5)), "moser.steps"),
+    ("verify", _set(["verify", "transfer_resolution"], 100.7), "verify.transfer_resolution"),
+    ("verify", _set(["rho", "center"], "false"), "rho.center"),
+    ("moser", _with_moser(_set(["moser", "check_conjugated"], "no")), "moser.check_conjugated"),
+    ("verify", _set(["map", "eta_modes"], [[1, 0.3, 0.0]]), "eta_modes"),
+    ("solve", _set(["output", "prefix"], 5), "output.prefix"),
+]
+
+
+@pytest.mark.parametrize("command, edit, key", MALFORMED, ids=[case[2] for case in MALFORMED])
+def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, command, edit, key):
+    cfg = doubling_config()
+    cfg["grid"] = {"resolution": [64]}
+    edit(cfg)
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main([command, "--config", path, "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and key in err
+    assert not out.exists() or not any(out.iterdir())

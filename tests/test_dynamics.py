@@ -26,6 +26,7 @@ from conjresp import (
     TorusMap,
     VolumeDensity,
 )
+from conjresp.dynamics import EXPANSION_MARGIN
 
 
 def canonical_field(grid):
@@ -73,6 +74,8 @@ class TestMakeLinear:
     def test_non_integer_rejected(self):
         with pytest.raises(ValueError):
             make_linear([[1.5]], TorusGrid(16))
+        with pytest.raises(ValueError, match="integer matrix"):
+            make_linear([["a"]], TorusGrid(16))
 
 
 class TestWarpedDoubling:
@@ -100,6 +103,16 @@ class TestWarpedDoubling:
     def test_certificate(self, warped):
         assert warped.certified
         assert warped.certificate_residual <= 1e-6
+
+    def test_weakly_expanding_map_is_uncertified_not_rejected(self):
+        # margin 0.0061 < EXPANSION_MARGIN: one predicate skips the certificate
+        # and refuses preimages, instead of the certificate calling preimages
+        grid = TorusGrid(64)
+        T = make_warped_doubling(VectorFieldT([ScalarField.from_modes(grid, [[1, 0.064, 0.0]])]))
+        assert 0.0 < T.expansion_margin() < EXPANSION_MARGIN
+        assert not T.expanding and not T.certified and T.certificate_residual is None
+        with pytest.raises(ExpansionError):
+            T.preimages_with_derivative(np.array([0.5]))
 
     def test_conjugacy_identity(self, warped):
         # T(h(x)) = h(2x): both sides computable independently

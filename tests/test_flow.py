@@ -21,6 +21,8 @@ from conjresp import (
     integrate_flow,
     inverse_flow,
     moser_transport,
+    pushforward_density,
+    solve_for_field,
     wrap_difference,
 )
 
@@ -140,6 +142,29 @@ class TestIntegrateFlow:
     def test_jacobian_orientation_guard(self):
         with pytest.raises(QualityError):
             FlowEvaluation(np.array([[0.0]]), np.array([[[-1.0]]]), 1.0, 4)
+
+
+class TestTransportedDensity:
+    """A density the grid under-resolves fails its mass gate; the message
+    carries the spectral tail/peak (largest |c_k| with |k| >= N/4 over the
+    largest |c_k|) so it does not read as a transport defect."""
+
+    @staticmethod
+    def transported(n):
+        grid = TorusGrid(n)
+        omega = VolumeDensity.lebesgue(grid)
+        X = solve_for_field(ScalarField.from_modes(grid, [[1, 4.0, 0.0]]), omega)
+        return pushforward_density(omega, X, 0.5)
+
+    def test_under_resolved_mass_loss_names_the_tail(self):
+        with pytest.raises(QualityError, match=r"lost mass: .*spectral tail/peak 1\.3e-02"
+                                               r".*under-resolve.*raise N"):
+            self.transported(64)
+
+    def test_resolved_density_passes(self):
+        coefficients = np.abs(self.transported(128).eta.coefficients)
+        tail = coefficients[32:97].max() / coefficients.max()  # |k| >= 32
+        assert 1.5e-4 <= tail <= 1.7e-4
 
 
 class TestInverseFlow:
