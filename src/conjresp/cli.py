@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import (TRANSFER_TOL, build_grid, build_map, build_rho, build_strategy,
-                     load_config, required)
+                     load_config, naming, required)
 from .dynamics import ConjugatedMap, DeformedMap
 from .errors import ConfigError, ConstructionError, ConvergenceError, QualityError
 from .exactness import (
@@ -150,9 +150,12 @@ def cmd_verify(cfg: dict, out: Path, quiet: bool, fmt: str) -> int:
 def cmd_moser(cfg: dict, out: Path, quiet: bool, fmt: str) -> int:
     grid = build_grid(cfg)
     moser_cfg = cfg["moser"]
-    omega0 = (VolumeDensity.from_modes(grid, moser_cfg["eta0_modes"])
-              if moser_cfg["eta0_modes"] else VolumeDensity.lebesgue(grid))
-    omega1 = VolumeDensity.from_modes(grid, required(cfg, "moser", "eta1_modes"))
+    with naming("moser.eta0_modes"):
+        omega0 = (VolumeDensity.from_modes(grid, moser_cfg["eta0_modes"])
+                  if moser_cfg["eta0_modes"] else VolumeDensity.lebesgue(grid))
+    eta1_modes = required(cfg, "moser", "eta1_modes")
+    with naming("moser.eta1_modes"):
+        omega1 = VolumeDensity.from_modes(grid, eta1_modes)
     steps = moser_cfg["steps"]
     pushforward_tol = moser_cfg["pushforward_tol"]
     torus_map = None

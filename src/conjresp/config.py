@@ -10,6 +10,7 @@ adding re*cos(2 pi k.x) + im*sin(2 pi k.x).
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 
 from .dynamics import TorusMap, make_warped_doubling
 from .errors import ConfigError
@@ -41,7 +42,8 @@ MAP_KINDS = {"linear": {"A"}, "custom": {"A", "displacement_modes", "eta_modes"}
 _TYPE_NAMES = {int: "an integer", float: "a number", bool: "a boolean", list: "a list",
                str: "a string"}
 
-__all__ = ["load_config", "required", "build_grid", "build_map", "build_rho", "build_strategy"]
+__all__ = ["load_config", "required", "naming", "build_grid", "build_map", "build_rho",
+           "build_strategy"]
 
 
 def _check_keys(section: dict, allowed: set, name: str) -> None:
@@ -124,14 +126,24 @@ def required(cfg: dict, section: str, key: str):
     return cfg[section][key]
 
 
+@contextmanager
+def naming(key: str):
+    """Re-raise a ValueError from building a config value as a ConfigError
+    that names the value's key."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
 def build_grid(cfg: dict, resolution_override: int | None = None) -> TorusGrid:
     resolution = required(cfg, "grid", "resolution")
+    key = "grid.resolution"
     if resolution_override is not None:
         resolution = [resolution_override] * len(resolution)
-    try:
+        key = "verify.resolutions"
+    with naming(key):
         grid = TorusGrid(resolution)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     dim = cfg["grid"]["dim"]
     if dim is not None and dim != grid.dim:
         raise ConfigError(f"grid dim {dim} contradicts the resolution list (dim {grid.dim})")
@@ -142,7 +154,9 @@ def build_map(cfg: dict, grid: TorusGrid) -> TorusMap:
     section = cfg["map"]
     if required(cfg, "map", "kind") == "warped_doubling":
         modes = required(cfg, "map", "generator_modes")
-        return make_warped_doubling(VectorFieldT([ScalarField.from_modes(grid, modes)]))
+        with naming("map.generator_modes"):
+            generator = ScalarField.from_modes(grid, modes)
+        return make_warped_doubling(VectorFieldT([generator]))
     displacement = None
     if section["displacement_modes"] is not None:
         per_component = section["displacement_modes"]
@@ -150,20 +164,23 @@ def build_map(cfg: dict, grid: TorusGrid) -> TorusMap:
             raise ConfigError(
                 f"displacement_modes needs one mode list per component ({grid.dim})"
             )
-        displacement = VectorFieldT(
-            [ScalarField.from_modes(grid, modes) for modes in per_component]
-        )
+        with naming("map.displacement_modes"):
+            displacement = VectorFieldT(
+                [ScalarField.from_modes(grid, modes) for modes in per_component]
+            )
     density = None
     if section["eta_modes"]:
-        density = VolumeDensity.from_modes(grid, section["eta_modes"])
-    try:
-        return TorusMap(grid, required(cfg, "map", "A"), displacement, density)
-    except ValueError as exc:  # the linear part is the one input still unchecked
-        raise ConfigError(f"map.A: {exc}") from exc
+        with naming("map.eta_modes"):
+            density = VolumeDensity.from_modes(grid, section["eta_modes"])
+    linear = required(cfg, "map", "A")
+    with naming("map.A"):  # the linear part is the one input still unchecked
+        return TorusMap(grid, linear, displacement, density)
 
 
 def build_rho(cfg: dict, grid: TorusGrid, omega: VolumeDensity) -> ScalarField:
-    rho = ScalarField.from_modes(grid, required(cfg, "rho", "modes"))
+    modes = required(cfg, "rho", "modes")
+    with naming("rho.modes"):
+        rho = ScalarField.from_modes(grid, modes)
     if cfg["rho"]["center"]:
         rho = remove_weighted_mean(rho, omega)
     return rho
@@ -176,7 +193,8 @@ def build_strategy(cfg: dict, grid: TorusGrid) -> SolutionStrategy:
     custom = raw["custom"]
     alpha = None
     if custom["alpha_modes"]:
-        alpha = ScalarField.from_modes(grid, custom["alpha_modes"])
+        with naming("strategy.custom.alpha_modes"):
+            alpha = ScalarField.from_modes(grid, custom["alpha_modes"])
     strategy = SolutionStrategy.custom(custom["harmonic"] or (), alpha)
     try:
         strategy.validate_for(grid)

@@ -11,6 +11,8 @@ Conventions:
   * spectral coefficients are true Fourier coefficients,
     f(x) = sum_k c_k exp(2 pi i k . x), stored in numpy FFT order
     (wavenumbers 0, 1, ..., N/2 - 1, -N/2, ..., -1);
+  * off-grid values are the interpolant Re sum_k c_k exp(2 pi i k . x) over
+    those wavenumbers (see `sample_coefficients`), for real fields only;
   * 2-d arrays are row-major with axis 0 slowest, matching the serialized
     layout;
   * fields are immutable: every operation returns a new object.
@@ -19,6 +21,7 @@ Conventions:
 from __future__ import annotations
 
 import json
+import numbers
 
 import numpy as np
 
@@ -46,11 +49,18 @@ __all__ = [
 ]
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 class TorusGrid:
     """Uniform grid on the 1- or 2-torus with per-axis even resolutions."""
 
     def __init__(self, resolution):
-        res = tuple(int(n) for n in np.atleast_1d(resolution))
+        entries = tuple(resolution) if np.ndim(resolution) else (resolution,)
+        if not all(_is_integer(n) for n in entries):
+            raise ValueError(f"per-axis resolutions must be integers, got {list(entries)}")
+        res = tuple(int(n) for n in entries)
         if len(res) not in (1, 2):
             raise ValueError(f"grid dimension must be 1 or 2, got {len(res)}")
         for n in res:
@@ -129,40 +139,66 @@ def as_points(points, dim: int) -> np.ndarray:
     return pts
 
 
-def _phase_matrix(coords: np.ndarray, n: int) -> np.ndarray:
-    """exp(2 pi i k x) for all FFT-ordered integer wavenumbers of an even n.
+def _half_phases(coords: np.ndarray, n: int):
+    """Phases e(k x) = exp(2 pi i k x) for k = 0..n/2 of an even n, as an
+    (M, n/2 + 1) array with the Nyquist column k = n/2 replaced by its real
+    part cos(pi n x); also returns sin(pi n x).
 
-    Built from one exponential per point and cumulative products along the
-    mode axis (the wavenumbers are consecutive integers), which is an order
-    of magnitude faster than exponentiating the full (M, n) phase array.
+    One exponential per point; every further block of wavenumbers is the
+    filled block times e(filled * x), and that power is squared per block,
+    so the table costs log2(n) vector multiplies and no transcendental per
+    mode.  It is filled wavenumber-major, so each block is a run of whole
+    contiguous rows, and returned as a transposed view.
     """
     half = n // 2
-    base = np.exp((2j * np.pi) * coords)
-    positive = np.empty((coords.shape[0], half + 1), dtype=complex)
-    positive[:, 0] = 1.0
-    np.cumprod(np.broadcast_to(base[:, None], (coords.shape[0], half)),
-               axis=1, out=positive[:, 1:])
-    out = np.empty((coords.shape[0], n), dtype=complex)
-    out[:, :half] = positive[:, :half]
-    out[:, half:] = positive[:, half:0:-1].conj()
-    return out
+    out = np.empty((half + 1, coords.shape[0]), dtype=complex)
+    out[0] = 1.0
+    power = np.exp((2j * np.pi) * coords)
+    filled = 1
+    while filled <= half:
+        count = min(filled, half + 1 - filled)
+        np.multiply(out[:count], power, out=out[filled:filled + count])
+        filled += count
+        power = power * power
+    nyquist_sin = out[half].imag.copy()
+    out[half] = out[half].real
+    return out.T, nyquist_sin
 
 
 def sample_coefficients(grid: TorusGrid, stack: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Trigonometric interpolation of several coefficient arrays at once.
+    """Trigonometric interpolation of several real fields at once.
 
-    ``stack`` has shape (F,) + grid.shape; ``points`` is (M, dim).  Returns an
-    (M, F) real array.  Sharing the phase matrices across the F fields is what
-    keeps flow integration cheap.
+    ``stack`` has shape (F,) + grid.shape and must hold the coefficients of
+    real fields, c_{-k} = conj(c_k) with indices mod N (as `ScalarField`
+    coefficients and their spectral derivatives do); ``points`` is (M, dim).
+    Returns the (M, F) real array Re sum_k c_k e(k . x) over the FFT-ordered
+    wavenumbers, so a Nyquist mode enters with wavenumber -N/2.
+
+    By the symmetry only the rows k0 = 0..N0/2 are summed, rows 0 and N0/2
+    once and every other row twice, with the Nyquist phase cos(pi N x) on
+    each axis.  In 2-d the term -c_{N0/2,N1/2} sin(pi N0 x0) sin(pi N1 x1)
+    restores the corner mode's cos(pi (N0 x0 + N1 x1)).  The 2-d sum is one
+    GEMM over the half rows, then one batched matrix-vector product with the
+    full axis-1 phases.  Sharing the phase tables across the F fields is
+    what keeps flow integration cheap.
     """
     pts = as_points(points, grid.dim) % 1.0
-    phases = [
-        _phase_matrix(pts[:, i], grid.resolution[i]) for i in range(grid.dim)
-    ]
+    n0 = grid.resolution[0]
+    h0 = n0 // 2
+    phases0, sin0 = _half_phases(pts[:, 0], n0)
+    weights = np.full((h0 + 1,) + (1,) * (grid.dim - 1), 2.0)
+    weights[[0, h0]] = 1.0
+    rows = stack[:, : h0 + 1] * weights
     if grid.dim == 1:
-        return (phases[0] @ stack.reshape(stack.shape[0], -1).T).real
-    tmp = np.tensordot(phases[0], stack, axes=([1], [1]))  # (M, F, N2)
-    return np.einsum("mfl,ml->mf", tmp, phases[1]).real
+        return (phases0 @ rows.T).real
+    count, n1 = stack.shape[0], grid.resolution[1]
+    h1 = n1 // 2
+    half1, sin1 = _half_phases(pts[:, 1], n1)
+    phases1 = np.concatenate([half1, half1[:, h1 - 1:0:-1].conj()], axis=1)
+    partial = phases0 @ rows.transpose(1, 0, 2).reshape(h0 + 1, count * n1)
+    out = (partial.reshape(-1, count, n1) @ phases1[:, :, None])[:, :, 0].real
+    out -= np.outer(sin0 * sin1, stack[:, h0, h1].real)
+    return out
 
 
 class ScalarField:
@@ -202,14 +238,21 @@ class ScalarField:
     @classmethod
     def from_modes(cls, grid: TorusGrid, modes) -> "ScalarField":
         """Band-limited field from entries [k1(,k2), re, im], each adding
-        re*cos(2 pi k.x) + im*sin(2 pi k.x)."""
+        re*cos(2 pi k.x) + im*sin(2 pi k.x).  Each entry is a list (or tuple)
+        of integer wavenumbers and numeric amplitudes; booleans are neither."""
+        if not isinstance(modes, (list, tuple)):
+            raise ValueError(f"mode list must be a list of entries, got {modes!r}")
         out = np.zeros(grid.shape)
         meshes = grid.meshes()
         for entry in modes:
-            entry = list(entry)
-            if len(entry) != grid.dim + 2:
+            if (not isinstance(entry, (list, tuple)) or len(entry) != grid.dim + 2
+                    or not all(_is_integer(k) for k in entry[: grid.dim])
+                    or not all(isinstance(a, numbers.Real) and not isinstance(a, bool)
+                               for a in entry[grid.dim :])):
                 raise ValueError(
-                    f"mode entry must have {grid.dim + 2} numbers [k..., re, im], got {entry}"
+                    f"mode entry must be a list [k..., re, im] with {grid.dim} integer "
+                    f"wavenumber(s) and 2 numeric amplitudes, got "
+                    f"{json.dumps(entry, default=repr)}"
                 )
             kvec, re, im = entry[: grid.dim], float(entry[-2]), float(entry[-1])
             phase = 2.0 * np.pi * sum(k * m for k, m in zip(kvec, meshes))

@@ -316,9 +316,22 @@ MALFORMED = [
     ("verify", _set(["map", "eta_modes"], [[1, 0.3, 0.0]]), "eta_modes"),
     ("solve", _set(["output", "prefix"], 5), "output.prefix"),
 ]
+# (id, command, edit, key): list elements, checked where the list is used
+MALFORMED_ELEMENTS = [
+    ("rho.modes-entry-not-a-list", "verify", _set(["rho", "modes"], [5]), "rho.modes"),
+    ("rho.modes-bool-amplitude", "verify", _set(["rho", "modes"], [[1, True, 0]]), "rho.modes"),
+    ("rho.modes-float-wavenumber", "verify", _set(["rho", "modes"], [[1.5, 1.0, 0.0]]),
+     "rho.modes"),
+    ("grid.resolution-fractional", "verify", _set(["grid", "resolution"], [64.7]),
+     "grid.resolution"),
+    ("verify.resolutions-fractional", "sweep", _set(["verify", "resolutions"], [64.7]),
+     "verify.resolutions"),
+]
 
 
-@pytest.mark.parametrize("command, edit, key", MALFORMED, ids=[case[2] for case in MALFORMED])
+@pytest.mark.parametrize("command, edit, key",
+                         [pytest.param(*case, id=case[2]) for case in MALFORMED]
+                         + [pytest.param(*case, id=name) for name, *case in MALFORMED_ELEMENTS])
 def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, command, edit, key):
     cfg = doubling_config()
     cfg["grid"] = {"resolution": [64]}

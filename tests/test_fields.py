@@ -2,14 +2,16 @@
 
 Oracles: a direct-summation discrete Fourier transform (for the spectral
 round trip), symbolic derivatives evaluated on the grid, band-limited
-exactness of trigonometric interpolation, and higher-resolution
-self-consistency for off-grid sampling.
+exactness of trigonometric interpolation, a direct-summation interpolant
+and higher-resolution self-consistency for off-grid sampling.
 """
 
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conjresp import (
     NormalizationError,
@@ -28,6 +30,7 @@ from conjresp import (
     save_field,
     load_field,
 )
+from conjresp.fields import sample_coefficients
 
 
 def dft_direct(values):
@@ -38,6 +41,15 @@ def dft_direct(values):
     for idx, k in enumerate(np.fft.fftfreq(n, d=1.0 / n)):
         out[idx] = np.sum(values * np.exp(-2j * np.pi * k * j / n)) / n
     return out
+
+
+def sample_direct(grid, stack, points):
+    """Direct-summation interpolation oracle: Re sum_k c_k exp(2 pi i k . x)
+    over the FFT-ordered wavenumbers, so a Nyquist mode enters as -N/2."""
+    axes = np.meshgrid(*[grid.wavenumbers(i) for i in range(grid.dim)], indexing="ij")
+    k = np.stack([a.ravel() for a in axes], axis=1)
+    phases = np.exp(2j * np.pi * ((points % 1.0) @ k.T))
+    return (phases @ stack.reshape(stack.shape[0], -1).T).real
 
 
 def random_band_limited(grid, seed, max_mode=5, amplitude=1.0):
@@ -61,10 +73,15 @@ class TestTorusGrid:
         assert pts[1].tolist() == [0.0, 1.0 / 16.0]
         assert pts[16].tolist() == [1.0 / 8.0, 0.0]
 
-    @pytest.mark.parametrize("bad", [(6,), (9,), (8, 7), (8, 8, 8), (4,)])
+    @pytest.mark.parametrize("bad", [(6,), (9,), (8, 7), (8, 8, 8), (4,), (64.7,), (True,),
+                                     (8.0, 8)])
     def test_rejects_bad_resolutions(self, bad):
         with pytest.raises(ValueError):
             TorusGrid(bad)
+
+    def test_accepts_numpy_integers(self):
+        assert TorusGrid(np.array([16, 8])).resolution == (16, 8)
+        assert TorusGrid(np.int64(32)).resolution == (32,)
 
 
 class TestSpectral:
@@ -196,6 +213,25 @@ class TestInterpolation:
         f = random_band_limited(grid, 23)
         assert abs(f.sample([0.3])[0] - f.sample([1.3])[0]) <= 1e-12
         assert abs(f.sample([0.3])[0] - f.sample([-0.7])[0]) <= 1e-12
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(resolution=st.sampled_from([(8,), (256,), (8, 8), (32, 16), (16, 32), (64, 64)]),
+           count=st.sampled_from([1, 3]), m=st.sampled_from([1, 57]),
+           axis=st.integers(0, 1), seed=st.integers(0, 2**32 - 1))
+    def test_matches_direct_sum_on_white_noise(self, resolution, count, m, axis, seed):
+        # white-noise values make the Nyquist and corner coefficients O(1),
+        # which grid-point tests cannot see: their phases vanish there
+        grid = TorusGrid(resolution)
+        rng = np.random.default_rng(seed)
+        fields = [ScalarField(grid, rng.standard_normal(grid.shape)) for _ in range(count)]
+        coeffs = [f.coefficients for f in fields]
+        if count == 3:
+            coeffs[-1] = fields[-1].derivative(axis % grid.dim).coefficients
+        stack = np.stack(coeffs)
+        points = rng.uniform(-1.0, 2.0, (m, grid.dim))
+        got = sample_coefficients(grid, stack, points)
+        scale = np.abs(stack).reshape(count, -1).sum(axis=1)
+        assert np.all(np.abs(got - sample_direct(grid, stack, points)) <= 1e-13 * scale)
 
 
 class TestArithmetic:
