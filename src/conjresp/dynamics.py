@@ -29,7 +29,7 @@ from .fields import (
     as_points,
     sample_coefficients,
 )
-from .flow import FlowEvaluation, integrate_flow, inverse_flow
+from .flow import flow_map
 
 BISECTION_ITERATIONS = 60
 EXPANSION_MARGIN = 0.01
@@ -228,16 +228,13 @@ def make_warped_doubling(generator: VectorFieldT) -> TorusMap:
     grid = generator.grid
     if grid.dim != 1:
         raise ValueError("warped doubling is a circle-map construction")
-    pts = grid.points()
-    forward = integrate_flow(generator, 1.0, pts, steps=WARP_CONSTRUCTION_STEPS)
-    backward = integrate_flow(generator, -1.0, pts, steps=WARP_CONSTRUCTION_STEPS)
-    h_displacement = ScalarField(grid, (forward.lifts[:, 0] - pts[:, 0]).reshape(grid.shape))
-    inverse_lift = backward.lifts[:, 0]
+    forward = flow_map(generator, 1.0, steps=WARP_CONSTRUCTION_STEPS)
+    backward = flow_map(generator, -1.0, steps=WARP_CONSTRUCTION_STEPS).on_grid()
     eta_values = backward.jacobians[:, 0, 0]
     eta_values = eta_values / eta_values.mean()
-    doubled = 2.0 * inverse_lift
-    t_lift = doubled + h_displacement.sample(doubled.reshape(-1, 1))
-    g_values = t_lift - 2.0 * pts[:, 0]
+    doubled = 2.0 * backward.lifts
+    t_lift = forward(doubled, jacobian=False).lifts[:, 0]
+    g_values = t_lift - 2.0 * grid.points()[:, 0]
     displacement = VectorFieldT([ScalarField(grid, g_values.reshape(grid.shape))])
     density = VolumeDensity(ScalarField(grid, eta_values.reshape(grid.shape)))
     return TorusMap(grid, [[2]], displacement, density)
@@ -245,8 +242,8 @@ def make_warped_doubling(generator: VectorFieldT) -> TorusMap:
 
 class ConjugatedMap:
     """h o T o h^{-1} for a diffeomorphism h given as a pair of transports
-    (for example a Moser time-one flow and its inverse, or the flow pair of
-    a field)."""
+    (for example a Moser time-one flow and its inverse, or the flow maps of
+    a field at times t and -t)."""
 
     def __init__(self, base: TorusMap, forward, inverse):
         self.base = base
@@ -287,7 +284,9 @@ class ConjugatedMap:
 
 class DeformedMap:
     """The conjugated family T_t = phi^t o T o phi^{-t} for a fixed field:
-    the ConjugatedMap of the flow pair of X at time t.
+    the ConjugatedMap of the flow maps of X at times t and -t (`flow_map`;
+    ``steps`` is a lower bound on their RK4 substeps).  At the grid points
+    phi^{-t} is read off the grid.
 
     At t = 0 evaluation short-circuits to the base map, exactly.
     """
@@ -300,15 +299,8 @@ class DeformedMap:
         self.field = field
         self.t = float(t)
         self.steps = steps
-        self._conjugated = ConjugatedMap(base, self._forward, self._inverse)
-
-    def _forward(self, points, jacobian=True) -> FlowEvaluation:
-        return integrate_flow(self.field, self.t, points, steps=self.steps,
-                              jacobian=jacobian)
-
-    def _inverse(self, points, jacobian=True) -> FlowEvaluation:
-        return inverse_flow(self.field, self.t, points, steps=self.steps,
-                            jacobian=jacobian)
+        self._conjugated = ConjugatedMap(base, flow_map(field, self.t, steps),
+                                         flow_map(field, -self.t, steps))
 
     def __call__(self, points) -> np.ndarray:
         return self.base(points) if self.t == 0.0 else self._conjugated(points)

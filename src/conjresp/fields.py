@@ -329,37 +329,10 @@ def _require_same_grid(*objects):
         raise ValueError(f"operands live on different grids: {sorted(g.resolution for g in grids)}")
 
 
-def multiply(f: ScalarField, g: ScalarField, dealias: bool = False) -> ScalarField:
-    """Pointwise product on the grid; ``dealias=True`` uses the 3/2-rule
-    zero-padded product so verification runs can quantify aliasing."""
+def multiply(f: ScalarField, g: ScalarField) -> ScalarField:
+    """Pointwise product on the grid."""
     _require_same_grid(f, g)
-    if not dealias:
-        return ScalarField(f.grid, f.values * g.values)
-    return _dealiased_product(f, g)
-
-
-def _padded_resolution(n: int) -> int:
-    m = (3 * n) // 2
-    return m if m % 2 == 0 else m + 1
-
-
-def _dealiased_product(f: ScalarField, g: ScalarField) -> ScalarField:
-    grid = f.grid
-    fine = tuple(_padded_resolution(n) for n in grid.resolution)
-    fine_size = int(np.prod(fine))
-    index = [
-        (np.fft.fftfreq(n, d=1.0 / n).astype(int)) % m
-        for n, m in zip(grid.resolution, fine)
-    ]
-
-    def refine(c):
-        out = np.zeros(fine, dtype=complex)
-        out[np.ix_(*index)] = c
-        return np.fft.ifftn(out).real * fine_size
-
-    product = refine(f.coefficients) * refine(g.coefficients)
-    c_fine = np.fft.fftn(product) / fine_size
-    return ScalarField.from_coefficients(grid, c_fine[np.ix_(*index)])
+    return ScalarField(f.grid, f.values * g.values)
 
 
 def divide(f: ScalarField, g: ScalarField) -> ScalarField:
@@ -375,7 +348,7 @@ def _require_positive(f: ScalarField, what: str) -> None:
     minimum = float(f.values.min())
     if minimum <= 0.0:
         idx = np.unravel_index(int(np.argmin(f.values)), f.values.shape)
-        location = tuple(i / n for i, n in zip(idx, f.grid.resolution))
+        location = tuple(int(i) / n for i, n in zip(idx, f.grid.resolution))
         raise PositivityError(
             f"{what} must be strictly positive; minimum {minimum:.6g} "
             f"at grid point {location}",

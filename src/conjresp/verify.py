@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DeformedMap, TorusMap, deformation_derivative
+from .dynamics import ConjugatedMap, TorusMap, deformation_derivative
 from .fields import ScalarField, TorusGrid, VectorFieldT, VolumeDensity, multiply, wrap_difference
-from .flow import inverse_flow, transported_density
+from .flow import flow_map, transported_density
 
 NOISE_FLOOR = 1e-11
 ORDER_RANGE = (1.8, 2.3)
@@ -80,8 +80,10 @@ def _fit_report(t_values, errors) -> ConvergenceReport:
 def pushforward_density(omega: VolumeDensity, X: VectorFieldT, t: float,
                         steps: int | None = None) -> VolumeDensity:
     """Density of phi^t_* omega on the grid:
-    eta_t(y) = eta(phi^{-t}(y)) det D phi^{-t}(y)."""
-    inverse = inverse_flow(X, t, omega.grid.points(), steps=steps)
+    eta_t(y) = eta(phi^{-t}(y)) det D phi^{-t}(y), with phi^{-t} = id + D
+    read off the grid (`flow_map`), so eta is sampled once.  ``steps`` is a
+    lower bound on the flow map's RK4 substeps."""
+    inverse = flow_map(X, -t, steps=steps).on_grid()
     return transported_density(omega, inverse)
 
 
@@ -89,25 +91,34 @@ def response_check(omega: VolumeDensity, rho: ScalarField, X: VectorFieldT,
                    t_values, steps: int | None = None) -> ConvergenceReport:
     """Check that the pushforward density moves at rate rho * eta:
     e(t) = max |(eta_t - eta_{-t}) / (2 t) - rho eta| should shrink like t^2."""
-    return _central_difference_check(
-        t_values, lambda t: pushforward_density(omega, X, t, steps=steps).eta.values,
-        multiply(rho, omega.eta).values)
+    def eta(t):
+        return pushforward_density(omega, X, t, steps=steps).eta.values
+
+    return _central_difference_check(t_values, lambda t: eta(t) - eta(-t),
+                                     multiply(rho, omega.eta).values)
 
 
 def derivative_check(T: TorusMap, X: VectorFieldT, t_values,
                      steps: int | None = None) -> ConvergenceReport:
-    """Check -DT(X) + X o T against central differences of the deformed map,
-    using shortest-lift differencing on the torus."""
+    """Check -DT(X) + X o T against central differences of the deformed map
+    T_t = phi^t o T o phi^{-t}, using shortest-lift differencing on the
+    torus.  T_t and T_{-t} share the flow maps of X at t and -t."""
     pts = T.grid.points()
-    return _central_difference_check(
-        t_values, lambda t: DeformedMap(T, X, t, steps=steps)(pts),
-        deformation_derivative(T, X).values_matrix(), wrap_difference)
+
+    def change(t):
+        forward, inverse = flow_map(X, t, steps), flow_map(X, -t, steps)
+        return ConjugatedMap(T, forward, inverse)(pts) - ConjugatedMap(T, inverse, forward)(pts)
+
+    return _central_difference_check(t_values, change,
+                                     deformation_derivative(T, X).values_matrix(),
+                                     wrap_difference)
 
 
-def _central_difference_check(t_values, at, target, difference=lambda d: d):
-    """Fitted report of e(t) = max |difference(at(t) - at(-t)) / (2 t) - target|."""
+def _central_difference_check(t_values, change, target, difference=lambda d: d):
+    """Fitted report of e(t) = max |difference(change(t)) / (2 t) - target|,
+    with change(t) the difference of a quantity at t and at -t."""
     t_values = checked_t_values(t_values)
-    errors = [float(np.max(np.abs(difference(at(t) - at(-t)) / (2.0 * t) - target)))
+    errors = [float(np.max(np.abs(difference(change(t)) / (2.0 * t) - target)))
               for t in t_values]
     return _fit_report(t_values, errors)
 

@@ -342,3 +342,13 @@ def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, command, edit
     err = capsys.readouterr().err
     assert err.startswith("validation error:") and key in err
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_non_positive_density_message_has_plain_numbers(tmp_path, capsys):
+    cfg = doubling_config()
+    cfg["grid"] = {"resolution": [64]}
+    cfg["map"] = {"kind": "custom", "A": [[2]], "eta_modes": [[1, 2.0, 0.0]]}
+    path = write_config(tmp_path, cfg)
+    assert main(["verify", "--config", path, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "at grid point (0.5,)" in err and "np.float64" not in err

@@ -266,29 +266,6 @@ class TestArithmetic:
         prod = multiply(fa, fb)
         assert np.max(np.abs(prod.values - expected.values)) <= 1e-14
 
-    def test_dealiased_product_clips_aliased_mode(self):
-        # modes 6 and 5 at N = 16: the sum mode 11 aliases onto -5 in the plain
-        # product; the 3/2-rule product keeps the retained band clean instead
-        grid = TorusGrid(16)
-        fa = ScalarField.from_modes(grid, [[6, 1.0, 0.0]])
-        fb = ScalarField.from_modes(grid, [[5, 1.0, 0.0]])
-        plain = multiply(fa, fb)
-        clean = multiply(fa, fb, dealias=True)
-        k = np.fft.fftfreq(16, 1 / 16).astype(int)
-        alias_slot = int(np.where(k == -5)[0][0])
-        diff_slot = int(np.where(k == 1)[0][0])
-        assert abs(plain.coefficients[alias_slot]) > 0.2
-        assert abs(clean.coefficients[alias_slot]) <= 1e-15
-        assert abs(clean.coefficients[diff_slot] - 0.25) <= 1e-14
-
-    def test_dealiased_product_matches_plain_when_resolved(self):
-        grid = TorusGrid(32)
-        fa = random_band_limited(grid, 2, max_mode=4)
-        fb = random_band_limited(grid, 3, max_mode=4)
-        plain = multiply(fa, fb)
-        clean = multiply(fa, fb, dealias=True)
-        assert np.max(np.abs(plain.values - clean.values)) <= 1e-12
-
 
 class TestVectorAndDensity:
     def test_density_gates(self):

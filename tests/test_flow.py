@@ -3,11 +3,14 @@
 Oracles: a closed-form solution of dx/dt = -sin(2 pi x)/(2 pi) (with its
 exact linearization), self-convergence against a very fine reference run,
 the classical h^4 convergence order, Liouville's formula, and composition
-identities (group law, inverse round trip).
+identities (group law, inverse round trip).  The grid-resident flow maps are
+checked against the point integrator `integrate_flow`.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conjresp import (
     FlowEvaluation,
@@ -18,6 +21,7 @@ from conjresp import (
     VolumeDensity,
     default_steps,
     divergence,
+    flow_map,
     integrate_flow,
     inverse_flow,
     moser_transport,
@@ -144,8 +148,72 @@ class TestIntegrateFlow:
             FlowEvaluation(np.array([[0.0]]), np.array([[[-1.0]]]), 1.0, 4)
 
 
+# grid -> (largest |k_i| of a field mode, largest |t| * mode amplitude): the
+# flow map must be resolved on the grid for the 1e-9 comparison to hold
+FLOW_MAP_GRIDS = {(64,): (2, 0.02), (256,): (4, 0.02), (16, 16): (1, 0.005),
+                  (32, 16): (1, 0.005), (64, 64): (2, 0.02)}
+
+
+def band_limited_field(grid, rng, kmax, amplitude):
+    """Two random modes per component, with |k_i| <= kmax and amplitudes up
+    to the given one."""
+    return VectorFieldT([
+        ScalarField.from_modes(grid, [[*rng.integers(-kmax, kmax + 1, size=grid.dim),
+                                       *rng.uniform(-amplitude, amplitude, 2)]
+                                      for _ in range(2)])
+        for _ in range(grid.dim)])
+
+
+class TestFlowMap:
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(resolution=st.sampled_from(sorted(FLOW_MAP_GRIDS)),
+           t=st.sampled_from([-1.0, -0.3, 0.3, 1.0]), seed=st.integers(0, 2**32 - 1))
+    def test_matches_point_integration(self, resolution, t, seed):
+        grid = TorusGrid(resolution)
+        rng = np.random.default_rng(seed)
+        kmax, reach = FLOW_MAP_GRIDS[resolution]
+        X = band_limited_field(grid, rng, kmax, reach / abs(t))
+        phi = flow_map(X, t, steps=128)
+        on_grid = phi(grid.points())
+        sampled_rows = rng.choice(grid.size, size=min(grid.size, 64), replace=False)
+        scattered = rng.uniform(-1.0, 2.0, (32, grid.dim))
+        for got, pts, rows in ((on_grid, grid.points(), sampled_rows),
+                               (phi(scattered), scattered, slice(None))):
+            want = integrate_flow(X, t, pts[rows], steps=128)
+            assert np.max(np.abs(got.lifts[rows] - want.lifts)) <= 1e-9
+            assert np.max(np.abs(wrap_difference(got.points[rows] - want.points))) <= 1e-9
+            assert np.max(np.abs(got.jacobians[rows] - want.jacobians)) <= 1e-9
+        back = flow_map(X, -t, steps=128)(on_grid.lifts, jacobian=False)
+        assert np.max(np.abs(back.lifts - grid.points())) <= 1e-9
+
+    def test_steps_are_a_lower_bound_raised_for_stability(self):
+        # h * pi * |X| * N = 4 at the default 64 steps: RK4 on the advection
+        # term is unstable there and the displacement blows up
+        grid = TorusGrid(256)
+        omega = VolumeDensity.lebesgue(grid)
+        X = solve_for_field(ScalarField.from_modes(grid, [[1, 4.0, 0.0]]), omega)
+        assert default_steps(X, 0.5) == 64
+        got = flow_map(X, 0.5)(grid.points())
+        want = integrate_flow(X, 0.5, grid.points(), steps=1024)
+        assert got.steps > 64
+        assert np.max(np.abs(got.lifts - want.lifts)) <= 1e-8
+        assert np.max(np.abs(got.jacobians - want.jacobians)) <= 1e-8
+
+    def test_t_zero_is_exact_identity(self):
+        grid = TorusGrid((16, 16))
+        pts = np.random.default_rng(3).random((5, 2))
+        ev = flow_map(band_limited_field(grid, np.random.default_rng(4), 1, 0.1), 0.0)(pts)
+        assert ev.steps == 0
+        assert np.array_equal(ev.lifts, pts)
+        assert np.array_equal(ev.jacobians, np.tile(np.eye(2), (5, 1, 1)))
+
+    def test_rejects_nonpositive_steps(self):
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            flow_map(single_mode_field(TorusGrid(32)), 0.1, steps=0)
+
+
 class TestTransportedDensity:
-    """A density the grid under-resolves fails its mass gate; the message
+    """A density the grid under-resolves fails its tail gate; the message
     carries the spectral tail/peak (largest |c_k| with |k| >= N/4 over the
     largest |c_k|) so it does not read as a transport defect."""
 
@@ -157,9 +225,17 @@ class TestTransportedDensity:
         return pushforward_density(omega, X, 0.5)
 
     def test_under_resolved_mass_loss_names_the_tail(self):
-        with pytest.raises(QualityError, match=r"lost mass: .*spectral tail/peak 1\.3e-02"
+        with pytest.raises(QualityError, match=r"is under-resolved .*spectral tail/peak 1\.3e-02"
                                                r".*under-resolve.*raise N"):
             self.transported(64)
+
+    def test_under_resolved_2d_density_names_the_tail(self):
+        grid = TorusGrid((32, 32))
+        omega = VolumeDensity.lebesgue(grid)
+        X = solve_for_field(ScalarField.from_modes(grid, [[1, 1, 3.0, 0.0]]), omega)
+        with pytest.raises(QualityError, match=r"is under-resolved .*spectral tail/peak 2\.7e-02"
+                                               r".*under-resolve.*raise N"):
+            pushforward_density(omega, X, 0.5)
 
     def test_resolved_density_passes(self):
         coefficients = np.abs(self.transported(128).eta.coefficients)

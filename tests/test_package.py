@@ -7,23 +7,24 @@ import conjresp
 PUBLIC = [
     "CoVectorForm", "ConfigError", "ConjugatedMap", "ConstructionError",
     "ConvergenceError", "ConvergenceReport", "DeformedMap", "ExpansionError",
-    "FlowEvaluation", "MoserFlow", "NormalizationError", "PositivityError",
+    "FlowEvaluation", "FlowMap", "MoserFlow", "NormalizationError", "PositivityError",
     "QualityError", "ScalarField", "SolutionStrategy", "TorusGrid", "TorusMap",
     "VectorFieldT", "VolumeDensity", "add_closed_form", "contract", "contract_inverse",
     "default_steps", "deformation_derivative", "derivative_check", "divergence",
     "divide", "exact_primitive", "exterior_derivative", "field_from_json",
-    "field_to_csv", "field_to_json", "gradient", "integrate_flow", "invariance_defect",
-    "inverse_flow", "lie_derivative_density", "load_field", "make_linear",
-    "make_warped_doubling", "moser_transport", "multiply", "pushforward_density",
-    "remove_weighted_mean", "response_check", "save_field", "solve_exactness",
-    "solve_for_field", "solve_laplace", "solve_weighted_poisson", "transfer_check",
-    "transported_density", "wrap_difference",
+    "field_to_csv", "field_to_json", "flow_map", "gradient", "integrate_flow",
+    "invariance_defect", "inverse_flow", "lie_derivative_density", "load_field",
+    "make_linear", "make_warped_doubling", "moser_transport", "multiply",
+    "pushforward_density", "remove_weighted_mean", "response_check", "save_field",
+    "solve_exactness", "solve_for_field", "solve_laplace", "solve_weighted_poisson",
+    "transfer_check", "transported_density", "wrap_difference",
 ]
 
 # module-level names kept out of the package namespace
 MODULE_ONLY = {
     "fields": ["MIN_RESOLUTION", "as_points", "sample_coefficients"],
     "exactness": ["MEAN_ZERO_TOL", "weighted_response"],
+    "flow": ["RK4_STABILITY_LIMIT", "SUBMAP_STRETCH", "TAIL_TOL"],
     "verify": ["NOISE_FLOOR", "ORDER_RANGE"],
 }
 
