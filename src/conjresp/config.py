@@ -10,6 +10,7 @@ adding re*cos(2 pi k.x) + im*sin(2 pi k.x).
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 
 from .dynamics import TorusMap, make_warped_doubling
@@ -36,6 +37,7 @@ KEYS = {
               "transfer_tol": TRANSFER_TOL, "transfer_resolution": TRANSFER_RESOLUTION},
     "output": {"format": "json", "prefix": "solve"},
 }
+STEP_KEYS = (("flow", "steps"), ("verify", "steps"), ("moser", "steps"))  # each >= 1
 CUSTOM_STRATEGY_KEYS = {"harmonic": list, "alpha_modes": list}
 MAP_KINDS = {"linear": {"A"}, "custom": {"A", "displacement_modes", "eta_modes"},
              "warped_doubling": {"generator_modes"}}
@@ -64,6 +66,18 @@ def _value(value, spec, key: str):
     raise ConfigError(f"{key} must be {_TYPE_NAMES[kind]}, got {json.dumps(value)}")
 
 
+def _check_finite(value, key: str) -> None:
+    """Reject the NaN and Infinity that json reads, anywhere under key."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{key}: {json.dumps(value)} is not a finite number")
+    if isinstance(value, dict):
+        for name, item in value.items():
+            _check_finite(item, f"{key}.{name}" if key else name)
+    elif isinstance(value, list):
+        for item in value:
+            _check_finite(item, key)
+
+
 def _typed(section, table: dict, name: str) -> dict:
     """The section's values checked against table, absent keys filled in."""
     if not isinstance(section, dict):
@@ -84,6 +98,7 @@ def load_config(path) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
+    _check_finite(raw, "")
     _check_keys(raw, {"scenario_id", "strategy", *KEYS}, "top level")
     cfg = {name: _typed(raw.get(name, {}), table, name) for name, table in KEYS.items()}
     cfg["strategy"] = _strategy(raw.get("strategy", "canonical"))
@@ -97,6 +112,12 @@ def load_config(path) -> dict:
                           if "scenario_id" in raw else kind or "run")
     if cfg["output"]["format"] not in ("json", "csv"):
         raise ConfigError(f"unknown output format {cfg['output']['format']!r}")
+    for section, key in STEP_KEYS:
+        if cfg[section][key] is not None and cfg[section][key] < 1:
+            raise ConfigError(f"{section}.{key} must be at least 1, got {cfg[section][key]}")
+    for section in ("verify", "moser"):  # transfer targets are grid points
+        with naming(f"{section}.transfer_resolution"):
+            TorusGrid(cfg[section]["transfer_resolution"])
     verify = cfg["verify"]
     if verify["steps"] is None:
         verify["steps"] = cfg["flow"]["steps"]

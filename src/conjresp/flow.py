@@ -10,7 +10,9 @@ uniform substeps (so runs are bit-reproducible):
   (phi^s)^m, with m = 1 unless the flow stretches too much in time t to be
   resolved on the grid.  Jacobians are I + G.  A query costs one stacked
   interpolation of D and G per factor, and none for the first factor at
-  the grid points, where they are read off the grid.
+  the grid points, where they are read off the grid.  Each (field, t, steps)
+  is built once: later calls return the same read-only map for as long as
+  the field lives.
 * `integrate_flow` moves points (Lagrangian): each stage samples X and its
   gradient at the moving points, and Jacobians ride along via the
   variational equation J' = DX(phi) J discretized with the same stages.  It
@@ -29,6 +31,7 @@ contraction is inverted against the moving density.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -57,6 +60,10 @@ SUBMAP_STRETCH = 0.5
 # have: resolved verification densities sit near 1e-4 and below, the
 # under-resolved ones near 1e-2.
 TAIL_TOL = 1e-3
+
+# field -> {(t, steps): FlowMap}; an entry lives as long as its field, whose
+# values are read-only, so a map is never stale
+_FLOW_MAPS = weakref.WeakKeyDictionary()
 
 __all__ = [
     "FlowEvaluation",
@@ -216,10 +223,14 @@ class FlowMap:
     time         -- t
     steps        -- RK4 substeps over [0, t] (submaps times those of a factor)
     submaps      -- number of factors
+
+    Its arrays are read-only, since `flow_map` shares one map among callers.
     """
 
     def __init__(self, grid, displacement: np.ndarray, gradient: np.ndarray, time: float,
                  steps: int, submaps: int = 1):
+        displacement.setflags(write=False)
+        gradient.setflags(write=False)
         self.grid = grid
         self.displacement = displacement
         self.gradient = gradient
@@ -256,7 +267,9 @@ class FlowMap:
             fields = np.concatenate([self.displacement,
                                      self.gradient.reshape((n * n,) + self.grid.shape)])
             axes = tuple(range(1, n + 1))
-            self._coefficients = np.fft.fftn(fields, axes=axes) / self.grid.size
+            coefficients = np.fft.fftn(fields, axes=axes) / self.grid.size
+            coefficients.setflags(write=False)
+            self._coefficients = coefficients
         return self._coefficients if jacobian else self._coefficients[: self.grid.dim]
 
 
@@ -282,11 +295,21 @@ def flow_map(X: VectorFieldT, t: float, steps: int | None = None) -> FlowMap:
     enough substeps, so each factor takes at least the substeps that keep
     h * pi * max_x sum_i |X_i(x)| N_i within RK4_STABILITY_LIMIT.  The count
     used is the ``steps`` of the result and of its evaluations.
+
+    The map is built once per (X, t, steps): a repeated call returns the
+    same `FlowMap` for as long as X lives.
     """
-    grid, n = X.grid, X.grid.dim
     t = float(t)
     if steps is not None and steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
+    maps = _FLOW_MAPS.setdefault(X, {})
+    if (t, steps) not in maps:
+        maps[t, steps] = _build_flow_map(X, t, steps)
+    return maps[t, steps]
+
+
+def _build_flow_map(X: VectorFieldT, t: float, steps: int | None) -> FlowMap:
+    grid, n = X.grid, X.grid.dim
     if t == 0.0:
         return FlowMap(grid, np.zeros((n,) + grid.shape), np.zeros((n, n) + grid.shape), 0.0, 0)
     velocity = np.stack([c.values for c in X.components])

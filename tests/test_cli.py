@@ -1,11 +1,13 @@
 """The batch front end: config validation, exit codes, artifacts, determinism."""
 
+import gc
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from conjresp import load_field
+from conjresp import flow, load_field
 from conjresp.cli import main
 
 
@@ -242,6 +244,50 @@ class TestSweep:
         assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
 
 
+def _cat_config():
+    return {
+        "grid": {"resolution": [32, 16]},
+        "map": {"kind": "linear", "A": [[2, 1], [1, 1]]},
+        "rho": {"modes": [[1, 1, 1.0, 0.0], [0, 3, 0.5, 0.2]]},
+        "verify": {"t_values": [1e-2, 5e-3], "steps": 4},
+    }
+
+
+def _doubling_sweep_config():
+    cfg = doubling_config()
+    cfg["verify"]["resolutions"] = [32, 64]
+    cfg["verify"]["transfer_resolution"] = 128
+    return cfg
+
+
+# (command, config, flow maps built per grid resolution): two per distinct t
+# (3 t_values and transfer_t on the circle, 2 t_values on the torus, the 3
+# t_values of a sweep at each resolution), however many checks use them
+FLOW_MAP_BUILDS = [
+    ("verify", lambda: doubling_config(grid={"resolution": [64]}), {(64,): 8}),
+    ("verify", _cat_config, {(32, 16): 4}),
+    ("sweep", _doubling_sweep_config, {(32,): 6, (64,): 6}),
+]
+
+
+@pytest.mark.parametrize("command, config, builds", FLOW_MAP_BUILDS,
+                         ids=["circle-verify", "torus-verify", "sweep"])
+def test_each_flow_map_is_built_once_per_run(tmp_path, monkeypatch, command, config, builds):
+    built = Counter()
+    build = flow._flow_factor
+
+    def counting(grid, *args):
+        built[grid.resolution] += 1
+        return build(grid, *args)
+
+    monkeypatch.setattr(flow, "_flow_factor", counting)
+    path = write_config(tmp_path, config())
+    assert main([command, "--config", path, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    assert built == builds
+    gc.collect()
+    assert not flow._FLOW_MAPS  # the maps die with the run's fields
+
+
 class TestConfigValidation:
     def test_bad_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -299,7 +345,8 @@ def _without_verify_steps(edit):
     return both
 
 
-# (command, edit of a valid 1-d 64-point doubling config, key the error must name)
+# (command, edit of a valid 1-d 64-point doubling config, key the error must name
+# [, test id, which defaults to the key])
 MALFORMED = [
     ("verify", _set(["verify", "steps"], 16.0), "verify.steps"),
     ("verify", _set(["verify", "steps"], "16"), "verify.steps"),
@@ -315,6 +362,25 @@ MALFORMED = [
     ("moser", _with_moser(_set(["moser", "check_conjugated"], "no")), "moser.check_conjugated"),
     ("verify", _set(["map", "eta_modes"], [[1, 0.3, 0.0]]), "eta_modes"),
     ("solve", _set(["output", "prefix"], 5), "output.prefix"),
+    ("verify", _set(["verify", "t_values"], [float("inf"), 0.01]), "verify.t_values",
+     "verify.t_values-infinite"),
+    ("verify", _set(["verify", "t_values"], [float("nan"), 0.01]), "verify.t_values",
+     "verify.t_values-nan"),
+    ("verify", _set(["verify", "transfer_t"], float("inf")), "verify.transfer_t",
+     "verify.transfer_t-infinite"),
+    ("verify", _set(["verify", "transfer_t"], float("nan")), "verify.transfer_t",
+     "verify.transfer_t-nan"),
+    ("moser", _with_moser(_set(["moser", "pushforward_tol"], float("nan"))),
+     "moser.pushforward_tol"),
+    ("verify", _set(["verify", "steps"], 0), "verify.steps", "verify.steps-zero"),
+    ("sweep", _without_verify_steps(_set(["flow", "steps"], -1)), "flow.steps",
+     "flow.steps-negative"),
+    ("moser", _with_moser(_set(["moser", "steps"], 0)), "moser.steps", "moser.steps-zero"),
+    ("verify", _set(["rho", "modes"], [[1, float("nan"), 0.0]]), "rho.modes", "rho.modes-nan"),
+    ("verify", _set(["verify", "transfer_resolution"], 0), "verify.transfer_resolution",
+     "verify.transfer_resolution-zero"),
+    ("moser", _with_moser(_set(["moser", "transfer_resolution"], 6)),
+     "moser.transfer_resolution"),
 ]
 # (id, command, edit, key): list elements, checked where the list is used
 MALFORMED_ELEMENTS = [
@@ -330,7 +396,7 @@ MALFORMED_ELEMENTS = [
 
 
 @pytest.mark.parametrize("command, edit, key",
-                         [pytest.param(*case, id=case[2]) for case in MALFORMED]
+                         [pytest.param(*case[:3], id=case[-1]) for case in MALFORMED]
                          + [pytest.param(*case, id=name) for name, *case in MALFORMED_ELEMENTS])
 def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, command, edit, key):
     cfg = doubling_config()

@@ -7,6 +7,9 @@ identities (group law, inverse round trip).  The grid-resident flow maps are
 checked against the point integrator `integrate_flow`.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -210,6 +213,28 @@ class TestFlowMap:
     def test_rejects_nonpositive_steps(self):
         with pytest.raises(ValueError, match="steps must be >= 1"):
             flow_map(single_mode_field(TorusGrid(32)), 0.1, steps=0)
+
+    def test_built_once_per_field_t_and_steps_while_the_field_lives(self):
+        grid = TorusGrid(32)
+        X = single_mode_field(grid)
+        phi = flow_map(X, 0.1, steps=8)
+        assert flow_map(X, 0.1, steps=8) is phi
+        assert flow_map(X, np.float64(0.1), steps=8) is phi
+        assert flow_map(X, -0.1, steps=8) is not phi
+        assert flow_map(X, 0.1, steps=16) is not phi
+        assert flow_map(single_mode_field(grid), 0.1, steps=8) is not phi
+        field = weakref.ref(X)
+        del X
+        gc.collect()
+        assert field() is None  # the memo holds no field alive, the map included
+
+    def test_shared_arrays_are_read_only(self):
+        grid = TorusGrid((16, 16))
+        phi = flow_map(band_limited_field(grid, np.random.default_rng(5), 1, 0.1), 0.2)
+        phi(np.random.default_rng(6).random((3, 2)))  # builds the coefficient stack
+        for array in (phi.displacement, phi.gradient, phi._stack(True)):
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 0.0
 
 
 class TestTransportedDensity:
