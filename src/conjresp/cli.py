@@ -22,17 +22,8 @@ from .config import (TRANSFER_TOL, build_grid, build_map, build_rho, build_strat
                      load_config, naming, required)
 from .dynamics import ConjugatedMap, DeformedMap
 from .errors import ConfigError, ConstructionError, ConvergenceError, QualityError
-from .exactness import (
-    add_closed_form,
-    contract_inverse,
-    lie_derivative_density,
-    multiply,
-    solve_exactness,
-    solve_for_field,
-    solve_weighted_poisson,
-    weighted_response,
-)
-from .fields import VolumeDensity, gradient, save_field
+from .exactness import lie_derivative_density, multiply, solve_for_field, solve_potential
+from .fields import ScalarField, VolumeDensity, save_field
 from .flow import moser_transport
 from .verify import derivative_check, pushforward_density, response_check, transfer_check
 
@@ -58,12 +49,11 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _problem(cfg: dict, grid):
-    """The map, its invariant density, the gated rho and the strategy on one
-    grid: the set-up shared by solve, verify and every sweep resolution."""
+    """The map, its invariant density, rho and the strategy on one grid: the
+    set-up shared by solve, verify and every sweep resolution."""
     torus_map = build_map(cfg, grid)
     omega = torus_map.density
     rho = build_rho(cfg, grid, omega)
-    weighted_response(rho, omega)  # fail before any work if rho is not mean-zero
     return torus_map, omega, rho, build_strategy(cfg, grid)
 
 
@@ -94,19 +84,13 @@ def cmd_solve(cfg: dict, out: Path, quiet: bool, fmt: str) -> int:
     _, omega, rho, strategy = _problem(cfg, grid)
     prefix = cfg["output"]["prefix"]
 
-    target = multiply(rho, omega.eta)
-    if strategy.kind == "gradient":
-        u = solve_weighted_poisson(omega, -target)
-        X = gradient(u)
-        save_field(u, out / f"{prefix}_u.{fmt}", fmt)
-    else:
-        theta = add_closed_form(solve_exactness(rho, omega), strategy)
-        for i, component in enumerate(theta.components):
-            save_field(component, out / f"{prefix}_theta{i}.{fmt}", fmt)
-        X = contract_inverse(theta, omega)
-    for i, component in enumerate(X.components):
-        save_field(component, out / f"{prefix}_X{i}.{fmt}", fmt)
+    potential, X = solve_potential(rho, omega, strategy)
+    named = ([("u", potential)] if isinstance(potential, ScalarField)
+             else [(f"theta{i}", c) for i, c in enumerate(potential.components)])
+    for name, field in named + [(f"X{i}", c) for i, c in enumerate(X.components)]:
+        save_field(field, out / f"{prefix}_{name}.{fmt}", fmt)
 
+    target = multiply(rho, omega.eta)
     residual = (lie_derivative_density(X, omega) + target).max_abs
     scale = max(target.max_abs, 1e-300)
     _say(quiet, f"strategy {strategy.kind}: max|div(eta X) + rho eta| = "

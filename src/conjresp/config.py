@@ -37,7 +37,8 @@ KEYS = {
               "transfer_tol": TRANSFER_TOL, "transfer_resolution": TRANSFER_RESOLUTION},
     "output": {"format": "json", "prefix": "solve"},
 }
-STEP_KEYS = (("flow", "steps"), ("verify", "steps"), ("moser", "steps"))  # each >= 1
+POSITIVE_KEYS = (("flow", "steps"), ("verify", "steps"), ("moser", "steps"),  # each > 0
+                 ("moser", "pushforward_tol"), ("moser", "transfer_tol"))
 CUSTOM_STRATEGY_KEYS = {"harmonic": list, "alpha_modes": list}
 MAP_KINDS = {"linear": {"A"}, "custom": {"A", "displacement_modes", "eta_modes"},
              "warped_doubling": {"generator_modes"}}
@@ -112,9 +113,9 @@ def load_config(path) -> dict:
                           if "scenario_id" in raw else kind or "run")
     if cfg["output"]["format"] not in ("json", "csv"):
         raise ConfigError(f"unknown output format {cfg['output']['format']!r}")
-    for section, key in STEP_KEYS:
-        if cfg[section][key] is not None and cfg[section][key] < 1:
-            raise ConfigError(f"{section}.{key} must be at least 1, got {cfg[section][key]}")
+    for section, key in POSITIVE_KEYS:
+        if cfg[section][key] is not None and cfg[section][key] <= 0:
+            raise ConfigError(f"{section}.{key} must be positive, got {cfg[section][key]}")
     for section in ("verify", "moser"):  # transfer targets are grid points
         with naming(f"{section}.transfer_resolution"):
             TorusGrid(cfg[section]["transfer_resolution"])

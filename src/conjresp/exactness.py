@@ -282,20 +282,32 @@ def solve_weighted_poisson(
     )
 
 
+def solve_potential(
+    rho: ScalarField,
+    omega: VolumeDensity,
+    strategy: SolutionStrategy,
+) -> tuple[ScalarField | CoVectorForm, VectorFieldT]:
+    """The strategy's potential and the vector field X it gives, with
+    div(eta X) = -(rho eta):
+
+    canonical -- theta, the canonical exact primitive, and X = contract_inverse(theta);
+    gradient  -- u from the weighted Poisson equation, and X = grad u;
+    custom    -- canonical theta plus the strategy's closed form, and its contract_inverse.
+    """
+    strategy.validate_for(rho.grid)
+    if strategy.kind == "gradient":
+        u = solve_weighted_poisson(omega, -weighted_response(rho, omega))
+        return u, gradient(u)
+    theta = add_closed_form(solve_exactness(rho, omega), strategy)
+    return theta, contract_inverse(theta, omega)
+
+
 def solve_for_field(
     rho: ScalarField,
     omega: VolumeDensity,
     strategy: SolutionStrategy | None = None,
 ) -> VectorFieldT:
-    """End-to-end: a vector field X with div(eta X) = -(rho eta).
-
-    canonical -- contraction inverse of the canonical exact primitive;
-    gradient  -- grad u from the weighted Poisson equation;
-    custom    -- canonical theta plus the strategy's closed form.
-    """
+    """End-to-end: a vector field X with div(eta X) = -(rho eta), built as
+    `solve_potential` describes (canonical strategy by default)."""
     strategy = strategy if strategy is not None else SolutionStrategy.canonical()
-    strategy.validate_for(rho.grid)
-    if strategy.kind == "gradient":
-        return gradient(solve_weighted_poisson(omega, -weighted_response(rho, omega)))
-    theta = add_closed_form(solve_exactness(rho, omega), strategy)
-    return contract_inverse(theta, omega)
+    return solve_potential(rho, omega, strategy)[1]

@@ -2,13 +2,19 @@
 
 import gc
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conjresp import flow, load_field
+import conjresp
+from conjresp import CoVectorForm, contract_inverse, flow, gradient, load_field, solve_for_field
 from conjresp.cli import main
+from conjresp.config import build_grid, build_map, build_rho, build_strategy, load_config
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -31,7 +37,41 @@ def doubling_config(**overrides):
     return cfg
 
 
+# per dimension, for the solve cases: a map with a non-flat density, and strategy.custom
+SOLVE_INPUTS = {
+    1: ({"kind": "custom", "A": [[1]], "eta_modes": [[1, 0.3, 0.1]]}, {"harmonic": [0.1]}),
+    2: ({"kind": "custom", "A": [[2, 1], [1, 1]],
+         "eta_modes": [[1, 0, 0.2, 0.1], [1, -2, 0.05, -0.1]]},
+        {"harmonic": [0.1, -0.05], "alpha_modes": [[1, 2, 0.03, 0.01]]}),
+}
+
+
 class TestSolve:
+    @pytest.mark.parametrize("dim", [1, 2], ids=["1d-128", "2d-32x16"])
+    @pytest.mark.parametrize("strategy", ["canonical", "gradient", "custom"])
+    def test_written_files_are_the_library_solve(self, tmp_path, strategy, dim):
+        cfg = doubling_config() if dim == 1 else _cat_config()
+        cfg["map"], custom = SOLVE_INPUTS[dim]
+        cfg["rho"]["center"] = True  # mean-zero against the density
+        cfg["strategy"] = {"custom": custom} if strategy == "custom" else strategy
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", path, "--out", str(out), "--quiet"]) == 0
+        potential = ["u"] if strategy == "gradient" else [f"theta{i}" for i in range(dim)]
+        names = potential + [f"X{i}" for i in range(dim)]
+        assert sorted(p.name for p in out.iterdir()) == sorted(f"solve_{n}.json" for n in names)
+
+        run = load_config(path)
+        grid = build_grid(run)
+        omega = build_map(run, grid).density
+        X = solve_for_field(build_rho(run, grid, omega), omega, build_strategy(run, grid))
+        written = [load_field(out / f"solve_X{i}.json").values for i in range(dim)]
+        assert all(np.array_equal(w, x.values) for w, x in zip(written, X.components))
+        loaded = [load_field(out / f"solve_{n}.json") for n in potential]
+        rebuilt = (gradient(loaded[0]) if strategy == "gradient"
+                   else contract_inverse(CoVectorForm(loaded), omega))
+        assert all(np.array_equal(r.values, w) for r, w in zip(rebuilt.components, written))
+
     def test_doubling_canonical_writes_oracle_field(self, tmp_path, capsys):
         cfg = write_config(tmp_path, doubling_config())
         out = tmp_path / "out"
@@ -288,6 +328,49 @@ def test_each_flow_map_is_built_once_per_run(tmp_path, monkeypatch, command, con
     assert not flow._FLOW_MAPS  # the maps die with the run's fields
 
 
+# (command, config) runs whose files must not depend on the BLAS thread count
+THREAD_RUNS = [
+    ("verify", {"grid": {"resolution": [64, 64]},
+                "map": {"kind": "custom", "A": [[2, 1], [1, 1]],
+                        "eta_modes": [[1, 0, 0.2, 0.1], [1, -2, 0.05, -0.1]]},
+                "rho": {"modes": [[1, 1, 0.6, 0.0], [0, 3, 0.3, 0.2]], "center": True},
+                "strategy": "gradient", "verify": {"t_values": [1e-2, 5e-3], "steps": 4}}),
+    ("verify", doubling_config(grid={"resolution": [256]},
+                               map={"kind": "warped_doubling",
+                                    "generator_modes": [[1, 0.03, 0.02]]},
+                               rho={"modes": [[1, 1.0, 0.0], [3, 0.3, 0.2]], "center": True},
+                               strategy={"custom": {"harmonic": [0.1]}})),
+    ("sweep", _doubling_sweep_config()),
+    ("moser", {"grid": {"resolution": [32, 32]},
+               "moser": {"eta0_modes": [[1, 1, 0.1, 0.05]],
+                         "eta1_modes": [[0, 1, 0.1, 0.0], [2, -1, 0.05, 0.05]],
+                         "steps": 16}}),
+]
+RUN_ALL = ("import json, sys\n"
+           "from conjresp.cli import main\n"
+           "sys.exit(max(main(args) for args in json.loads(sys.argv[1])))")
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    configs = [write_config(tmp_path, cfg, f"config{i}.json")
+               for i, (_, cfg) in enumerate(THREAD_RUNS)]
+    outputs = []
+    for threads in ("1", "2"):
+        root = tmp_path / f"threads{threads}"
+        runs = [[command, "--config", config, "--out", str(root / str(i)), "--quiet"]
+                for i, ((command, _), config) in enumerate(zip(THREAD_RUNS, configs))]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(conjresp.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", RUN_ALL, json.dumps(runs)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        outputs.append({p.relative_to(root).as_posix(): p.read_bytes()
+                        for p in root.rglob("*") if p.is_file()})
+    assert sorted(outputs[0]) == ["0/report.json", "1/report.json", "2/sweep.csv",
+                                  "3/moser_report.json"]
+    assert outputs[0] == outputs[1]
+
+
 class TestConfigValidation:
     def test_bad_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -381,6 +464,14 @@ MALFORMED = [
      "verify.transfer_resolution-zero"),
     ("moser", _with_moser(_set(["moser", "transfer_resolution"], 6)),
      "moser.transfer_resolution"),
+    ("moser", _with_moser(_set(["moser", "pushforward_tol"], -1)), "moser.pushforward_tol",
+     "moser.pushforward_tol-negative"),
+    ("moser", _with_moser(_set(["moser", "pushforward_tol"], 0)), "moser.pushforward_tol",
+     "moser.pushforward_tol-zero"),
+    ("moser", _with_moser(_set(["moser", "transfer_tol"], -1)), "moser.transfer_tol",
+     "moser.transfer_tol-negative"),
+    ("moser", _with_moser(_set(["moser", "transfer_tol"], 0)), "moser.transfer_tol",
+     "moser.transfer_tol-zero"),
 ]
 # (id, command, edit, key): list elements, checked where the list is used
 MALFORMED_ELEMENTS = [
