@@ -33,7 +33,7 @@ print("transport from Lebesgue to 1 + 0.5 cos(2 pi x):")
 print(f"  max|psi_* eta0 - eta1| = {np.max(np.abs(pushed.eta.values - omega1.eta.values)):.2e}")
 
 doubling = make_linear([[2]], grid)
-conjugated = ConjugatedMap.from_moser(doubling, transport)
+conjugated = ConjugatedMap(doubling, transport.transport, transport.inverse_transport)
 residual = transfer_check(conjugated, omega1, 512)
 print(f"  conjugated doubling map preserves the target: transfer residual {residual:.2e}")
 

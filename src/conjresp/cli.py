@@ -161,7 +161,7 @@ def cmd_moser(cfg: dict, out: Path, quiet: bool, fmt: str) -> int:
     transfer = None
     transfer_ok = True
     if torus_map is not None:
-        conjugated = ConjugatedMap.from_moser(torus_map, transport)
+        conjugated = ConjugatedMap(torus_map, transport.transport, transport.inverse_transport)
         resolution = moser_cfg["transfer_resolution"]
         transfer_residual = transfer_check(conjugated, omega1, resolution)
         transfer_ok = transfer_residual <= moser_cfg["transfer_tol"]
@@ -232,7 +232,10 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         fmt = args.format or cfg["output"]["format"]
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
         return _COMMANDS[args.command](cfg, out, args.quiet, fmt)
     except ValueError as exc:  # ConfigError, NormalizationError, PositivityError, ...
         print(f"validation error: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ import math
 from contextlib import contextmanager
 
 from .dynamics import TorusMap, make_warped_doubling
-from .errors import ConfigError
+from .errors import ConfigError, ConstructionError
 from .exactness import SolutionStrategy, remove_weighted_mean
 from .fields import ScalarField, TorusGrid, VectorFieldT, VolumeDensity
 from .verify import checked_t_values
@@ -113,6 +113,8 @@ def load_config(path) -> dict:
                           if "scenario_id" in raw else kind or "run")
     if cfg["output"]["format"] not in ("json", "csv"):
         raise ConfigError(f"unknown output format {cfg['output']['format']!r}")
+    if "/" in cfg["output"]["prefix"]:
+        raise ConfigError(f"output.prefix must be a file name, got {cfg['output']['prefix']!r}")
     for section, key in POSITIVE_KEYS:
         if cfg[section][key] is not None and cfg[section][key] <= 0:
             raise ConfigError(f"{section}.{key} must be positive, got {cfg[section][key]}")
@@ -195,8 +197,11 @@ def build_map(cfg: dict, grid: TorusGrid) -> TorusMap:
         with naming("map.eta_modes"):
             density = VolumeDensity.from_modes(grid, section["eta_modes"])
     linear = required(cfg, "map", "A")
-    with naming("map.A"):  # the linear part is the one input still unchecked
-        return TorusMap(grid, linear, displacement, density)
+    try:
+        with naming("map.A"):  # the linear part is the one input still unchecked
+            return TorusMap(grid, linear, displacement, density)
+    except ConstructionError as exc:  # the certificate rejects the user's density
+        raise ConfigError(f"map.eta_modes (Lebesgue when absent): {exc}") from exc
 
 
 def build_rho(cfg: dict, grid: TorusGrid, omega: VolumeDensity) -> ScalarField:

@@ -71,7 +71,6 @@ __all__ = [
     "default_steps",
     "flow_map",
     "integrate_flow",
-    "inverse_flow",
     "transported_density",
     "MoserFlow",
     "moser_transport",
@@ -82,22 +81,21 @@ __all__ = [
 class FlowEvaluation:
     """Points transported by a flow, with variational Jacobians.
 
-    points    -- (M, n) positions reduced mod 1
+    lifts     -- (M, n) unreduced endpoints on the universal cover
     jacobians -- (M, n, n) Jacobian matrices, or None if not requested
     time      -- total flow time
     steps     -- substep count actually used
-    lifts     -- (M, n) unreduced endpoints on the universal cover
+    points    -- the lifts reduced mod 1
     """
 
-    points: np.ndarray
+    lifts: np.ndarray
     jacobians: np.ndarray | None
     time: float
     steps: int
-    lifts: np.ndarray = dataclass_field(default=None, repr=False)
+    points: np.ndarray = dataclass_field(init=False)
 
     def __post_init__(self):
-        if self.lifts is None:
-            self.lifts = np.array(self.points)
+        self.points = self.lifts % 1.0
         if self.jacobians is not None:
             dets = np.linalg.det(self.jacobians)
             worst = float(dets.min())
@@ -165,13 +163,13 @@ def _rk4(evaluator, s0: float, s1: float, points: np.ndarray, steps: int,
             k4 = m4 @ (J + h * k3)
             J = J + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         p = p + (h / 6.0) * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
-    return FlowEvaluation(p % 1.0, J, s1 - s0, steps, p)
+    return FlowEvaluation(p, J, s1 - s0, steps)
 
 
 def _identity_evaluation(pts: np.ndarray, with_jacobian: bool) -> FlowEvaluation:
     m, n = pts.shape
     jac = np.tile(np.eye(n), (m, 1, 1)) if with_jacobian else None
-    return FlowEvaluation(pts % 1.0, jac, 0.0, 0, np.array(pts))
+    return FlowEvaluation(np.array(pts), jac, 0.0, 0)
 
 
 def integrate_flow(
@@ -191,17 +189,6 @@ def integrate_flow(
         raise ValueError(f"steps must be >= 1, got {steps}")
     sampler = _FieldSampler(X.components, jacobian)
     return _rk4(lambda s, p: sampler(p), 0.0, float(t), pts, steps, jacobian)
-
-
-def inverse_flow(
-    X: VectorFieldT,
-    t: float,
-    points,
-    steps: int | None = None,
-    jacobian: bool = True,
-) -> FlowEvaluation:
-    """phi^{-t}: the flow of X for time -t."""
-    return integrate_flow(X, -t, points, steps=steps, jacobian=jacobian)
 
 
 class FlowMap:
@@ -258,7 +245,7 @@ class FlowMap:
             lifts = lifts + values
             if jacobian:
                 jac = (np.eye(n) + grads) @ jac
-        return FlowEvaluation(lifts % 1.0, jac, self.time, self.steps, lifts)
+        return FlowEvaluation(lifts, jac, self.time, self.steps)
 
     def _stack(self, jacobian: bool) -> np.ndarray:
         """Coefficients of D, then (with ``jacobian``) of G row by row."""
@@ -370,18 +357,20 @@ def transported_density(omega: VolumeDensity, inverse_eval: FlowEvaluation) -> V
     values = omega.eta.sample(inverse_eval.points) * inverse_eval.determinants()
     transported = ScalarField(grid, values.reshape(grid.shape))
     tail = _spectral_tail(transported)
-    hint = f"spectral tail/peak {tail:.1e}: the grid may under-resolve the density (raise N)"
     if tail > TAIL_TOL:
         raise QualityError(f"transported density is under-resolved (tail above {TAIL_TOL:.0e}): "
-                           f"{hint}", tail)
+                           f"spectral tail/peak {tail:.1e}: the grid may under-resolve the "
+                           "density (raise N)", tail)
+    # the tail is resolved, so what is left to name is the flow itself
+    flowed = f"after a flow of |t| = {abs(inverse_eval.time):g} in {inverse_eval.steps} steps"
     mass_defect = abs(float(values.mean()) - 1.0)
     if mass_defect > 1e-8:
-        raise QualityError(f"transported density lost mass: |mean - 1| = {mass_defect:.3e}; "
-                           f"{hint}", mass_defect)
+        raise QualityError(f"transported density lost mass: |mean - 1| = {mass_defect:.3e} "
+                           f"{flowed}", mass_defect)
     minimum = float(values.min())
     if minimum <= 0.0:
-        raise QualityError(f"transported density lost positivity: minimum {minimum:.6g}; "
-                           f"{hint}", minimum)
+        raise QualityError(f"transported density lost positivity: minimum {minimum:.6g} "
+                           f"{flowed}", minimum)
     return VolumeDensity(transported)
 
 

@@ -140,8 +140,8 @@ def transfer_check(T_t, eta_t: VolumeDensity, resolution: int) -> float:
     """Sup-norm transfer-operator residual of eta_t under an expanding circle
     map (possibly deformed): max_y | sum_{z in T^{-1}(y)} eta(z)/|T'(z)| - eta(y) |.
 
-    T_t may be a TorusMap, a DeformedMap or a ConjugatedMap; it must expose
-    `preimages_with_derivative`, which enforces the expansion precondition.
+    T_t is a TorusMap or a ConjugatedMap (a DeformedMap is one); its
+    `preimages_with_derivative` enforces the expansion precondition.
     """
     y = TorusGrid((int(resolution),)).axis_points(0)
     pre, deriv = T_t.preimages_with_derivative(y)

@@ -280,7 +280,7 @@ def test_criterion_8_moser_transport():
     push_residual = float(np.max(np.abs(pushed.eta.values - omega1.eta.values)))
 
     doubling = make_linear([[2]], grid)
-    conjugated = ConjugatedMap.from_moser(doubling, transport)
+    conjugated = ConjugatedMap(doubling, transport.transport, transport.inverse_transport)
     trans_residual = transfer_check(conjugated, omega1, 512)
 
     ok = push_residual <= 1e-6 and trans_residual <= 1e-4

@@ -472,6 +472,9 @@ MALFORMED = [
      "moser.transfer_tol-negative"),
     ("moser", _with_moser(_set(["moser", "transfer_tol"], 0)), "moser.transfer_tol",
      "moser.transfer_tol-zero"),
+    ("solve", _set(["map"], {"kind": "custom", "A": [[2]], "eta_modes": [[1, 0.3, 0.1]]}),
+     "map.eta_modes", "map.eta_modes-not-invariant"),
+    ("solve", _set(["output", "prefix"], "sub/x"), "output.prefix", "output.prefix-path"),
 ]
 # (id, command, edit, key): list elements, checked where the list is used
 MALFORMED_ELEMENTS = [
@@ -499,6 +502,15 @@ def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, command, edit
     err = capsys.readouterr().err
     assert err.startswith("validation error:") and key in err
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_out_that_is_a_file_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path, doubling_config())
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["solve", "--config", path, "--out", str(taken), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("validation error: cannot create output directory")
+    assert taken.read_text() == ""
 
 
 def test_non_positive_density_message_has_plain_numbers(tmp_path, capsys):

@@ -165,12 +165,24 @@ class TestDeformationDerivative:
 
 
 class TestDeformedMap:
-    def test_t_zero_is_base(self):
-        grid = TorusGrid(64)
-        T = make_linear([[2]], grid)
-        X = canonical_field(grid)
-        pts = np.array([[0.3], [0.77]])
-        assert np.array_equal(DeformedMap(T, X, 0.0)(pts), T(pts))
+    def test_t_zero_is_base(self, warped):
+        # the flow maps of t = 0 are the zero displacement: lifts and
+        # preimages are the base map's bit for bit, and so is the call on
+        # [0, 1); off it the call reduces the point first, so only rounding.
+        # A branch may end at z = 1.0, which the conjugacy reports reduced
+        inside = np.array([[0.0], [0.3], [0.5], [0.77], [0.999]])
+        outside = np.array([[-0.4], [-1e-3], [1.0], [1.3], [2.75]])
+        y = np.linspace(0.0, 1.0, 17, endpoint=False)
+        for T in (make_linear([[2]], TorusGrid(64)), warped):
+            D = DeformedMap(T, canonical_field(T.grid), 0.0)
+            for pts in (inside, outside):
+                assert np.array_equal(D.lift(pts), T.lift(pts))
+            assert np.array_equal(D(inside), T(inside))
+            assert np.max(np.abs(wrap_difference(D(outside) - T(outside)))) <= 1e-15
+            pre, deriv = D.preimages_with_derivative(y)
+            base_pre, base_deriv = T.preimages_with_derivative(y)
+            assert np.array_equal(pre, base_pre % 1.0)
+            assert np.array_equal(deriv, base_deriv)
 
     def test_finite_difference_matches_derivative(self):
         grid = TorusGrid(64)
