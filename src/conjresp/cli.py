@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -228,16 +229,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    out, created = Path(args.out), None
     try:
         cfg = load_config(args.config)
         fmt = args.format or cfg["output"]["format"]
-        out = Path(args.out)
         try:
+            # the topmost directory this run makes, removed again if it exits 2
+            created = next((p for p in reversed((out, *out.parents)) if not p.exists()), None)
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
         return _COMMANDS[args.command](cfg, out, args.quiet, fmt)
     except ValueError as exc:  # ConfigError, NormalizationError, PositivityError, ...
+        if created is not None:
+            shutil.rmtree(created, ignore_errors=True)
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (ConvergenceError, ConstructionError, QualityError) as exc:

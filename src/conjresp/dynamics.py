@@ -27,9 +27,8 @@ from .fields import (
     VectorFieldT,
     VolumeDensity,
     as_points,
-    sample_coefficients,
 )
-from .flow import flow_map
+from .flow import FieldStack, flow_map
 
 BISECTION_ITERATIONS = 60
 EXPANSION_MARGIN = 0.01
@@ -75,12 +74,13 @@ class TorusMap:
         self.matrix = matrix
         self.displacement = displacement if displacement is not None else VectorFieldT.zero(grid)
         self.density = density if density is not None else VolumeDensity.lebesgue(grid)
-        self._has_displacement = self.displacement.sup_norm > 0.0
-        self._jacobian_stack = None
+        # g and its gradient, sampled together; None when g = 0
+        self._stack = (FieldStack.of(self.displacement.components)
+                       if self.displacement.sup_norm > 0.0 else None)
         self._expansion_margin = None
         self.certified = False
         self.certificate_residual = None
-        if not self._has_displacement and np.all(self.density.eta.values == 1.0):
+        if self._stack is None and np.all(self.density.eta.values == 1.0):
             self.certified = True
             self.certificate_residual = 0.0
         elif self.expanding:
@@ -110,43 +110,19 @@ class TorusMap:
         """Lift values A x + g(x) without reduction mod 1."""
         pts = as_points(points, self.dim)
         out = pts @ self.matrix.T.astype(float)
-        if self._has_displacement:
-            out = out + self.displacement.sample(pts)
+        if self._stack is not None:
+            out = out + self._stack(pts, gradients=False)[0]
         return out
 
     def __call__(self, points) -> np.ndarray:
         return self.lift(points) % 1.0
 
-    def _displacement_derivative_stack(self) -> np.ndarray:
-        if self._jacobian_stack is None:
-            n = self.dim
-            coeffs = [
-                self.displacement.components[i].derivative(j).coefficients
-                for i in range(n)
-                for j in range(n)
-            ]
-            self._jacobian_stack = np.stack(coeffs)
-        return self._jacobian_stack
-
     def jacobian(self, points) -> np.ndarray:
-        """DT = A + Dg at arbitrary points, shape (M, n, n)."""
+        """DT = A + Dg at points, shape (M, n, n), read off the grid at its points."""
         pts = as_points(points, self.dim)
-        n = self.dim
-        out = np.tile(self.matrix.astype(float), (pts.shape[0], 1, 1))
-        if self._has_displacement:
-            dg = sample_coefficients(self.grid, self._displacement_derivative_stack(), pts)
-            out += dg.reshape(-1, n, n)
-        return out
-
-    def jacobian_on_grid(self) -> np.ndarray:
-        """DT at the grid points, exact (no interpolation), shape (size, n, n)."""
-        n = self.dim
-        out = np.tile(self.matrix.astype(float), (self.grid.size, 1, 1))
-        if self._has_displacement:
-            for i in range(n):
-                for j in range(n):
-                    out[:, i, j] += self.displacement.components[i].derivative(j).values.ravel()
-        return out
+        if self._stack is None:
+            return np.tile(self.matrix.astype(float), (pts.shape[0], 1, 1))
+        return self.matrix + self._stack(pts)[1]
 
     def expansion_margin(self) -> float:
         """min |F'| - 1 over a fine sample of the lift derivative F' of a
@@ -170,8 +146,8 @@ class TorusMap:
         return self.dim == 1 and self.expansion_margin() >= EXPANSION_MARGIN
 
     def preimages_with_derivative(self, y):
-        """All |degree| preimages of circle points under an expanding map,
-        with the lift derivative there; shapes (d, M).
+        """All |degree| preimages in [0, 1) of circle points under an
+        expanding map, with the lift derivative there; shapes (d, M).
 
         Branch inversion runs a 60-iteration bisection per monotone branch of
         the lift, vectorized over targets.
@@ -186,7 +162,7 @@ class TorusMap:
         y = as_points(y, 1)[:, 0] % 1.0
         z = _branch_bisection(lambda v: self.lift(v)[:, 0], abs(self.degree), y)
         deriv = self.jacobian(z.reshape(-1, 1))[:, 0, 0].reshape(z.shape)
-        return z, deriv
+        return z % 1.0, deriv
 
 
 def _branch_bisection(lift_fn, branches: int, targets_mod1: np.ndarray) -> np.ndarray:
@@ -310,7 +286,7 @@ def deformation_derivative(T: TorusMap, X: VectorFieldT) -> VectorFieldT:
         raise ValueError("map and field live on different grids")
     grid = T.grid
     pts = grid.points()
-    pushed = -np.einsum("mij,mj->mi", T.jacobian_on_grid(), X.values_matrix())
+    pushed = -np.einsum("mij,mj->mi", T.jacobian(pts), X.values_matrix())
     pulled = X.sample(T(pts))
     vals = pushed + pulled
     return VectorFieldT.from_arrays(

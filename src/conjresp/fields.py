@@ -21,6 +21,7 @@ Conventions:
 from __future__ import annotations
 
 import json
+import math
 import numbers
 
 import numpy as np
@@ -69,6 +70,7 @@ class TorusGrid:
                     f"per-axis resolution must be even and >= {MIN_RESOLUTION}, got {res}"
                 )
         self.resolution = res
+        self._points = None
 
     @property
     def dim(self) -> int:
@@ -80,7 +82,7 @@ class TorusGrid:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.resolution))
+        return math.prod(self.resolution)
 
     def axis_points(self, axis: int) -> np.ndarray:
         n = self.resolution[axis]
@@ -92,8 +94,11 @@ class TorusGrid:
         return list(np.meshgrid(*axes, indexing="ij"))
 
     def points(self) -> np.ndarray:
-        """All grid points as an (size, dim) array in row-major order."""
-        return np.stack([m.ravel() for m in self.meshes()], axis=1)
+        """All grid points as an (size, dim) array in row-major order (cached, read-only)."""
+        if self._points is None:
+            self._points = np.stack([m.ravel() for m in self.meshes()], axis=1)
+            self._points.setflags(write=False)
+        return self._points
 
     def wavenumbers(self, axis: int) -> np.ndarray:
         n = self.resolution[axis]

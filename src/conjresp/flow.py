@@ -8,19 +8,19 @@ uniform substeps (so runs are bit-reproducible):
   equation dD/dtau = X + (X . grad) D and its gradient, with spectral
   derivatives, and never samples X off the grid; phi^t is the power
   (phi^s)^m, with m = 1 unless the flow stretches too much in time t to be
-  resolved on the grid.  Jacobians are I + G.  A query costs one stacked
-  interpolation of D and G per factor, and none for the first factor at
-  the grid points, where they are read off the grid.  Each (field, t, steps)
-  is built once: later calls return the same read-only map for as long as
-  the field lives.
+  resolved on the grid.  Jacobians are I + G.  Each (field, t, steps) is
+  built once: later calls return the same read-only map for as long as the
+  field lives.
 * `integrate_flow` moves points (Lagrangian): each stage samples X and its
   gradient at the moving points, and Jacobians ride along via the
   variational equation J' = DX(phi) J discretized with the same stages.  It
   is the independent check of `flow_map`.
 
-Either way positions live on the universal cover (reduction mod 1 happens
-only at output), so lifts stay available for degree and composition
-arguments.
+Either way a field and its gradient are sampled through `FieldStack`, as
+torus maps do (read off the grid at exactly the grid points, interpolated
+together anywhere else), and positions live on the universal cover
+(reduction mod 1 happens only at output), so lifts stay available for
+degree and composition arguments.
 
 `moser_transport` builds the time-dependent field whose time-one flow pushes
 one density to another along the straight path eta_s = (1-s) eta0 + s eta1:
@@ -116,32 +116,61 @@ def default_steps(X: VectorFieldT, t: float) -> int:
     return int(math.ceil(64.0 * max(1.0, X.sup_norm * abs(t))))
 
 
-class _FieldSampler:
-    """Values of F scalar fields, and optionally their gradients, at flying
-    points.
+class FieldStack:
+    """Grid values (F,) + grid.shape and gradients (F, n) + grid.shape of F
+    periodic fields, entry (f, j) of the gradients holding d f / d x_j.
 
-    One stacked interpolation per call: the F values first, then the n
-    spectral partial derivatives of each field in turn, so the gradients of
-    a vector field's components read off as its Jacobian matrix.
+    A call at points returns (M, F) values and (M, F, n) gradients, so a
+    vector field's component gradients read off as its Jacobian.  At exactly
+    the grid points they are read off the grid; anywhere else one
+    `sample_coefficients` call on the stacked coefficients (values, then
+    gradients row by row; by default the FFT of the arrays) serves all
+    points, on the value rows alone without ``gradients``.  Its arrays are
+    read-only, since maps share one stack among callers.
     """
 
-    def __init__(self, fields, with_gradients: bool):
-        self.grid = fields[0].grid
-        self.count = len(fields)
-        coeffs = [f.coefficients for f in fields]
-        if with_gradients:
-            coeffs += [f.derivative(j).coefficients
-                       for f in fields for j in range(self.grid.dim)]
-        self.with_gradients = with_gradients
-        self.stack = np.stack(coeffs)
+    def __init__(self, grid, values: np.ndarray, gradients: np.ndarray, coefficients=None):
+        for array in (values, gradients, coefficients):
+            if array is not None:
+                array.setflags(write=False)
+        self.grid = grid
+        self.values = values
+        self.gradients = gradients
+        self._coefficients = coefficients
 
-    def __call__(self, pts: np.ndarray):
-        """(M, F) values and (M, F, n) gradients (None when not requested)."""
-        out = sample_coefficients(self.grid, self.stack, pts)
-        values = out[:, : self.count]
-        if not self.with_gradients:
-            return values, None
-        return values, out[:, self.count :].reshape(-1, self.count, self.grid.dim)
+    @classmethod
+    def of(cls, fields) -> "FieldStack":
+        """The stack of `ScalarField`s and their spectral derivatives, with
+        their exact coefficients."""
+        grid, n = fields[0].grid, fields[0].grid.dim
+        derivatives = [f.derivative(j) for f in fields for j in range(n)]
+        gradients = np.stack([d.values for d in derivatives])
+        return cls(grid, np.stack([f.values for f in fields]),
+                   gradients.reshape((len(fields), n) + grid.shape),
+                   np.stack([f.coefficients for f in list(fields) + derivatives]))
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        if self._coefficients is None:
+            fields = np.concatenate([self.values, self.gradients.reshape((-1,) + self.grid.shape)])
+            axes = tuple(range(1, self.grid.dim + 1))
+            coefficients = np.fft.fftn(fields, axes=axes) / self.grid.size
+            coefficients.setflags(write=False)
+            self._coefficients = coefficients
+        return self._coefficients
+
+    def __call__(self, points, gradients: bool = True):
+        """(M, F) values and (M, F, n) gradients (None without ``gradients``)."""
+        grid, n, count = self.grid, self.grid.dim, self.values.shape[0]
+        pts = as_points(points, n)
+        if pts.shape == (grid.size, n) and np.array_equal(pts, grid.points()):
+            values = self.values.reshape(count, -1).T
+            grads = self.gradients.reshape(count, n, -1).transpose(2, 0, 1)
+        else:
+            stack = self.coefficients if gradients else self.coefficients[:count]
+            out = sample_coefficients(grid, stack, pts)
+            values, grads = out[:, :count], out[:, count:].reshape(-1, count, n)
+        return values, grads if gradients else None
 
 
 def _rk4(evaluator, s0: float, s1: float, points: np.ndarray, steps: int,
@@ -187,8 +216,8 @@ def integrate_flow(
         steps = default_steps(X, t)
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    sampler = _FieldSampler(X.components, jacobian)
-    return _rk4(lambda s, p: sampler(p), 0.0, float(t), pts, steps, jacobian)
+    stack = FieldStack.of(X.components)
+    return _rk4(lambda s, p: stack(p, jacobian), 0.0, float(t), pts, steps, jacobian)
 
 
 class FlowMap:
@@ -196,68 +225,40 @@ class FlowMap:
     phi^s = id + D, s = t / submaps, with D periodic.
 
     Calling the object evaluates phi^t (and, with ``jacobian``, the product
-    of the factors' I + G by the chain rule) at points.  Each factor after
-    the first is one stacked interpolation of D and G at all points; the
-    first is one too, except at exactly the grid points, where D and G are
-    read off the grid.  It has the call signature of the other transports
+    of the factors' I + G by the chain rule) at points, one `FieldStack`
+    call per factor.  It has the call signature of the other transports
     (`MoserFlow`), so `ConjugatedMap` takes it as either side of a
     conjugacy.
 
-    grid         -- the field's grid
-    displacement -- D of one factor, shape (n,) + grid.shape
-    gradient     -- G = grad D of one factor, shape (n, n) + grid.shape,
-                    entry (i, j) holding d D_i / d x_j
-    time         -- t
-    steps        -- RK4 substeps over [0, t] (submaps times those of a factor)
-    submaps      -- number of factors
-
-    Its arrays are read-only, since `flow_map` shares one map among callers.
+    grid     -- the field's grid
+    factor   -- `FieldStack` of one factor's D and G = grad D
+    time     -- t
+    steps    -- RK4 substeps over [0, t] (submaps times those of a factor)
+    submaps  -- number of factors
     """
 
     def __init__(self, grid, displacement: np.ndarray, gradient: np.ndarray, time: float,
                  steps: int, submaps: int = 1):
-        displacement.setflags(write=False)
-        gradient.setflags(write=False)
         self.grid = grid
-        self.displacement = displacement
-        self.gradient = gradient
+        self.factor = FieldStack(grid, displacement, gradient)
         self.time = float(time)
         self.steps = int(steps)
         self.submaps = int(submaps)
-        self._coefficients = None
 
-    def on_grid(self, jacobian: bool = True) -> FlowEvaluation:
+    def on_grid(self) -> FlowEvaluation:
         """phi^t at the grid points, in `TorusGrid.points` order."""
-        return self(self.grid.points(), jacobian)
+        return self(self.grid.points())
 
     def __call__(self, points, jacobian: bool = True) -> FlowEvaluation:
-        grid, n = self.grid, self.grid.dim
+        n = self.grid.dim
         lifts = as_points(points, n)
-        at_grid = lifts.shape == (grid.size, n) and np.array_equal(lifts, grid.points())
         jac = np.tile(np.eye(n), (lifts.shape[0], 1, 1)) if jacobian else None
-        for factor in range(self.submaps):
-            if at_grid and factor == 0:
-                values = self.displacement.reshape(n, -1).T
-                grads = self.gradient.reshape(n, n, -1).transpose(2, 0, 1)
-            else:
-                sampled = sample_coefficients(grid, self._stack(jacobian), lifts)
-                values, grads = sampled[:, :n], sampled[:, n:].reshape(-1, n, n)
+        for _ in range(self.submaps):
+            values, grads = self.factor(lifts, jacobian)
             lifts = lifts + values
             if jacobian:
                 jac = (np.eye(n) + grads) @ jac
         return FlowEvaluation(lifts, jac, self.time, self.steps)
-
-    def _stack(self, jacobian: bool) -> np.ndarray:
-        """Coefficients of D, then (with ``jacobian``) of G row by row."""
-        if self._coefficients is None:
-            n = self.grid.dim
-            fields = np.concatenate([self.displacement,
-                                     self.gradient.reshape((n * n,) + self.grid.shape)])
-            axes = tuple(range(1, n + 1))
-            coefficients = np.fft.fftn(fields, axes=axes) / self.grid.size
-            coefficients.setflags(write=False)
-            self._coefficients = coefficients
-        return self._coefficients if jacobian else self._coefficients[: self.grid.dim]
 
 
 def flow_map(X: VectorFieldT, t: float, steps: int | None = None) -> FlowMap:
@@ -394,11 +395,10 @@ def _moser_field(theta, omega0: VolumeDensity, omega1: VolumeDensity,
     follow from one sample by the quotient rule.
     """
     n = theta.dim
-    sampler = _FieldSampler(list(theta.flux().components) + [omega0.eta, omega1.eta],
-                            with_jacobian)
+    stack = FieldStack.of(list(theta.flux().components) + [omega0.eta, omega1.eta])
 
     def evaluate(s: float, pts: np.ndarray):
-        values, grads = sampler(pts)
+        values, grads = stack(pts, with_jacobian)
         es = (1.0 - s) * values[:, n] + s * values[:, n + 1]
         vel = values[:, :n] / es[:, None]
         if grads is None:

@@ -497,11 +497,23 @@ def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, command, edit
     cfg["grid"] = {"resolution": [64]}
     edit(cfg)
     path = write_config(tmp_path, cfg)
-    out = tmp_path / "out"
+    out = tmp_path / "out" / "run"
     assert main([command, "--config", path, "--out", str(out), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("validation error:") and key in err
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.parent.exists()  # every directory the run created is gone
+
+
+def test_exit_2_leaves_an_existing_out_in_place(tmp_path):
+    cfg = doubling_config()
+    cfg["grid"] = {"resolution": [64]}
+    cfg["map"] = {"kind": "custom", "A": [[2]], "eta_modes": [[1, 0.3, 0.1]]}
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "kept").write_text("")
+    assert main(["solve", "--config", write_config(tmp_path, cfg), "--out", str(out),
+                 "--quiet"]) == 2
+    assert (out / "kept").read_text() == ""
 
 
 def test_out_that_is_a_file_exits_2(tmp_path, capsys):

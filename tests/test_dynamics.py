@@ -164,12 +164,27 @@ class TestDeformationDerivative:
         assert np.max(np.abs(td.values_matrix()[idx] - expected)) <= 1e-11
 
 
+class TestTorusMapJacobian:
+    def test_two_torus_jacobian_is_read_off_the_grid(self):
+        grid = TorusGrid((16, 32))
+        g = VectorFieldT([ScalarField.from_modes(grid, [[1, 2, 0.01, 0.02]]),
+                          ScalarField.from_modes(grid, [[0, 1, 0.0, 0.03], [2, -1, 0.01, 0.0]])])
+        A = np.array([[2, 1], [1, 1]])
+        T = TorusMap(grid, A, g)
+        want = np.empty((grid.size, 2, 2))
+        for i in range(2):
+            for j in range(2):
+                want[:, i, j] = A[i, j] + g.components[i].derivative(j).values.ravel()
+        assert np.array_equal(T.jacobian(grid.points()), want)
+        # off the grid it is the interpolant, which agrees at shifted grid points
+        assert np.max(np.abs(T.jacobian(grid.points() + 1.0) - want)) <= 1e-13
+
+
 class TestDeformedMap:
     def test_t_zero_is_base(self, warped):
         # the flow maps of t = 0 are the zero displacement: lifts and
         # preimages are the base map's bit for bit, and so is the call on
-        # [0, 1); off it the call reduces the point first, so only rounding.
-        # A branch may end at z = 1.0, which the conjugacy reports reduced
+        # [0, 1); off it the call reduces the point first, so only rounding
         inside = np.array([[0.0], [0.3], [0.5], [0.77], [0.999]])
         outside = np.array([[-0.4], [-1e-3], [1.0], [1.3], [2.75]])
         y = np.linspace(0.0, 1.0, 17, endpoint=False)
@@ -181,7 +196,7 @@ class TestDeformedMap:
             assert np.max(np.abs(wrap_difference(D(outside) - T(outside)))) <= 1e-15
             pre, deriv = D.preimages_with_derivative(y)
             base_pre, base_deriv = T.preimages_with_derivative(y)
-            assert np.array_equal(pre, base_pre % 1.0)
+            assert np.array_equal(pre, base_pre)
             assert np.array_equal(deriv, base_deriv)
 
     def test_finite_difference_matches_derivative(self):
@@ -260,7 +275,7 @@ class TestKernelLaw:
         Y = solve_for_field(rho, omega, SolutionStrategy.custom((0.1,)))
         V = X - Y
         lhs = deformation_derivative(T, X) - deformation_derivative(T, Y)
-        DTV = T.jacobian_on_grid()[:, 0, 0] * V.components[0].values.ravel()
+        DTV = T.jacobian(T.grid.points())[:, 0, 0] * V.components[0].values.ravel()
         VoT = V.sample(T(grid.points()))[:, 0]
         rhs = -(DTV - VoT)
         assert np.max(np.abs(lhs.components[0].values.ravel() - rhs)) <= 1e-9
@@ -298,6 +313,18 @@ class TestPreimages:
         pre, deriv = T.preimages_with_derivative(y)
         assert np.allclose(sorted(pre[:, 0]), [0.15, 0.65], atol=1e-12)
         assert np.allclose(deriv, 2.0)
+
+    def test_preimages_are_reduced_to_the_unit_interval(self, warped):
+        # a target at a branch end has a preimage at z = 1.0 on the lift
+        # (the warped map's second branch at y = 0), reported as 0.0
+        y = np.array([0.0, 1.0 - 1e-17, -1e-17])
+        for T in (make_linear([[2]], TorusGrid(64)), warped):
+            pre, deriv = T.preimages_with_derivative(y)
+            assert np.all((pre >= 0.0) & (pre < 1.0))
+            images = T(pre.reshape(-1, 1))[:, 0].reshape(pre.shape)
+            assert np.max(np.abs(wrap_difference(images - y))) <= 1e-12
+            jac = T.jacobian(pre.reshape(-1, 1))[:, 0, 0].reshape(pre.shape)
+            assert np.array_equal(deriv, jac)
 
     def test_non_expanding_rejected(self):
         grid = TorusGrid(32)

@@ -72,6 +72,8 @@ class TestTorusGrid:
         assert pts[0].tolist() == [0.0, 0.0]
         assert pts[1].tolist() == [0.0, 1.0 / 16.0]
         assert pts[16].tolist() == [1.0 / 8.0, 0.0]
+        with pytest.raises(ValueError, match="read-only"):
+            pts[0, 0] = 1.0
 
     @pytest.mark.parametrize("bad", [(6,), (9,), (8, 7), (8, 8, 8), (4,), (64.7,), (True,),
                                      (8.0, 8)])

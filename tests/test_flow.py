@@ -31,6 +31,7 @@ from conjresp import (
     solve_for_field,
     wrap_difference,
 )
+from conjresp.flow import FieldStack
 
 
 def single_mode_field(grid):
@@ -231,9 +232,37 @@ class TestFlowMap:
         grid = TorusGrid((16, 16))
         phi = flow_map(band_limited_field(grid, np.random.default_rng(5), 1, 0.1), 0.2)
         phi(np.random.default_rng(6).random((3, 2)))  # builds the coefficient stack
-        for array in (phi.displacement, phi.gradient, phi._stack(True)):
+        for array in (phi.factor.values, phi.factor.gradients, phi.factor.coefficients):
             with pytest.raises(ValueError, match="read-only"):
                 array[(0,) * array.ndim] = 0.0
+
+
+class TestFieldStack:
+    @pytest.mark.parametrize("resolution", [32, (16, 8)])
+    def test_reads_the_grid_off_and_interpolates_elsewhere(self, resolution):
+        # bit for bit at the grid points; their integer shifts are
+        # interpolated, which agrees there to rounding
+        grid = TorusGrid(resolution)
+        n = grid.dim
+        X = band_limited_field(grid, np.random.default_rng(7), 2, 0.3)
+        want_values = np.stack([c.values.ravel() for c in X.components], axis=1)
+        want_grads = np.stack([[c.derivative(j).values.ravel() for j in range(n)]
+                               for c in X.components]).transpose(2, 0, 1)
+        phi = flow_map(X, 0.2)
+        for stack, values, grads in (
+                (FieldStack.of(X.components), want_values, want_grads),
+                (phi.factor, phi.factor.values.reshape(n, -1).T,
+                 phi.factor.gradients.reshape(n, n, -1).transpose(2, 0, 1))):
+            got_values, got_grads = stack(grid.points())
+            assert np.array_equal(got_values, values) and np.array_equal(got_grads, grads)
+            only_values, none = stack(grid.points(), gradients=False)
+            assert np.array_equal(only_values, values) and none is None
+            for shift in (1.0, -2.0):
+                got_values, got_grads = stack(grid.points() + shift)
+                assert np.max(np.abs(got_values - values)) <= 1e-13
+                assert np.max(np.abs(got_grads - grads)) <= 1e-13
+                only_values = stack(grid.points() + shift, gradients=False)[0]
+                assert np.max(np.abs(only_values - values)) <= 1e-13
 
 
 class TestTransportedDensity:
