@@ -159,18 +159,21 @@ def cmd_moser(cfg: dict, out: Path, quiet: bool, fmt: str) -> int:
     residual = float(np.max(np.abs(pushed.eta.values - omega1.eta.values)))
     _say(quiet, f"pushforward residual max|psi_* eta0 - eta1| = {residual:.3e}")
 
+    # (name, residual, tolerance) of each check made
+    checks = [("pushforward", residual, pushforward_tol)]
     transfer = None
-    transfer_ok = True
     if torus_map is not None:
         conjugated = ConjugatedMap(torus_map, transport.transport, transport.inverse_transport)
         resolution = moser_cfg["transfer_resolution"]
         transfer_residual = transfer_check(conjugated, omega1, resolution)
-        transfer_ok = transfer_residual <= moser_cfg["transfer_tol"]
+        checks.append(("conjugated-map transfer", transfer_residual, moser_cfg["transfer_tol"]))
         transfer = {"resolution": resolution, "residual": transfer_residual,
-                    "passed": transfer_ok}
+                    "passed": transfer_residual <= moser_cfg["transfer_tol"]}
         _say(quiet, f"conjugated-map transfer residual = {transfer_residual:.3e}")
 
-    passed = residual <= pushforward_tol and transfer_ok
+    failing = [f"{name} residual {value:.3e} > {tol:.1e}" for name, value, tol in checks
+               if not value <= tol]
+    passed = not failing
     report = {
         "scenario_id": cfg["scenario_id"],
         "steps": steps,
@@ -181,9 +184,7 @@ def cmd_moser(cfg: dict, out: Path, quiet: bool, fmt: str) -> int:
     }
     _write_json(out / "moser_report.json", report)
     if not passed:
-        print(f"transport residual above threshold "
-              f"({residual:.3e} > {pushforward_tol:.1e} or transfer failed)",
-              file=sys.stderr)
+        print(f"transport check failed: {'; '.join(failing)}", file=sys.stderr)
         return EXIT_CONVERGENCE
     return EXIT_OK
 

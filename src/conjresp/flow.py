@@ -8,9 +8,10 @@ uniform substeps (so runs are bit-reproducible):
   equation dD/dtau = X + (X . grad) D and its gradient, with spectral
   derivatives, and never samples X off the grid; phi^t is the power
   (phi^s)^m, with m = 1 unless the flow stretches too much in time t to be
-  resolved on the grid.  Jacobians are I + G.  Each (field, t, steps) is
-  built once: later calls return the same read-only map for as long as the
-  field lives.
+  resolved on the grid.  Jacobians are I + G.  phi^t and phi^-t are built
+  together, by one RK4 integration of both factors' stacked states, once
+  per (field, |t|, steps): later calls at either sign return the same
+  read-only maps for as long as the field lives.
 * `integrate_flow` moves points (Lagrangian): each stage samples X and its
   gradient at the moving points, and Jacobians ride along via the
   variational equation J' = DX(phi) J discretized with the same stages.  It
@@ -61,8 +62,9 @@ SUBMAP_STRETCH = 0.5
 # under-resolved ones near 1e-2.
 TAIL_TOL = 1e-3
 
-# field -> {(t, steps): FlowMap}; an entry lives as long as its field, whose
-# values are read-only, so a map is never stale
+# field -> {(t, steps): FlowMap}, with t and -t entered together; an entry
+# lives as long as its field, whose values are read-only, so a map is never
+# stale
 _FLOW_MAPS = weakref.WeakKeyDictionary()
 
 __all__ = [
@@ -284,59 +286,68 @@ def flow_map(X: VectorFieldT, t: float, steps: int | None = None) -> FlowMap:
     h * pi * max_x sum_i |X_i(x)| N_i within RK4_STABILITY_LIMIT.  The count
     used is the ``steps`` of the result and of its evaluations.
 
-    The map is built once per (X, t, steps): a repeated call returns the
-    same `FlowMap` for as long as X lives.
+    The submaps and substeps depend on |t| alone, so phi^t and phi^-t are
+    built together, by one RK4 integration of both factors' stacked states,
+    and each is bit for bit what a build of it alone would give.  Each pair
+    is built once per (X, |t|, steps): a repeated call, or a call at -t,
+    returns the same `FlowMap` for as long as X lives.
     """
     t = float(t)
     if steps is not None and steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     maps = _FLOW_MAPS.setdefault(X, {})
     if (t, steps) not in maps:
-        maps[t, steps] = _build_flow_map(X, t, steps)
+        for phi in _build_flow_maps(X, abs(t), steps):
+            maps[phi.time, steps] = phi
     return maps[t, steps]
 
 
-def _build_flow_map(X: VectorFieldT, t: float, steps: int | None) -> FlowMap:
+def _build_flow_maps(X: VectorFieldT, t: float, steps: int | None) -> list:
+    """[phi^t, phi^-t] for t > 0, or [the zero map] for t = 0."""
     grid, n = X.grid, X.grid.dim
     if t == 0.0:
-        return FlowMap(grid, np.zeros((n,) + grid.shape), np.zeros((n, n) + grid.shape), 0.0, 0)
+        return [FlowMap(grid, np.zeros((n,) + grid.shape), np.zeros((n, n) + grid.shape), 0.0, 0)]
     velocity = np.stack([c.values for c in X.components])
     shear = np.stack([[c.derivative(j).values for j in range(n)] for c in X.components])
     stretch = float(np.abs(shear).sum(axis=1).max())  # max_x ||grad X(x)||_inf
-    submaps = max(1, math.ceil(abs(t) * stretch / SUBMAP_STRETCH))
+    submaps = max(1, math.ceil(t * stretch / SUBMAP_STRETCH))
     s = t / submaps
     speed = float(sum(np.abs(v) * size for v, size in zip(velocity, grid.resolution)).max())
-    stable = math.ceil(abs(s) * math.pi * speed / RK4_STABILITY_LIMIT)
+    stable = math.ceil(s * math.pi * speed / RK4_STABILITY_LIMIT)
     requested = default_steps(X, t) if steps is None else steps
     substeps = max(math.ceil(requested / submaps), stable, 1)
-    state = _flow_factor(grid, velocity, shear, s, substeps)
-    return FlowMap(grid, state[:n], state[n:].reshape((n, n) + grid.shape), t,
-                   submaps * substeps, submaps)
+    states = _flow_factor(grid, velocity, shear, (s, -s), substeps)
+    return [FlowMap(grid, state[:n], state[n:].reshape((n, n) + grid.shape), time,
+                    submaps * substeps, submaps)
+            for state, time in zip(states, (t, -t))]
 
 
-def _flow_factor(grid, velocity: np.ndarray, shear: np.ndarray, s: float,
-                 steps: int) -> np.ndarray:
-    """D and G of phi^s = id + D for the field with grid values ``velocity``
-    (n,) + grid.shape and gradient ``shear`` (n, n) + grid.shape, stacked
-    as one (n + n^2,) + grid.shape array (G row by row), by `steps` RK4
-    substeps."""
+def _flow_factor(grid, velocity: np.ndarray, shear: np.ndarray, times, steps: int) -> np.ndarray:
+    """D and G of the factors phi^s = id + D, one per s in ``times``, for the
+    field with grid values ``velocity`` (n,) + grid.shape and gradient
+    ``shear`` (n, n) + grid.shape, each stacked as one (n + n^2,) + grid.shape
+    array (G row by row), by `steps` RK4 substeps of one batched state of
+    shape (len(times), n + n^2) + grid.shape.  Every stage makes one set of
+    transforms for the whole batch, and every batch entry is computed as it
+    would be alone."""
     n = grid.dim
     # real-to-complex transforms keep the last axis' wavenumbers 0..N/2
     symbols = [grid.derivative_symbol(j)[..., : grid.resolution[-1] // 2 + 1]
                for j in range(n)]
-    axes = tuple(range(2, n + 2))
+    axes = tuple(range(3, n + 3))
 
     def rate(state):
-        G = state[n:].reshape((n, n) + grid.shape)
+        G = state[:, n:].reshape((-1, n, n) + grid.shape)
         coefficients = np.fft.rfftn(G, axes=axes)
-        dD = velocity + np.einsum("ik...,k...->i...", G, velocity)
-        dG = shear + np.einsum("ik...,kj...->ij...", G, shear)
+        dD = velocity + np.einsum("bik...,k...->bi...", G, velocity)
+        dG = shear + np.einsum("bik...,kj...->bij...", G, shear)
         for k, symbol in enumerate(symbols):
             dG += velocity[k] * np.fft.irfftn(coefficients * symbol, s=grid.shape, axes=axes)
-        return np.concatenate([dD, dG.reshape((n * n,) + grid.shape)])
+        return np.concatenate([dD, dG.reshape((-1, n * n) + grid.shape)], axis=1)
 
-    h = s / steps
-    state = np.zeros((n + n * n,) + grid.shape)
+    # one step size per batch entry, broadcast over its state
+    h = (np.asarray(times, dtype=float) / steps).reshape((-1,) + (1,) * (n + 1))
+    state = np.zeros((h.shape[0], n + n * n) + grid.shape)
     for _ in range(steps):
         k1 = rate(state)
         k2 = rate(state + 0.5 * h * k1)

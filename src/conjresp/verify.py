@@ -103,7 +103,7 @@ def derivative_check(T: TorusMap, X: VectorFieldT, t_values,
     """Check -DT(X) + X o T against central differences of the deformed map
     T_t = phi^t o T o phi^{-t}, using shortest-lift differencing on the
     torus.  T_t and T_{-t} share the flow maps of X at t and -t, and
-    `flow_map` builds each once per (X, t, steps), so after a
+    `flow_map` builds each pair once per (X, |t|, steps), so after a
     `response_check` of X at the same t values and steps this builds none."""
     pts = T.grid.points()
 

@@ -200,6 +200,25 @@ class TestMoser:
         assert report["pushforward_residual"] <= 1e-6
         assert report["transfer"]["residual"] <= 1e-4
 
+    def test_failure_names_the_failing_check_with_its_residual_and_tolerance(
+            self, tmp_path, capsys):
+        cfg = {
+            "grid": {"resolution": [64]},
+            "map": {"kind": "linear", "A": [[2]]},
+            "moser": {"eta1_modes": [[1, 0.2, 0.0]], "steps": 32, "check_conjugated": True,
+                      "transfer_resolution": 64, "transfer_tol": 1e-300},
+        }
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "o"
+        assert main(["moser", "--config", path, "--out", str(out), "--quiet"]) == 3
+        report = json.loads((out / "moser_report.json").read_text())
+        assert report["pushforward_residual"] <= report["pushforward_tol"]
+        assert report["transfer"]["passed"] is False
+        err = capsys.readouterr().err
+        assert (f"conjugated-map transfer residual {report['transfer']['residual']:.3e} "
+                "> 1.0e-300") in err
+        assert "pushforward" not in err
+
     def test_conjugated_check_rejects_non_invariant_eta0(self, tmp_path, capsys):
         cfg = {
             "grid": {"resolution": [128]},
@@ -302,7 +321,8 @@ def _doubling_sweep_config():
 
 # (command, config, flow maps built per grid resolution): two per distinct t
 # (3 t_values and transfer_t on the circle, 2 t_values on the torus, the 3
-# t_values of a sweep at each resolution), however many checks use them
+# t_values of a sweep at each resolution), however many checks use them, and
+# one integration per +-t pair
 FLOW_MAP_BUILDS = [
     ("verify", lambda: doubling_config(grid={"resolution": [64]}), {(64,): 8}),
     ("verify", _cat_config, {(32, 16): 4}),
@@ -313,17 +333,19 @@ FLOW_MAP_BUILDS = [
 @pytest.mark.parametrize("command, config, builds", FLOW_MAP_BUILDS,
                          ids=["circle-verify", "torus-verify", "sweep"])
 def test_each_flow_map_is_built_once_per_run(tmp_path, monkeypatch, command, config, builds):
-    built = Counter()
+    built, integrated = Counter(), Counter()
     build = flow._flow_factor
 
-    def counting(grid, *args):
-        built[grid.resolution] += 1
-        return build(grid, *args)
+    def counting(grid, velocity, shear, times, steps):
+        built[grid.resolution] += len(times)
+        integrated[grid.resolution] += 1
+        return build(grid, velocity, shear, times, steps)
 
     monkeypatch.setattr(flow, "_flow_factor", counting)
     path = write_config(tmp_path, config())
     assert main([command, "--config", path, "--out", str(tmp_path / "o"), "--quiet"]) == 0
     assert built == builds
+    assert integrated == {resolution: count // 2 for resolution, count in builds.items()}
     gc.collect()
     assert not flow._FLOW_MAPS  # the maps die with the run's fields
 

@@ -8,6 +8,8 @@ finite differences of the deformed family, and lift-endpoint degree counts.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conjresp import (
     DeformedMap,
@@ -26,7 +28,7 @@ from conjresp import (
     TorusMap,
     VolumeDensity,
 )
-from conjresp.dynamics import EXPANSION_MARGIN
+from conjresp.dynamics import EXPANSION_MARGIN, NEWTON_ITERATIONS, _branch_newton
 
 
 def canonical_field(grid):
@@ -339,3 +341,89 @@ class TestPreimages:
         pre, deriv = T.preimages_with_derivative(y)
         assert np.max(np.abs(wrap_difference(T(pre.reshape(-1, 1))[:, 0] - 0.25))) <= 1e-12
         assert np.allclose(deriv, -2.0)
+
+
+def bisection_preimages(T, y):
+    """The independent oracle of the Newton preimages: 60 bisection steps on
+    each monotone branch of T's lift over [0, 1], shape (|degree|, M), roots
+    on the lift (a root at a branch end may be 1.0)."""
+    lift = lambda z: T.lift(z.reshape(-1, 1))[:, 0]
+    f0, f1 = lift(np.array([0.0, 1.0]))
+    y = np.asarray(y, dtype=float) % 1.0
+    targets = (y + np.ceil(min(f0, f1) - y)) + np.arange(abs(T.degree))[:, None]
+    lo, hi = np.zeros_like(targets), np.ones_like(targets)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        right = (lift(mid.ravel()).reshape(mid.shape) - targets) * np.sign(f1 - f0) < 0.0
+        lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def counting_lift_evaluations(T):
+    """Make T count its Newton evaluations of (F, F'); returns the counter."""
+    calls = []
+    evaluate = T._lift_with_derivative
+    T._lift_with_derivative = lambda z: calls.append(z.size) or evaluate(z)
+    return calls
+
+
+class TestNewtonPreimages:
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(amplitude=st.floats(0.0, 0.05), phase=st.floats(0.0, 2 * np.pi),
+           seed=st.integers(0, 2**32 - 1))
+    def test_warped_preimages_solve_the_lift_and_match_bisection(self, amplitude, phase, seed):
+        grid = TorusGrid(128)
+        generator = VectorFieldT([ScalarField.from_modes(
+            grid, [[1, amplitude * np.cos(phase), amplitude * np.sin(phase)]])])
+        T = make_warped_doubling(generator)
+        f0 = float(T.lift(np.array([0.0]))[0, 0])
+        y = np.concatenate([np.random.default_rng(seed).uniform(-1.0, 2.0, 200),
+                            [0.0, 1.0 - 1e-17, -1e-17, f0 % 1.0, (f0 + 0.5) % 1.0]])
+        calls = counting_lift_evaluations(T)
+        pre, deriv = T.preimages_with_derivative(y)
+        assert pre.shape == deriv.shape == (2, y.size)
+        assert np.all((pre >= 0.0) & (pre < 1.0))
+        lifts = T.lift(pre.reshape(-1, 1))[:, 0].reshape(pre.shape)
+        assert np.max(np.abs(wrap_difference(lifts - y))) <= 1e-13
+        assert np.max(np.abs(wrap_difference(pre - bisection_preimages(T, y)))) <= 1e-13
+        assert np.array_equal(deriv, T.jacobian(pre.reshape(-1, 1))[:, 0, 0].reshape(pre.shape))
+        # quadratic convergence from the chord: a few evaluations, far below the cap
+        assert 1 <= len(calls) <= 8 < NEWTON_ITERATIONS
+
+    @pytest.mark.parametrize("matrix", [[[2]], [[-2]], [[3]]])
+    def test_linear_maps_take_one_evaluation(self, matrix):
+        T = make_linear(matrix, TorusGrid(64))
+        y = np.random.default_rng(11).uniform(0.0, 1.0, 50)
+        calls = counting_lift_evaluations(T)
+        pre, deriv = T.preimages_with_derivative(y)
+        assert calls == [y.size * abs(matrix[0][0])]
+        assert np.max(np.abs(wrap_difference(pre - bisection_preimages(T, y)))) <= 1e-13
+        assert np.all(deriv == matrix[0][0])
+
+    @pytest.mark.parametrize("degree", [2, -2, 3])
+    def test_steep_branches_need_and_get_the_safeguard(self, degree):
+        # F = degree z + 0.99 (B - z) sign(degree), with B the lift of the circle
+        # homeomorphism tan(pi B) = 14 tan(pi z): at |degree| 2, |F'| runs from
+        # 1.08 to 15, and unguarded Newton from the chord runs to the cap
+        def lift_with_derivative(z):
+            w = z - np.round(z)
+            b = np.round(z) + np.arctan(14.0 * np.tan(np.pi * w)) / np.pi
+            db = 14.0 / (np.cos(np.pi * w) ** 2 + (14.0 * np.sin(np.pi * w)) ** 2)
+            sign = np.sign(degree)
+            calls.append(z.size)
+            return degree * z + 0.99 * sign * (b - z), degree + 0.99 * sign * (db - 1.0)
+
+        calls = []
+        y = np.random.default_rng(12).uniform(0.0, 1.0, 500)
+        z = _branch_newton(lift_with_derivative, np.array([0.0, float(degree)]), abs(degree), y)
+        assert len(calls) <= 12
+        assert np.all((z >= 0.0) & (z <= 1.0))
+        lifts = lift_with_derivative(z.ravel())[0].reshape(z.shape)
+        assert np.max(np.abs(wrap_difference(lifts - y))) <= 1e-13
+
+    def test_a_root_at_the_branch_end_one_is_reported_as_zero(self):
+        # the reversed doubling map's lift -2z takes the target -2 at z = 1
+        T = make_linear([[-2]], TorusGrid(64))
+        assert bisection_preimages(T, [0.0])[0, 0] == pytest.approx(1.0, abs=1e-15)
+        pre, _ = T.preimages_with_derivative(np.array([0.0]))
+        assert pre[:, 0].tolist() == [0.0, 0.5]

@@ -31,6 +31,7 @@ from conjresp import (
     solve_for_field,
     wrap_difference,
 )
+from conjresp import flow
 from conjresp.flow import FieldStack
 
 
@@ -227,6 +228,48 @@ class TestFlowMap:
         del X
         gc.collect()
         assert field() is None  # the memo holds no field alive, the map included
+
+    # (grid, t, steps, amplitude, submaps): amplitude 0.05 at |k_i| <= 2 and
+    # |t| = 1 stretches enough to split phi^t into several factors
+    PAIRED_BUILDS = [((256,), 0.3, 4, 0.02, 1), ((128,), -1.0, None, 0.05, 2),
+                     ((32, 16), 0.2, 4, 0.02, 1), ((24, 24), -1.0, 16, 0.05, 3)]
+
+    @pytest.mark.parametrize("resolution, t, steps, amplitude, submaps", PAIRED_BUILDS)
+    def test_paired_build_is_the_two_single_builds_bit_for_bit(
+            self, resolution, t, steps, amplitude, submaps):
+        grid, n = TorusGrid(resolution), len(resolution)
+        X = band_limited_field(grid, np.random.default_rng(7), 2, amplitude)
+        phi, back = flow_map(X, t, steps), flow_map(X, -t, steps)
+        assert (phi.submaps, back.submaps) == (submaps, submaps)
+        assert phi.steps == back.steps
+        velocity = np.stack([c.values for c in X.components])
+        shear = np.stack([[c.derivative(j).values for j in range(n)] for c in X.components])
+        for m in (phi, back):
+            alone = flow._flow_factor(grid, velocity, shear, (m.time / m.submaps,),
+                                      m.steps // m.submaps)[0]
+            assert np.array_equal(m.factor.values, alone[:n])
+            assert np.array_equal(m.factor.gradients, alone[n:].reshape((n, n) + grid.shape))
+
+    def test_the_opposite_time_is_built_with_the_map(self, monkeypatch):
+        X = single_mode_field(TorusGrid(32))
+        phi = flow_map(X, 0.1, steps=8)
+
+        def unbuilt(*args):
+            raise AssertionError("phi^-t was built again")
+
+        monkeypatch.setattr(flow, "_flow_factor", unbuilt)
+        back = flow_map(X, -0.1, steps=8)
+        assert back.time == -0.1 and phi.time == 0.1
+        assert back.steps == phi.steps and back.submaps == phi.submaps
+        assert flow_map(X, -0.1, steps=8) is back
+        assert np.max(np.abs(back(phi.on_grid().lifts).lifts - TorusGrid(32).points())) <= 1e-12
+
+    @pytest.mark.parametrize("t", [0.0, -0.0])
+    def test_t_zero_is_the_zero_map(self, t):
+        grid = TorusGrid((16, 8))
+        phi = flow_map(band_limited_field(grid, np.random.default_rng(8), 1, 0.1), t)
+        assert (phi.time, phi.steps, phi.submaps) == (0.0, 0, 1)
+        assert not phi.factor.values.any() and not phi.factor.gradients.any()
 
     def test_shared_arrays_are_read_only(self):
         grid = TorusGrid((16, 16))
