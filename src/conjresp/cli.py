@@ -21,11 +21,11 @@ import numpy as np
 
 from .config import (TRANSFER_TOL, build_grid, build_map, build_rho, build_strategy,
                      load_config, naming, required)
-from .dynamics import ConjugatedMap, DeformedMap
+from .dynamics import ConjugatedMap
 from .errors import ConfigError, ConstructionError, ConvergenceError, QualityError
 from .exactness import lie_derivative_density, multiply, solve_for_field, solve_potential
 from .fields import ScalarField, VolumeDensity, save_field
-from .flow import moser_transport
+from .flow import flow_map, moser_transport
 from .verify import derivative_check, pushforward_density, response_check, transfer_check
 
 EXIT_OK = 0
@@ -75,7 +75,8 @@ def _checks(cfg: dict, grid, transfer_ts):
     transfers = []
     for t in transfer_ts:
         eta_t = pushforward_density(omega, X, t, steps=steps)
-        residual = transfer_check(DeformedMap(torus_map, X, t, steps=steps), eta_t, resolution)
+        deformed = ConjugatedMap(torus_map, flow_map(X, t, steps), flow_map(X, -t, steps))
+        residual = transfer_check(deformed, eta_t, resolution)
         transfers.append({"t": t, "resolution": resolution, "residual": residual})
     return response, derivative, transfers
 

@@ -1,7 +1,8 @@
 """Flow maps of periodic vector fields, with Jacobians, plus volume transport.
 
-Two integrators, both the classical fourth-order one-step scheme with fixed
-uniform substeps (so runs are bit-reproducible):
+One integrator, `_rk4`: the classical fourth-order one-step scheme with fixed
+uniform substeps (so runs are bit-reproducible), passing each stage its time.
+It steps two state layouts:
 
 * `flow_map` is grid-resident: it flows the periodic displacement D of
   phi^s = id + D, and its gradient G, on the field's grid, by the transport
@@ -12,10 +13,11 @@ uniform substeps (so runs are bit-reproducible):
   together, by one RK4 integration of both factors' stacked states, once
   per (field, |t|, steps): later calls at either sign return the same
   read-only maps for as long as the field lives.
-* `integrate_flow` moves points (Lagrangian): each stage samples X and its
-  gradient at the moving points, and Jacobians ride along via the
-  variational equation J' = DX(phi) J discretized with the same stages.  It
-  is the independent check of `flow_map`.
+* `integrate_flow` and the Moser transport move points (Lagrangian): the
+  state is the points and their Jacobians, (M, n + n^2), and each stage
+  samples the field and its gradient at the moving points, so Jacobians
+  ride along by the variational equation J' = DX(phi) J on the same stages.
+  `integrate_flow` is the independent check of `flow_map`.
 
 Either way a field and its gradient are sampled through `FieldStack`, as
 torus maps do (read off the grid at exactly the grid points, interpolated
@@ -98,9 +100,10 @@ class FlowEvaluation:
 
     def __post_init__(self):
         self.points = self.lifts % 1.0
+        self._determinants = None
         if self.jacobians is not None:
-            dets = np.linalg.det(self.jacobians)
-            worst = float(dets.min())
+            self._determinants = np.linalg.det(self.jacobians)
+            worst = float(self._determinants.min())
             if worst <= 0.0:
                 raise QualityError(
                     "flow Jacobian lost positive orientation (step size too "
@@ -108,8 +111,9 @@ class FlowEvaluation:
                     worst,
                 )
 
-    def determinants(self) -> np.ndarray:
-        return np.linalg.det(self.jacobians)
+    def determinants(self) -> np.ndarray | None:
+        """det of each Jacobian (None without Jacobians)."""
+        return self._determinants
 
 
 def default_steps(X: VectorFieldT, t: float) -> int:
@@ -175,32 +179,41 @@ class FieldStack:
         return values, grads if gradients else None
 
 
-def _rk4(evaluator, s0: float, s1: float, points: np.ndarray, steps: int,
-         with_jacobian: bool) -> FlowEvaluation:
-    p = np.array(points, dtype=float)
-    m, n = p.shape
-    J = np.tile(np.eye(n), (m, 1, 1)) if with_jacobian else None
-    h = (s1 - s0) / steps
+def _rk4(rate, state: np.ndarray, s0: float, h, steps: int) -> np.ndarray:
+    """``steps`` classical RK4 substeps of dy/ds = rate(s, y) from y(s0) =
+    ``state``.  An array ``h`` holds one step per batch entry and broadcasts
+    over its state, and over the stage times passed to ``rate``."""
     for i in range(steps):
         s = s0 + i * h
-        v1, m1 = evaluator(s, p)
-        v2, m2 = evaluator(s + 0.5 * h, p + 0.5 * h * v1)
-        v3, m3 = evaluator(s + 0.5 * h, p + 0.5 * h * v2)
-        v4, m4 = evaluator(s + h, p + h * v3)
-        if with_jacobian:
-            k1 = m1 @ J
-            k2 = m2 @ (J + 0.5 * h * k1)
-            k3 = m3 @ (J + 0.5 * h * k2)
-            k4 = m4 @ (J + h * k3)
-            J = J + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        p = p + (h / 6.0) * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
-    return FlowEvaluation(p, J, s1 - s0, steps)
+        k1 = rate(s, state)
+        k2 = rate(s + 0.5 * h, state + 0.5 * h * k1)
+        k3 = rate(s + 0.5 * h, state + 0.5 * h * k2)
+        k4 = rate(s + h, state + h * k3)
+        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return state
 
 
-def _identity_evaluation(pts: np.ndarray, with_jacobian: bool) -> FlowEvaluation:
+def _point_flow(field, s0: float, s1: float, pts: np.ndarray, steps: int,
+                jacobian: bool) -> FlowEvaluation:
+    """(M, n) points flowed from s0 to s1 in ``steps`` RK4 substeps (none: the
+    identity) by ``field(s, points, jacobian)``, which returns the (M, n)
+    velocities and, with ``jacobian``, their (M, n, n) Jacobians DX (else
+    None).  The Jacobians J of the flow ride along, row by row, in one
+    (M, n + n^2) state with the points, at the rate DX J."""
     m, n = pts.shape
-    jac = np.tile(np.eye(n), (m, 1, 1)) if with_jacobian else None
-    return FlowEvaluation(np.array(pts), jac, 0.0, 0)
+    identity = np.tile(np.eye(n).ravel(), (m, 1)) if jacobian else np.empty((m, 0))
+
+    def rate(s, state):
+        velocity, dX = field(s, state[:, :n], jacobian)
+        if dX is None:
+            return velocity
+        return np.concatenate([velocity, (dX @ state[:, n:].reshape(m, n, n)).reshape(m, -1)],
+                              axis=1)
+
+    state = _rk4(rate, np.concatenate([pts, identity], axis=1), s0, (s1 - s0) / max(steps, 1),
+                 steps)
+    return FlowEvaluation(state[:, :n], state[:, n:].reshape(m, n, n) if jacobian else None,
+                          s1 - s0, steps)
 
 
 def integrate_flow(
@@ -210,16 +223,17 @@ def integrate_flow(
     steps: int | None = None,
     jacobian: bool = True,
 ) -> FlowEvaluation:
-    """phi^t at the given points; the torus is compact so any t is allowed."""
+    """phi^t at the given points; the torus is compact so any t is allowed.
+    At t = 0 this is the identity, in 0 steps, whatever ``steps`` says."""
     pts = as_points(points, X.grid.dim)
     if t == 0.0:
-        return _identity_evaluation(pts, jacobian)
-    if steps is None:
+        steps = 0
+    elif steps is None:
         steps = default_steps(X, t)
-    if steps < 1:
+    elif steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     stack = FieldStack.of(X.components)
-    return _rk4(lambda s, p: stack(p, jacobian), 0.0, float(t), pts, steps, jacobian)
+    return _point_flow(lambda s, p, grads: stack(p, grads), 0.0, float(t), pts, steps, jacobian)
 
 
 class FlowMap:
@@ -336,7 +350,7 @@ def _flow_factor(grid, velocity: np.ndarray, shear: np.ndarray, times, steps: in
                for j in range(n)]
     axes = tuple(range(3, n + 3))
 
-    def rate(state):
+    def rate(s, state):
         G = state[:, n:].reshape((-1, n, n) + grid.shape)
         coefficients = np.fft.rfftn(G, axes=axes)
         dD = velocity + np.einsum("bik...,k...->bi...", G, velocity)
@@ -347,14 +361,7 @@ def _flow_factor(grid, velocity: np.ndarray, shear: np.ndarray, times, steps: in
 
     # one step size per batch entry, broadcast over its state
     h = (np.asarray(times, dtype=float) / steps).reshape((-1,) + (1,) * (n + 1))
-    state = np.zeros((h.shape[0], n + n * n) + grid.shape)
-    for _ in range(steps):
-        k1 = rate(state)
-        k2 = rate(state + 0.5 * h * k1)
-        k3 = rate(state + 0.5 * h * k2)
-        k4 = rate(state + h * k3)
-        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return state
+    return _rk4(rate, np.zeros((h.shape[0], n + n * n) + grid.shape), 0.0, h, steps)
 
 
 def transported_density(omega: VolumeDensity, inverse_eval: FlowEvaluation) -> VolumeDensity:
@@ -397,30 +404,6 @@ def _spectral_tail(field: ScalarField) -> float:
     return float(magnitudes[high].max() / magnitudes.max())
 
 
-def _moser_field(theta, omega0: VolumeDensity, omega1: VolumeDensity,
-                 with_jacobian: bool):
-    """Evaluator of the time-dependent field X_s with i_{X_s} omega_s = theta.
-
-    The numerators (the flux of theta) are fixed; only the interpolated
-    density eta_s = (1-s) eta0 + s eta1 moves, so X_s and its Jacobian
-    follow from one sample by the quotient rule.
-    """
-    n = theta.dim
-    stack = FieldStack.of(list(theta.flux().components) + [omega0.eta, omega1.eta])
-
-    def evaluate(s: float, pts: np.ndarray):
-        values, grads = stack(pts, with_jacobian)
-        es = (1.0 - s) * values[:, n] + s * values[:, n + 1]
-        vel = values[:, :n] / es[:, None]
-        if grads is None:
-            return vel, None
-        des = (1.0 - s) * grads[:, n] + s * grads[:, n + 1]
-        jac = (grads[:, :n] - vel[:, :, None] * des[:, None, :]) / es[:, None, None]
-        return vel, jac
-
-    return evaluate
-
-
 class MoserFlow:
     """Time-one transport pushing omega0 forward to omega1.
 
@@ -436,14 +419,29 @@ class MoserFlow:
         self.omega0 = omega0
         self.omega1 = omega1
         self.steps = int(steps)
+        self._stack = FieldStack.of(list(theta.flux().components) + [omega0.eta, omega1.eta])
 
     @property
     def grid(self):
         return self.theta.grid
 
+    def _field(self, s: float, pts: np.ndarray, jacobian: bool):
+        """X_s with i_{X_s} omega_s = theta, and (with ``jacobian``) its
+        Jacobian, at points.  The numerators (the flux of theta) are fixed;
+        only the interpolated density eta_s = (1-s) eta0 + s eta1 moves, so
+        both follow from one sample by the quotient rule."""
+        n = self.grid.dim
+        values, grads = self._stack(pts, jacobian)
+        es = (1.0 - s) * values[:, n] + s * values[:, n + 1]
+        vel = values[:, :n] / es[:, None]
+        if grads is None:
+            return vel, None
+        des = (1.0 - s) * grads[:, n] + s * grads[:, n + 1]
+        return vel, (grads[:, :n] - vel[:, :, None] * des[:, None, :]) / es[:, None, None]
+
     def _run(self, points, s0: float, s1: float, jacobian: bool) -> FlowEvaluation:
-        evaluator = _moser_field(self.theta, self.omega0, self.omega1, jacobian)
-        return _rk4(evaluator, s0, s1, as_points(points, self.grid.dim), self.steps, jacobian)
+        return _point_flow(self._field, s0, s1, as_points(points, self.grid.dim), self.steps,
+                           jacobian)
 
     def transport(self, points, jacobian: bool = True) -> FlowEvaluation:
         return self._run(points, 0.0, 1.0, jacobian)

@@ -34,9 +34,7 @@ class ConvergenceReport:
     """Per-t errors of a central-difference check and the fitted order.
 
     fitted_order is None when fewer than two errors sit above the noise
-    floor; floor_reached records that the fit ran on a degraded sample
-    (round-off reached, or errors non-monotone in t).  constant is the
-    measured e(t_min) / t_min^2.
+    floor.  constant is the measured e(t_min) / t_min^2.
     """
 
     t_values: tuple
@@ -44,7 +42,6 @@ class ConvergenceReport:
     fitted_order: float | None
     constant: float
     passed: bool
-    floor_reached: bool = False
 
     def to_json(self) -> dict:
         return {
@@ -61,20 +58,16 @@ def _fit_report(t_values, errors) -> ConvergenceReport:
     e = np.asarray(errors, dtype=float)
     constant = float(e[-1] / t[-1] ** 2)
     above = e > NOISE_FLOOR
-    floor = bool((~above).any())
     if above.sum() == 0:
-        return ConvergenceReport(tuple(t), tuple(e), None, constant, True, True)
+        return ConvergenceReport(tuple(t), tuple(e), None, constant, True)
     tu, eu = t[above], e[above]
-    monotone = bool(np.all(np.diff(eu) < 0)) if tu.size > 1 else True
-    if not monotone:
-        floor = True
     if tu.size < 2:
         # a single error above round-off: no order can be fitted
         passed = bool(eu[0] <= 1e-9)
-        return ConvergenceReport(tuple(t), tuple(e), None, constant, passed, True)
+        return ConvergenceReport(tuple(t), tuple(e), None, constant, passed)
     slope = float(np.polyfit(np.log(tu), np.log(eu), 1)[0])
     passed = ORDER_RANGE[0] <= slope <= ORDER_RANGE[1]
-    return ConvergenceReport(tuple(t), tuple(e), slope, constant, passed, floor)
+    return ConvergenceReport(tuple(t), tuple(e), slope, constant, passed)
 
 
 def pushforward_density(omega: VolumeDensity, X: VectorFieldT, t: float,
@@ -143,7 +136,7 @@ def transfer_check(T_t, eta_t: VolumeDensity, resolution: int) -> float:
     T_t is a TorusMap or a ConjugatedMap (a DeformedMap is one); its
     `preimages_with_derivative` enforces the expansion precondition.
     """
-    y = TorusGrid((int(resolution),)).axis_points(0)
+    y = TorusGrid((resolution,)).axis_points(0)
     pre, deriv = T_t.preimages_with_derivative(y)
     dens = eta_t.eta
     contributions = dens.sample(pre.ravel()) / np.abs(deriv.ravel())

@@ -4,7 +4,8 @@ Oracles: a closed-form solution of dx/dt = -sin(2 pi x)/(2 pi) (with its
 exact linearization), self-convergence against a very fine reference run,
 the classical h^4 convergence order, Liouville's formula, and composition
 identities (group law, inverse round trip).  The grid-resident flow maps are
-checked against the point integrator `integrate_flow`.
+checked against the point integrator `integrate_flow`, and the point flows
+against the point RK4 with its own Jacobian recurrence, bit for bit.
 """
 
 import gc
@@ -306,6 +307,97 @@ class TestFieldStack:
                 assert np.max(np.abs(got_grads - grads)) <= 1e-13
                 only_values = stack(grid.points() + shift, gradients=False)[0]
                 assert np.max(np.abs(only_values - values)) <= 1e-13
+
+
+def reference_point_flow(evaluator, s0, s1, points, steps, with_jacobian):
+    """Lifts and Jacobians of the point RK4 as written before the shared
+    stepper: the Jacobians by their own recurrence k_i = m_i (J + c h k_{i-1})
+    on the points' stages, ``evaluator(s, p)`` giving velocities v_i and
+    their Jacobians m_i."""
+    p = np.array(points, dtype=float)
+    m, n = p.shape
+    J = np.tile(np.eye(n), (m, 1, 1)) if with_jacobian else None
+    h = (s1 - s0) / steps
+    for i in range(steps):
+        s = s0 + i * h
+        v1, m1 = evaluator(s, p)
+        v2, m2 = evaluator(s + 0.5 * h, p + 0.5 * h * v1)
+        v3, m3 = evaluator(s + 0.5 * h, p + 0.5 * h * v2)
+        v4, m4 = evaluator(s + h, p + h * v3)
+        if with_jacobian:
+            k1 = m1 @ J
+            k2 = m2 @ (J + 0.5 * h * k1)
+            k3 = m3 @ (J + 0.5 * h * k2)
+            k4 = m4 @ (J + h * k3)
+            J = J + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        p = p + (h / 6.0) * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
+    return p, J
+
+
+def assert_same_flow(got, lifts, jacobians):
+    assert np.array_equal(got.lifts, lifts)
+    if jacobians is None:
+        assert got.jacobians is None
+    else:
+        assert np.array_equal(got.jacobians, jacobians)
+
+
+# (grid, points): the first stage reads the field off the grid at the grid
+# points and interpolates it anywhere else
+STEPPER_CASES = [(64, "grid"), (64, "scattered"), ((32, 16), "grid"), ((32, 16), "scattered")]
+
+
+def stepper_points(grid, kind):
+    if kind == "grid":
+        return grid.points()
+    return np.random.default_rng(10).uniform(-1.0, 2.0, (24, grid.dim))
+
+
+class TestSharedStepper:
+    """The point flows on the shared RK4 stepper against the point RK4 with
+    its separate Jacobian recurrence, bit for bit."""
+
+    @pytest.mark.parametrize("resolution, kind", STEPPER_CASES)
+    @pytest.mark.parametrize("t", [0.7, -0.7])
+    @pytest.mark.parametrize("jacobian", [True, False])
+    def test_integrate_flow(self, resolution, kind, t, jacobian):
+        grid = TorusGrid(resolution)
+        X = band_limited_field(grid, np.random.default_rng(9), 2, 0.1)
+        pts = stepper_points(grid, kind)
+        stack = FieldStack.of(X.components)
+        want = reference_point_flow(lambda s, p: stack(p, jacobian), 0.0, t, pts, 32, jacobian)
+        assert_same_flow(integrate_flow(X, t, pts, steps=32, jacobian=jacobian), *want)
+
+    @pytest.mark.parametrize("jacobian", [True, False])
+    def test_integrate_flow_at_t_zero_takes_no_step(self, jacobian):
+        grid = TorusGrid((32, 16))
+        X = band_limited_field(grid, np.random.default_rng(9), 2, 0.1)
+        pts = stepper_points(grid, "scattered")
+        for steps in (None, 0, 8):
+            ev = integrate_flow(X, 0.0, pts, steps=steps, jacobian=jacobian)
+            assert ev.steps == 0 and ev.time == 0.0
+            assert_same_flow(ev, pts, np.tile(np.eye(2), (24, 1, 1)) if jacobian else None)
+            assert ev.lifts is not pts
+
+    MOSER_DENSITIES = {
+        64: ([[1, 0.2, 0.1]], [[1, -0.1, 0.25], [2, 0.05, 0.0]]),
+        (32, 16): ([[1, 0, 0.2, 0.1], [1, 1, 0.0, 0.1]],
+                   [[0, 1, 0.15, -0.1], [2, 1, 0.05, 0.0]]),
+    }
+
+    @pytest.mark.parametrize("resolution, kind", STEPPER_CASES)
+    @pytest.mark.parametrize("direction", ["transport", "inverse_transport"])
+    @pytest.mark.parametrize("jacobian", [True, False])
+    def test_moser_transport(self, resolution, kind, direction, jacobian):
+        grid = TorusGrid(resolution)
+        modes0, modes1 = self.MOSER_DENSITIES[resolution]
+        transport = moser_transport(VolumeDensity.from_modes(grid, modes0),
+                                    VolumeDensity.from_modes(grid, modes1), steps=16)
+        pts = stepper_points(grid, kind)
+        s0, s1 = (0.0, 1.0) if direction == "transport" else (1.0, 0.0)
+        want = reference_point_flow(lambda s, p: transport._field(s, p, jacobian),
+                                    s0, s1, pts, 16, jacobian)
+        assert_same_flow(getattr(transport, direction)(pts, jacobian=jacobian), *want)
 
 
 class TestTransportedDensity:

@@ -71,7 +71,7 @@ class TestResponseCheck:
         omega = VolumeDensity.lebesgue(grid)
         report = response_check(omega, ScalarField.constant(grid, 0.0),
                                 VectorFieldT.zero(grid), [1e-2, 5e-3, 2.5e-3])
-        assert report.passed and report.floor_reached
+        assert report.passed and report.fitted_order is None
         assert max(report.errors) <= 1e-10
 
     def test_doubling_cosine_order_two(self):
@@ -177,6 +177,13 @@ class TestTransferCheck:
         T = make_linear([[2]], grid)
         skewed = VolumeDensity.from_modes(grid, [[1, 0.3, 0.0]])
         assert transfer_check(T, skewed, 128) > 0.1
+
+    def test_resolution_must_be_an_integer(self):
+        grid = TorusGrid(64)
+        T = make_linear([[2]], grid)
+        with pytest.raises(ValueError, match="must be integers"):
+            transfer_check(T, T.density, 512.7)
+        assert transfer_check(T, T.density, np.int64(512)) == transfer_check(T, T.density, 512)
 
     def test_non_expanding_rejected(self):
         grid = TorusGrid(64)
