@@ -27,8 +27,9 @@ from .fields import (
     VectorFieldT,
     VolumeDensity,
     as_points,
+    mod1,
 )
-from .flow import FieldStack, flow_map
+from .flow import FieldStack, flow_map, transported_density
 
 NEWTON_ITERATIONS = 60  # cap on a preimage solve: bisection's 2^-60 worst case
 NEWTON_TOL = 4 * np.finfo(float).eps  # largest last step of a finished preimage solve
@@ -85,8 +86,6 @@ class TorusMap:
             self.certified = True
             self.certificate_residual = 0.0
         elif self.expanding:
-            from .verify import transfer_check  # deferred: verify sits above dynamics
-
             residual = transfer_check(self, self.density, CERTIFICATE_RESOLUTION)
             if residual > CERTIFICATE_TOL:
                 raise ConstructionError(
@@ -116,7 +115,7 @@ class TorusMap:
         return out
 
     def __call__(self, points) -> np.ndarray:
-        return self.lift(points) % 1.0
+        return mod1(self.lift(points))
 
     def jacobian(self, points) -> np.ndarray:
         """DT = A + Dg at points, shape (M, n, n), read off the grid at its points."""
@@ -217,6 +216,22 @@ def _branch_newton(lift_with_derivative, ends: np.ndarray, branches: int,
     return z.reshape(branches, -1)
 
 
+def transfer_check(T_t, eta_t: VolumeDensity, resolution: int) -> float:
+    """Sup-norm transfer-operator residual of eta_t under an expanding circle
+    map (possibly deformed): max_y | sum_{z in T^{-1}(y)} eta(z)/|T'(z)| - eta(y) |.
+
+    T_t is a TorusMap or a ConjugatedMap (a DeformedMap is one); its
+    `preimages_with_derivative` enforces the expansion precondition.
+    """
+    y = TorusGrid((resolution,)).axis_points(0)
+    pre, deriv = T_t.preimages_with_derivative(y)
+    dens = eta_t.eta
+    contributions = dens.sample(pre.ravel()) / np.abs(deriv.ravel())
+    lhs = contributions.reshape(pre.shape).sum(axis=0)
+    rhs = dens.sample(y)
+    return float(np.max(np.abs(lhs - rhs)))
+
+
 def make_linear(matrix, grid: TorusGrid) -> TorusMap:
     """Integer-linear torus map; Lebesgue is invariant.  The single-entry
     matrix [[2]] is the circle doubling map, [[2, 1], [1, 1]] the cat map,
@@ -225,25 +240,21 @@ def make_linear(matrix, grid: TorusGrid) -> TorusMap:
 
 
 def make_warped_doubling(generator: VectorFieldT) -> TorusMap:
-    """Doubling map conjugated by the time-one flow h of the generator:
-    T = h o D o h^{-1}, whose invariant density is the derivative of h^{-1}
-    (the pushforward of Lebesgue by h), positive by construction.
-
-    The returned map carries the invariance certificate; construction fails
-    if the transfer residual exceeds the certificate tolerance.
+    """Doubling map D conjugated by the time-one flow h of the generator:
+    T = h o D o h^{-1} (`ConjugatedMap`), whose invariant density is the
+    pushforward of Lebesgue by h (`transported_density`, so an under-resolved
+    one raises QualityError).  The map carries the invariance certificate;
+    construction fails if the transfer residual exceeds its tolerance.
     """
     grid = generator.grid
     if grid.dim != 1:
         raise ValueError("warped doubling is a circle-map construction")
     forward = flow_map(generator, 1.0, steps=WARP_CONSTRUCTION_STEPS)
-    backward = flow_map(generator, -1.0, steps=WARP_CONSTRUCTION_STEPS).on_grid()
-    eta_values = backward.jacobians[:, 0, 0]
-    eta_values = eta_values / eta_values.mean()
-    doubled = 2.0 * backward.lifts
-    t_lift = forward(doubled, jacobian=False).lifts[:, 0]
-    g_values = t_lift - 2.0 * grid.points()[:, 0]
+    inverse = flow_map(generator, -1.0, steps=WARP_CONSTRUCTION_STEPS)
+    density = transported_density(VolumeDensity.lebesgue(grid), inverse)
+    x = grid.points()
+    g_values = ConjugatedMap(make_linear([[2]], grid), forward, inverse).lift(x) - 2.0 * x
     displacement = VectorFieldT([ScalarField(grid, g_values.reshape(grid.shape))])
-    density = VolumeDensity(ScalarField(grid, eta_values.reshape(grid.shape)))
     return TorusMap(grid, [[2]], displacement, density)
 
 

@@ -363,8 +363,15 @@ def _require_positive(f: ScalarField, what: str) -> None:
 
 
 def wrap_difference(delta: np.ndarray) -> np.ndarray:
-    """Shortest-lift representative of a torus-valued difference, in [-1/2, 1/2)."""
+    """Shortest-lift representative of a torus-valued difference, in
+    [-1/2, 1/2]: `np.round` rounds ties to even, so 0.5 stays 0.5."""
     return delta - np.round(delta)
+
+
+def mod1(x: np.ndarray) -> np.ndarray:
+    """x reduced into [0, 1); ``x % 1.0`` alone gives 1.0 for x = -1e-17."""
+    reduced = x % 1.0
+    return np.where(reduced == 1.0, 0.0, reduced)
 
 
 class VolumeDensity:

@@ -46,6 +46,7 @@ from .fields import (
     VectorFieldT,
     VolumeDensity,
     as_points,
+    mod1,
     sample_coefficients,
 )
 
@@ -89,7 +90,7 @@ class FlowEvaluation:
     jacobians -- (M, n, n) Jacobian matrices, or None if not requested
     time      -- total flow time
     steps     -- substep count actually used
-    points    -- the lifts reduced mod 1
+    points    -- the lifts reduced into [0, 1)
     """
 
     lifts: np.ndarray
@@ -99,7 +100,7 @@ class FlowEvaluation:
     points: np.ndarray = dataclass_field(init=False)
 
     def __post_init__(self):
-        self.points = self.lifts % 1.0
+        self.points = mod1(self.lifts)
         self._determinants = None
         if self.jacobians is not None:
             self._determinants = np.linalg.det(self.jacobians)
@@ -243,8 +244,7 @@ class FlowMap:
     Calling the object evaluates phi^t (and, with ``jacobian``, the product
     of the factors' I + G by the chain rule) at points, one `FieldStack`
     call per factor.  It has the call signature of the other transports
-    (`MoserFlow`), so `ConjugatedMap` takes it as either side of a
-    conjugacy.
+    (`MoserFlow`), so `ConjugatedMap` and `transported_density` take it.
 
     grid     -- the field's grid
     factor   -- `FieldStack` of one factor's D and G = grad D
@@ -260,10 +260,6 @@ class FlowMap:
         self.time = float(time)
         self.steps = int(steps)
         self.submaps = int(submaps)
-
-    def on_grid(self) -> FlowEvaluation:
-        """phi^t at the grid points, in `TorusGrid.points` order."""
-        return self(self.grid.points())
 
     def __call__(self, points, jacobian: bool = True) -> FlowEvaluation:
         n = self.grid.dim
@@ -364,15 +360,15 @@ def _flow_factor(grid, velocity: np.ndarray, shear: np.ndarray, times, steps: in
     return _rk4(rate, np.zeros((h.shape[0], n + n * n) + grid.shape), 0.0, h, steps)
 
 
-def transported_density(omega: VolumeDensity, inverse_eval: FlowEvaluation) -> VolumeDensity:
-    """Density of the pushforward of omega by a map psi, from an evaluation
-    of psi^{-1} (with Jacobians) at exactly the grid points of omega:
-    eta_psi(y) = eta(psi^{-1}(y)) det D psi^{-1}(y)."""
+def transported_density(omega: VolumeDensity, inverse) -> VolumeDensity:
+    """Density of the pushforward of omega by a map psi at omega's grid
+    points y, eta_psi(y) = eta(psi^{-1}(y)) det D psi^{-1}(y), evaluating
+    ``inverse`` = psi^{-1} there: any ``(points, jacobian=True) ->
+    FlowEvaluation`` transport, such as a `FlowMap` or
+    `MoserFlow.inverse_transport`.  An under-resolved (spectral tail/peak
+    above TAIL_TOL), mass-losing or non-positive result raises QualityError."""
     grid = omega.grid
-    if inverse_eval.jacobians is None:
-        raise ValueError("transported_density needs Jacobians on the inverse evaluation")
-    if inverse_eval.points.shape[0] != grid.size:
-        raise ValueError("inverse evaluation does not cover the density's grid")
+    inverse_eval = inverse(grid.points(), jacobian=True)
     values = omega.eta.sample(inverse_eval.points) * inverse_eval.determinants()
     transported = ScalarField(grid, values.reshape(grid.shape))
     tail = _spectral_tail(transported)
@@ -453,8 +449,7 @@ class MoserFlow:
 
     def pushforward_density(self) -> VolumeDensity:
         """The transported omega0, for comparison against the target omega1."""
-        inverse = self.inverse_transport(self.grid.points())
-        return transported_density(self.omega0, inverse)
+        return transported_density(self.omega0, self.inverse_transport)
 
 
 def moser_transport(omega0: VolumeDensity, omega1: VolumeDensity,

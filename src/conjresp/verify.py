@@ -1,6 +1,7 @@
-"""Closing the loop: pushforward densities, finite-difference checks of the
-prescribed response and of the deformation derivative, and the
-transfer-operator invariance test for expanding circle maps.
+"""Closing the loop: pushforward densities (one `transported_density` call
+each), finite-difference checks of the prescribed response and of the
+deformation derivative, and the transfer-operator invariance test for
+expanding circle maps (`dynamics.transfer_check`, listed here).
 
 The finite-difference checks are central in t (order 2) and report a fitted
 convergence order from a log-log least-squares over the supplied t values,
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ConjugatedMap, TorusMap, deformation_derivative
-from .fields import ScalarField, TorusGrid, VectorFieldT, VolumeDensity, multiply, wrap_difference
+from .dynamics import ConjugatedMap, TorusMap, deformation_derivative, transfer_check
+from .fields import ScalarField, VectorFieldT, VolumeDensity, multiply, wrap_difference
 from .flow import flow_map, transported_density
 
 NOISE_FLOOR = 1e-11
@@ -76,8 +77,7 @@ def pushforward_density(omega: VolumeDensity, X: VectorFieldT, t: float,
     eta_t(y) = eta(phi^{-t}(y)) det D phi^{-t}(y), with phi^{-t} = id + D
     read off the grid (`flow_map`), so eta is sampled once.  ``steps`` is a
     lower bound on the flow map's RK4 substeps."""
-    inverse = flow_map(X, -t, steps=steps).on_grid()
-    return transported_density(omega, inverse)
+    return transported_density(omega, flow_map(X, -t, steps=steps))
 
 
 def response_check(omega: VolumeDensity, rho: ScalarField, X: VectorFieldT,
@@ -127,19 +127,3 @@ def checked_t_values(t_values) -> tuple:
     if any(b >= a for a, b in zip(ts, ts[1:])):
         raise ValueError(f"t values must be strictly decreasing, got {ts}")
     return ts
-
-
-def transfer_check(T_t, eta_t: VolumeDensity, resolution: int) -> float:
-    """Sup-norm transfer-operator residual of eta_t under an expanding circle
-    map (possibly deformed): max_y | sum_{z in T^{-1}(y)} eta(z)/|T'(z)| - eta(y) |.
-
-    T_t is a TorusMap or a ConjugatedMap (a DeformedMap is one); its
-    `preimages_with_derivative` enforces the expansion precondition.
-    """
-    y = TorusGrid((resolution,)).axis_points(0)
-    pre, deriv = T_t.preimages_with_derivative(y)
-    dens = eta_t.eta
-    contributions = dens.sample(pre.ravel()) / np.abs(deriv.ravel())
-    lhs = contributions.reshape(pre.shape).sum(axis=0)
-    rhs = dens.sample(y)
-    return float(np.max(np.abs(lhs - rhs)))

@@ -105,6 +105,20 @@ class TestSolve:
         relative = float(line.strip().split("relative ")[1].rstrip(")"))
         assert relative <= 1e-8
 
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_under_resolved_warped_density_exits_3_before_writing(self, tmp_path, capsys,
+                                                                   command):
+        # tail/peak 4.7e-2 at N = 64: the map is refused where it is built
+        cfg = doubling_config(grid={"resolution": [64]},
+                              map={"kind": "warped_doubling",
+                                   "generator_modes": [[4, 0.04, 0.0]]})
+        out = tmp_path / "out"
+        assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out),
+                     "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert "under-resolved" in err and "4.7e-02" in err and "raise N" in err
+        assert not any(out.iterdir())
+
     def test_csv_format(self, tmp_path):
         cfg = write_config(tmp_path, doubling_config())
         out = tmp_path / "out"

@@ -12,8 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conjresp import (
+    ConjugatedMap,
     DeformedMap,
     ExpansionError,
+    FlowEvaluation,
+    QualityError,
     ScalarField,
     TorusGrid,
     VectorFieldT,
@@ -27,8 +30,11 @@ from conjresp import (
     SolutionStrategy,
     TorusMap,
     VolumeDensity,
+    flow_map,
 )
-from conjresp.dynamics import EXPANSION_MARGIN, NEWTON_ITERATIONS, _branch_newton
+from conjresp.dynamics import (EXPANSION_MARGIN, NEWTON_ITERATIONS, WARP_CONSTRUCTION_STEPS,
+                               _branch_newton)
+from conjresp.fields import mod1
 
 
 def canonical_field(grid):
@@ -80,6 +86,18 @@ class TestMakeLinear:
             make_linear([["a"]], TorusGrid(16))
 
 
+def hand_warped_doubling(generator):
+    """Oracle: the warped doubling map's conjugation written out by hand.
+    g = h(2 h^{-1}(x)) - 2x and eta = Dh^{-1}(x) / mean, at the grid points x,
+    from the flow maps h and h^{-1} of the generator at times 1 and -1."""
+    grid = generator.grid
+    forward = flow_map(generator, 1.0, steps=WARP_CONSTRUCTION_STEPS)
+    backward = flow_map(generator, -1.0, steps=WARP_CONSTRUCTION_STEPS)(grid.points())
+    eta = backward.jacobians[:, 0, 0]
+    g = forward(2.0 * backward.lifts, jacobian=False).lifts[:, 0] - 2.0 * grid.points()[:, 0]
+    return g, eta / eta.mean()
+
+
 class TestWarpedDoubling:
     def test_zero_generator_is_plain_doubling(self):
         grid = TorusGrid(64)
@@ -126,6 +144,66 @@ class TestWarpedDoubling:
         lhs = warped(h_pts)
         rhs = integrate_flow(generator, 1.0, (2.0 * pts) % 1.0, steps=256).points
         assert np.max(np.abs(wrap_difference(lhs - rhs))) <= 1e-9
+
+    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @given(resolution=st.sampled_from([128, 256]), amplitude=st.floats(0.0, 0.05),
+           phase=st.floats(0.0, 2 * np.pi))
+    def test_one_factor_generators_match_the_hand_construction(self, resolution, amplitude,
+                                                               phase):
+        # |grad X| <= 2 pi 0.05 < SUBMAP_STRETCH: h and h^{-1} are one factor
+        # each, and the conjugated map's lift is the hand construction's
+        generator = VectorFieldT([ScalarField.from_modes(
+            TorusGrid(resolution), [[1, amplitude * np.cos(phase), amplitude * np.sin(phase)]])])
+        T = make_warped_doubling(generator)
+        g, eta = hand_warped_doubling(generator)
+        assert np.array_equal(T.displacement.components[0].values, g)
+        assert np.max(np.abs(T.density.eta.values - eta)) <= 1e-15
+
+    @pytest.mark.parametrize("resolution", [128, 256])
+    @pytest.mark.parametrize("mode", [[1, 0.0, 0.1], [2, 0.03, 0.02]])
+    def test_stretching_generators_match_the_hand_construction(self, resolution, mode):
+        # [1, 0, 0.1] flows in two factors, evaluated without Jacobians here
+        generator = VectorFieldT([ScalarField.from_modes(TorusGrid(resolution), [mode])])
+        T = make_warped_doubling(generator)
+        g, eta = hand_warped_doubling(generator)
+        assert np.max(np.abs(T.displacement.components[0].values - g)) <= 1e-15
+        assert np.max(np.abs(T.density.eta.values - eta)) <= 1e-15
+
+    @pytest.mark.parametrize("resolution, tail", [(64, "4.7e-02"), (128, "2.2e-03")])
+    def test_under_resolved_density_is_refused_naming_its_tail(self, resolution, tail):
+        # at N = 64 the lift derivative also changes sign: without the density's
+        # gates the map would be built, uncertified
+        generator = VectorFieldT([ScalarField.from_modes(TorusGrid(resolution),
+                                                         [[4, 0.04, 0.0]])])
+        with pytest.raises(QualityError, match=rf"under-resolved.*tail/peak {tail}.*raise N"):
+            make_warped_doubling(generator)
+
+
+class TestReductionIntoUnitInterval:
+    EDGES = np.array([-1e-17, -1e-300, -0.0, 1.0, 2 - 2**-52])
+
+    def test_edge_inputs(self):
+        reduced = mod1(self.EDGES)
+        assert np.array_equal(reduced, [0.0, 0.0, 0.0, 0.0, 1 - 2**-52])
+        assert not np.signbit(reduced).any()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(x=st.floats(-1e6, 1e6))
+    def test_lands_in_the_unit_interval(self, x):
+        assert 0.0 <= mod1(np.array([x]))[0] < 1.0
+
+    def test_maps_and_transports_reduce_into_the_unit_interval(self):
+        # x % 1.0 alone rounds -1e-17 up to 1.0
+        grid = TorusGrid(64)
+        assert np.array_equal(make_linear([[2]], grid)([[-1e-17]]), [[0.0]])
+        assert np.array_equal(FlowEvaluation(np.array([[-1e-17]]), None, 0.0, 0).points,
+                              [[0.0]])
+
+        def transport(shift):
+            return lambda pts, jacobian=True: FlowEvaluation(pts + shift, None, 0.0, 0)
+
+        conjugated = ConjugatedMap(make_linear([[1]], grid), transport(-1e-17), transport(0.0))
+        assert np.array_equal(conjugated([[0.0]]), [[0.0]])
 
 
 class TestDeformationDerivative:

@@ -1,6 +1,9 @@
-"""The package namespace: the public names, built from the module lists."""
+"""The package namespace: the public names, built from the module lists,
+and the layering of the modules."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import conjresp
 
@@ -22,7 +25,7 @@ PUBLIC = [
 
 # module-level names kept out of the package namespace
 MODULE_ONLY = {
-    "fields": ["MIN_RESOLUTION", "as_points", "sample_coefficients"],
+    "fields": ["MIN_RESOLUTION", "as_points", "mod1", "sample_coefficients"],
     "exactness": ["MEAN_ZERO_TOL", "weighted_response"],
     "flow": ["RK4_STABILITY_LIMIT", "SUBMAP_STRETCH", "TAIL_TOL"],
     "verify": ["NOISE_FLOOR", "ORDER_RANGE"],
@@ -46,3 +49,23 @@ def test_module_only_names_stay_importable_but_private_to_the_package():
         for name in names:
             assert hasattr(module, name)
             assert not hasattr(conjresp, name)
+
+
+# each module imports only from modules before it
+LAYERS = ["errors", "fields", "exactness", "flow", "dynamics", "verify", "config", "cli"]
+
+
+def test_modules_import_only_from_lower_layers():
+    source = Path(conjresp.__file__).parent
+    modules = sorted(p.stem for p in source.glob("*.py"))
+    assert sorted(LAYERS + ["__init__", "__main__"]) == modules
+    upward = []
+    for module in LAYERS:
+        tree = ast.parse((source / f"{module}.py").read_text())
+        # every relative import, those inside functions too
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                imported = node.module or ""
+                if imported not in LAYERS[:LAYERS.index(module)]:
+                    upward.append(f"{module}:{node.lineno} imports from .{imported}")
+    assert not upward
