@@ -25,7 +25,7 @@ from .dynamics import ConjugatedMap
 from .errors import ConfigError, ConstructionError, ConvergenceError, QualityError
 from .exactness import lie_derivative_density, multiply, solve_for_field, solve_potential
 from .fields import ScalarField, VolumeDensity, save_field
-from .flow import flow_map, moser_transport
+from .flow import flow_maps, moser_transport
 from .verify import derivative_check, pushforward_density, response_check, transfer_check
 
 EXIT_OK = 0
@@ -67,6 +67,8 @@ def _checks(cfg: dict, grid, transfer_ts):
     torus_map, omega, rho, strategy = _problem(cfg, grid)
 
     X = solve_for_field(rho, omega, strategy)
+    # every check's flow maps in one batch; only expanding circle maps get transfer checks
+    flow_maps(X, [*t_values, *(transfer_ts if torus_map.expanding else ())], steps)
     response = response_check(omega, rho, X, t_values, steps=steps)
     derivative = derivative_check(torus_map, X, t_values, steps=steps)
     if not torus_map.expanding:
@@ -75,7 +77,7 @@ def _checks(cfg: dict, grid, transfer_ts):
     transfers = []
     for t in transfer_ts:
         eta_t = pushforward_density(omega, X, t, steps=steps)
-        deformed = ConjugatedMap(torus_map, flow_map(X, t, steps), flow_map(X, -t, steps))
+        deformed = ConjugatedMap(torus_map, *flow_maps(X, (t, -t), steps))
         residual = transfer_check(deformed, eta_t, resolution)
         transfers.append({"t": t, "resolution": resolution, "residual": residual})
     return response, derivative, transfers

@@ -29,7 +29,7 @@ from .fields import (
     as_points,
     mod1,
 )
-from .flow import FieldStack, flow_map, transported_density
+from .flow import FieldStack, flow_maps, transported_density
 
 NEWTON_ITERATIONS = 60  # cap on a preimage solve: bisection's 2^-60 worst case
 NEWTON_TOL = 4 * np.finfo(float).eps  # largest last step of a finished preimage solve
@@ -122,7 +122,7 @@ class TorusMap:
         pts = as_points(points, self.dim)
         if self._stack is None:
             return np.tile(self.matrix.astype(float), (pts.shape[0], 1, 1))
-        return self.matrix + self._stack(pts)[1]
+        return self.matrix + self._stack(pts, values=False)[1]
 
     def expansion_margin(self) -> float:
         """min |F'| - 1 over a fine sample of the lift derivative F' of a
@@ -249,8 +249,7 @@ def make_warped_doubling(generator: VectorFieldT) -> TorusMap:
     grid = generator.grid
     if grid.dim != 1:
         raise ValueError("warped doubling is a circle-map construction")
-    forward = flow_map(generator, 1.0, steps=WARP_CONSTRUCTION_STEPS)
-    inverse = flow_map(generator, -1.0, steps=WARP_CONSTRUCTION_STEPS)
+    forward, inverse = flow_maps(generator, (1.0, -1.0), steps=WARP_CONSTRUCTION_STEPS)
     density = transported_density(VolumeDensity.lebesgue(grid), inverse)
     x = grid.points()
     g_values = ConjugatedMap(make_linear([[2]], grid), forward, inverse).lift(x) - 2.0 * x
@@ -298,7 +297,7 @@ class ConjugatedMap:
 
 class DeformedMap(ConjugatedMap):
     """The conjugated family T_t = phi^t o T o phi^{-t} for a fixed field:
-    the ConjugatedMap of the flow maps of X at times t and -t (`flow_map`;
+    the ConjugatedMap of the flow maps of X at times t and -t (`flow_maps`;
     ``steps`` is a lower bound on their RK4 substeps).  At the grid points
     phi^{-t} is read off the grid.
 
@@ -313,7 +312,7 @@ class DeformedMap(ConjugatedMap):
                  steps: int | None = None):
         if base.grid != field.grid:
             raise ValueError("map and field live on different grids")
-        super().__init__(base, flow_map(field, t, steps), flow_map(field, -t, steps))
+        super().__init__(base, *flow_maps(field, (t, -t), steps))
 
     # bench/tracing.py looks these three up in this class's own namespace
     __call__ = ConjugatedMap.__call__

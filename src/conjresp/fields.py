@@ -218,6 +218,7 @@ class ScalarField:
         self.values.setflags(write=False)
         self._coefficients = None
         self._max_abs = None
+        self._flat = None
 
     @classmethod
     def from_coefficients(cls, grid: TorusGrid, coefficients) -> "ScalarField":
@@ -291,7 +292,14 @@ class ScalarField:
         )
 
     def sample(self, points) -> np.ndarray:
-        """Trigonometric interpolation at arbitrary points (reduced mod 1)."""
+        """Trigonometric interpolation at arbitrary points (reduced mod 1).
+        A field whose only nonzero coefficient is its mean returns that
+        value, which is exactly what the interpolation sum gives there."""
+        if self._flat is None:
+            self._flat = not self.coefficients.ravel()[1:].any()
+        if self._flat:
+            count = as_points(points, self.grid.dim).shape[0]
+            return np.full(count, self.coefficients.flat[0].real)
         return sample_coefficients(self.grid, self.coefficients[None], points)[:, 0]
 
     def _binary(self, other, op):

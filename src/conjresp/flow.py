@@ -10,9 +10,10 @@ It steps two state layouts:
   derivatives, and never samples X off the grid; phi^t is the power
   (phi^s)^m, with m = 1 unless the flow stretches too much in time t to be
   resolved on the grid.  Jacobians are I + G.  phi^t and phi^-t are built
-  together, by one RK4 integration of both factors' stacked states, once
-  per (field, |t|, steps): later calls at either sign return the same
-  read-only maps for as long as the field lives.
+  together, once per (field, |t|, steps): later calls at either sign return
+  the same read-only maps for as long as the field lives.  `flow_maps`
+  builds the maps of many t at once, by one RK4 integration of the stacked
+  states of every factor that takes the same substep count.
 * `integrate_flow` and the Moser transport move points (Lagrangian): the
   state is the points and their Jacobians, (M, n + n^2), and each stage
   samples the field and its gradient at the moving points, so Jacobians
@@ -132,7 +133,8 @@ class FieldStack:
     the grid points they are read off the grid; anywhere else one
     `sample_coefficients` call on the stacked coefficients (values, then
     gradients row by row; by default the FFT of the arrays) serves all
-    points, on the value rows alone without ``gradients``.  Its arrays are
+    points, on the value rows alone without ``gradients`` and on the
+    gradient rows alone without ``values``.  Its arrays are
     read-only, since maps share one stack among callers.
     """
 
@@ -166,18 +168,20 @@ class FieldStack:
             self._coefficients = coefficients
         return self._coefficients
 
-    def __call__(self, points, gradients: bool = True):
-        """(M, F) values and (M, F, n) gradients (None without ``gradients``)."""
+    def __call__(self, points, gradients: bool = True, values: bool = True):
+        """(M, F) values and (M, F, n) gradients, each None when not asked for."""
         grid, n, count = self.grid, self.grid.dim, self.values.shape[0]
         pts = as_points(points, n)
         if pts.shape == (grid.size, n) and np.array_equal(pts, grid.points()):
-            values = self.values.reshape(count, -1).T
+            vals = self.values.reshape(count, -1).T
             grads = self.gradients.reshape(count, n, -1).transpose(2, 0, 1)
         else:
-            stack = self.coefficients if gradients else self.coefficients[:count]
-            out = sample_coefficients(grid, stack, pts)
-            values, grads = out[:, :count], out[:, count:].reshape(-1, count, n)
-        return values, grads if gradients else None
+            # only the rows asked for, of the F value rows and F * n gradient rows
+            rows = slice(0 if values else count, None if gradients else count)
+            out = sample_coefficients(grid, self.coefficients[rows], pts)
+            vals = out[:, :count]
+            grads = out[:, -count * n:].reshape(-1, count, n) if gradients else None
+        return (vals if values else None), (grads if gradients else None)
 
 
 def _rk4(rate, state: np.ndarray, s0: float, h, steps: int) -> np.ndarray:
@@ -296,40 +300,64 @@ def flow_map(X: VectorFieldT, t: float, steps: int | None = None) -> FlowMap:
     h * pi * max_x sum_i |X_i(x)| N_i within RK4_STABILITY_LIMIT.  The count
     used is the ``steps`` of the result and of its evaluations.
 
-    The submaps and substeps depend on |t| alone, so phi^t and phi^-t are
-    built together, by one RK4 integration of both factors' stacked states,
-    and each is bit for bit what a build of it alone would give.  Each pair
-    is built once per (X, |t|, steps): a repeated call, or a call at -t,
-    returns the same `FlowMap` for as long as X lives.
+    This is ``flow_maps(X, (t,), steps)[0]``: phi^t and phi^-t are built
+    together, once per (X, |t|, steps), and a repeated call, or a call at
+    -t, returns the same `FlowMap` for as long as X lives.
     """
-    t = float(t)
+    return flow_maps(X, (t,), steps)[0]
+
+
+def flow_maps(X: VectorFieldT, times, steps: int | None = None) -> list:
+    """[`flow_map`(X, t, steps) for t in times], with every map not built yet
+    built at once.
+
+    The submaps and substeps depend on |t| alone, so phi^t and phi^-t are
+    always built together, and every missing |t| whose factors take the same
+    substep count joins one RK4 integration of all those factors' stacked
+    states (`_flow_factor`), each with its own step size.  Each map is bit
+    for bit what a build of it alone would give, and is kept for as long as
+    X lives.
+    """
+    times = [float(t) for t in times]
     if steps is not None and steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     maps = _FLOW_MAPS.setdefault(X, {})
-    if (t, steps) not in maps:
-        for phi in _build_flow_maps(X, abs(t), steps):
-            maps[phi.time, steps] = phi
-    return maps[t, steps]
+    missing = sorted({abs(t) for t in times if (t, steps) not in maps})
+    for phi in _build_flow_maps(X, missing, steps):
+        maps[phi.time, steps] = phi
+    return [maps[t, steps] for t in times]
 
 
-def _build_flow_maps(X: VectorFieldT, t: float, steps: int | None) -> list:
-    """[phi^t, phi^-t] for t > 0, or [the zero map] for t = 0."""
+def _build_flow_maps(X: VectorFieldT, times, steps: int | None) -> list:
+    """phi^t and phi^-t for each t > 0 in ``times``, and the zero map if
+    ``times`` holds 0, with one `_flow_factor` integration per substep count."""
     grid, n = X.grid, X.grid.dim
-    if t == 0.0:
-        return [FlowMap(grid, np.zeros((n,) + grid.shape), np.zeros((n, n) + grid.shape), 0.0, 0)]
+    maps = []
+    if 0.0 in times:
+        maps.append(FlowMap(grid, np.zeros((n,) + grid.shape), np.zeros((n, n) + grid.shape),
+                            0.0, 0))
+    times = [t for t in times if t > 0.0]
+    if not times:
+        return maps
     velocity = np.stack([c.values for c in X.components])
     shear = np.stack([[c.derivative(j).values for j in range(n)] for c in X.components])
     stretch = float(np.abs(shear).sum(axis=1).max())  # max_x ||grad X(x)||_inf
-    submaps = max(1, math.ceil(t * stretch / SUBMAP_STRETCH))
-    s = t / submaps
     speed = float(sum(np.abs(v) * size for v, size in zip(velocity, grid.resolution)).max())
-    stable = math.ceil(s * math.pi * speed / RK4_STABILITY_LIMIT)
-    requested = default_steps(X, t) if steps is None else steps
-    substeps = max(math.ceil(requested / submaps), stable, 1)
-    states = _flow_factor(grid, velocity, shear, (s, -s), substeps)
-    return [FlowMap(grid, state[:n], state[n:].reshape((n, n) + grid.shape), time,
-                    submaps * substeps, submaps)
-            for state, time in zip(states, (t, -t))]
+    # substeps per factor -> [(t, submaps)] of the maps whose factors take them
+    groups = {}
+    for t in times:
+        submaps = max(1, math.ceil(t * stretch / SUBMAP_STRETCH))
+        stable = math.ceil(t / submaps * math.pi * speed / RK4_STABILITY_LIMIT)
+        requested = default_steps(X, t) if steps is None else steps
+        substeps = max(math.ceil(requested / submaps), stable, 1)
+        groups.setdefault(substeps, []).append((t, submaps))
+    for substeps, group in groups.items():
+        signed = [(sign * t, submaps) for t, submaps in group for sign in (1.0, -1.0)]
+        states = _flow_factor(grid, velocity, shear, [t / m for t, m in signed], substeps)
+        maps += [FlowMap(grid, state[:n], state[n:].reshape((n, n) + grid.shape), t,
+                         submaps * substeps, submaps)
+                 for state, (t, submaps) in zip(states, signed)]
+    return maps
 
 
 def _flow_factor(grid, velocity: np.ndarray, shear: np.ndarray, times, steps: int) -> np.ndarray:
@@ -348,16 +376,34 @@ def _flow_factor(grid, velocity: np.ndarray, shear: np.ndarray, times, steps: in
 
     def rate(s, state):
         G = state[:, n:].reshape((-1, n, n) + grid.shape)
-        coefficients = np.fft.rfftn(G, axes=axes)
+        coefficients = _rfftn(G, axes)
         dD = velocity + np.einsum("bik...,k...->bi...", G, velocity)
         dG = shear + np.einsum("bik...,kj...->bij...", G, shear)
         for k, symbol in enumerate(symbols):
-            dG += velocity[k] * np.fft.irfftn(coefficients * symbol, s=grid.shape, axes=axes)
+            dG += velocity[k] * _irfftn(coefficients * symbol, grid.shape, axes)
         return np.concatenate([dD, dG.reshape((-1, n * n) + grid.shape)], axis=1)
 
     # one step size per batch entry, broadcast over its state
     h = (np.asarray(times, dtype=float) / steps).reshape((-1,) + (1,) * (n + 1))
     return _rk4(rate, np.zeros((h.shape[0], n + n * n) + grid.shape), 0.0, h, steps)
+
+
+def _rfftn(a: np.ndarray, axes) -> np.ndarray:
+    """np.fft.rfftn(a, axes=axes), by the transforms numpy itself runs for it
+    (rfft on the last axis, then fft on the others, last to first), without
+    its per-call argument handling."""
+    a = np.fft.rfft(a, axis=axes[-1])
+    for axis in reversed(axes[:-1]):
+        a = np.fft.fft(a, axis=axis)
+    return a
+
+
+def _irfftn(a: np.ndarray, shape, axes) -> np.ndarray:
+    """np.fft.irfftn(a, s=shape, axes=axes), the same way: ifft on all axes
+    but the last, first to last, then irfft on the last."""
+    for axis in axes[:-1]:
+        a = np.fft.ifft(a, axis=axis)
+    return np.fft.irfft(a, shape[-1], axis=axes[-1])
 
 
 def transported_density(omega: VolumeDensity, inverse) -> VolumeDensity:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .dynamics import ConjugatedMap, TorusMap, deformation_derivative, transfer_check
 from .fields import ScalarField, VectorFieldT, VolumeDensity, multiply, wrap_difference
-from .flow import flow_map, transported_density
+from .flow import flow_map, flow_maps, transported_density
 
 NOISE_FLOOR = 1e-11
 ORDER_RANGE = (1.8, 2.3)
@@ -83,7 +83,11 @@ def pushforward_density(omega: VolumeDensity, X: VectorFieldT, t: float,
 def response_check(omega: VolumeDensity, rho: ScalarField, X: VectorFieldT,
                    t_values, steps: int | None = None) -> ConvergenceReport:
     """Check that the pushforward density moves at rate rho * eta:
-    e(t) = max |(eta_t - eta_{-t}) / (2 t) - rho eta| should shrink like t^2."""
+    e(t) = max |(eta_t - eta_{-t}) / (2 t) - rho eta| should shrink like t^2.
+    One `flow_maps` call builds every phi^{+-t} that the pushforwards read."""
+    t_values = checked_t_values(t_values)
+    flow_maps(X, t_values, steps)
+
     def eta(t):
         return pushforward_density(omega, X, t, steps=steps).eta.values
 
@@ -95,13 +99,16 @@ def derivative_check(T: TorusMap, X: VectorFieldT, t_values,
                      steps: int | None = None) -> ConvergenceReport:
     """Check -DT(X) + X o T against central differences of the deformed map
     T_t = phi^t o T o phi^{-t}, using shortest-lift differencing on the
-    torus.  T_t and T_{-t} share the flow maps of X at t and -t, and
-    `flow_map` builds each pair once per (X, |t|, steps), so after a
-    `response_check` of X at the same t values and steps this builds none."""
+    torus.  T_t and T_{-t} share the flow maps of X at t and -t.  One
+    `flow_maps` call builds every pair not built yet, and pairs are kept
+    per (X, |t|, steps), so after a `response_check` of X at the same t
+    values and steps this builds none."""
+    t_values = checked_t_values(t_values)
+    flow_maps(X, t_values, steps)
     pts = T.grid.points()
 
     def change(t):
-        forward, inverse = flow_map(X, t, steps), flow_map(X, -t, steps)
+        forward, inverse = flow_maps(X, (t, -t), steps)
         return ConjugatedMap(T, forward, inverse)(pts) - ConjugatedMap(T, inverse, forward)(pts)
 
     return _central_difference_check(t_values, change,

@@ -333,19 +333,28 @@ def _doubling_sweep_config():
     return cfg
 
 
-# (command, config, flow maps built per grid resolution): two per distinct t
-# (3 t_values and transfer_t on the circle, 2 t_values on the torus, the 3
-# t_values of a sweep at each resolution), however many checks use them, and
-# one integration per +-t pair
+def _warped_config():
+    return doubling_config(grid={"resolution": [128]},
+                           map={"kind": "warped_doubling", "generator_modes": [[1, 0.03, 0.02]]},
+                           rho={"modes": [[1, 1.0, 0.0], [3, 0.3, 0.2]], "center": True},
+                           strategy="gradient")
+
+
+# (command, config, {grid resolution: (flow maps built, integrations)}): two
+# maps per distinct t (3 t_values and transfer_t on the circle, 2 t_values
+# on the torus, the 3 t_values of a sweep at each resolution), however many
+# checks use them, and one integration for all of them, since they share a
+# substep count; a warped doubling map's construction adds its own pair
 FLOW_MAP_BUILDS = [
-    ("verify", lambda: doubling_config(grid={"resolution": [64]}), {(64,): 8}),
-    ("verify", _cat_config, {(32, 16): 4}),
-    ("sweep", _doubling_sweep_config, {(32,): 6, (64,): 6}),
+    ("verify", lambda: doubling_config(grid={"resolution": [64]}), {(64,): (8, 1)}),
+    ("verify", _cat_config, {(32, 16): (4, 1)}),
+    ("sweep", _doubling_sweep_config, {(32,): (6, 1), (64,): (6, 1)}),
+    ("verify", _warped_config, {(128,): (10, 2)}),
 ]
 
 
 @pytest.mark.parametrize("command, config, builds", FLOW_MAP_BUILDS,
-                         ids=["circle-verify", "torus-verify", "sweep"])
+                         ids=["circle-verify", "torus-verify", "sweep", "warped-verify"])
 def test_each_flow_map_is_built_once_per_run(tmp_path, monkeypatch, command, config, builds):
     built, integrated = Counter(), Counter()
     build = flow._flow_factor
@@ -358,10 +367,43 @@ def test_each_flow_map_is_built_once_per_run(tmp_path, monkeypatch, command, con
     monkeypatch.setattr(flow, "_flow_factor", counting)
     path = write_config(tmp_path, config())
     assert main([command, "--config", path, "--out", str(tmp_path / "o"), "--quiet"]) == 0
-    assert built == builds
-    assert integrated == {resolution: count // 2 for resolution, count in builds.items()}
+    assert built == {resolution: maps for resolution, (maps, _) in builds.items()}
+    assert integrated == {resolution: count for resolution, (_, count) in builds.items()}
     gc.collect()
     assert not flow._FLOW_MAPS  # the maps die with the run's fields
+
+
+# (command, config) runs whose flow maps share one integration per grid,
+# the warped doubling map adding one for its own generator
+BATCHED_RUNS = [
+    ("verify", doubling_config(grid={"resolution": [64]})),
+    ("verify", _cat_config()),
+    ("verify", _warped_config()),
+    ("sweep", _doubling_sweep_config()),
+]
+
+
+@pytest.mark.parametrize("command, config", BATCHED_RUNS,
+                         ids=["circle-verify", "torus-verify", "warped-verify", "sweep"])
+def test_batched_builds_write_the_files_of_pairwise_builds(tmp_path, monkeypatch, command,
+                                                          config):
+    # the oracle integrates one +-t pair at a time, as each pair was built
+    # before the maps of all t were batched
+    build = flow._flow_factor
+
+    def pairwise(grid, velocity, shear, times, steps):
+        return np.concatenate([build(grid, velocity, shear, times[i:i + 2], steps)
+                               for i in range(0, len(times), 2)])
+
+    path = write_config(tmp_path, config)
+    outputs = []
+    for name in ("batched", "pairwise"):
+        if name == "pairwise":
+            monkeypatch.setattr(flow, "_flow_factor", pairwise)
+        out = tmp_path / name
+        assert main([command, "--config", path, "--out", str(out), "--quiet"]) == 0
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert outputs[0] and outputs[0] == outputs[1]
 
 
 # (command, config) runs whose files must not depend on the BLAS thread count

@@ -30,6 +30,7 @@ from conjresp import (
     save_field,
     load_field,
 )
+from conjresp import fields
 from conjresp.fields import sample_coefficients
 
 
@@ -215,6 +216,27 @@ class TestInterpolation:
         f = random_band_limited(grid, 23)
         assert abs(f.sample([0.3])[0] - f.sample([1.3])[0]) <= 1e-12
         assert abs(f.sample([0.3])[0] - f.sample([-0.7])[0]) <= 1e-12
+
+    @pytest.mark.parametrize("resolution", [(8,), (256,), (8, 8), (32, 16), (64, 64)])
+    @pytest.mark.parametrize("value", [1.0, 0.7, -2.5, 0.0])
+    def test_flat_field_samples_as_its_constant(self, monkeypatch, resolution, value):
+        # the interpolation sum gives exactly the mean there, so skipping it
+        # changes no bit; a field with any other mode still interpolates
+        grid = TorusGrid(resolution)
+        flat = ScalarField.constant(grid, value)
+        points = np.random.default_rng(8).uniform(-1.0, 2.0, (57, grid.dim))
+        want = sample_coefficients(grid, flat.coefficients[None], points)[:, 0]
+        bumped = ScalarField.from_modes(grid, [[1] * grid.dim + [1e-3, 0.0]]) + value
+
+        def unused(*args):
+            raise AssertionError("a flat field was interpolated")
+
+        monkeypatch.setattr(fields, "sample_coefficients", unused)
+        got = flat.sample(points)
+        assert got.shape == (57,) and np.array_equal(got, want)
+        assert np.array_equal(flat.sample(points[:1]), want[:1])
+        with pytest.raises(AssertionError, match="interpolated"):
+            bumped.sample(points)
 
     @settings(max_examples=120, deadline=None, derandomize=True, database=None)
     @given(resolution=st.sampled_from([(8,), (256,), (8, 8), (32, 16), (16, 32), (64, 64)]),

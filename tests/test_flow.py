@@ -4,8 +4,10 @@ Oracles: a closed-form solution of dx/dt = -sin(2 pi x)/(2 pi) (with its
 exact linearization), self-convergence against a very fine reference run,
 the classical h^4 convergence order, Liouville's formula, and composition
 identities (group law, inverse round trip).  The grid-resident flow maps are
-checked against the point integrator `integrate_flow`, and the point flows
-against the point RK4 with its own Jacobian recurrence, bit for bit.
+checked against the point integrator `integrate_flow`, batched builds
+against single builds and the stage transforms against numpy's n-d ones, bit
+for bit, and the point flows against the point RK4 with its own Jacobian
+recurrence, bit for bit.
 """
 
 import gc
@@ -33,6 +35,7 @@ from conjresp import (
     wrap_difference,
 )
 from conjresp import flow
+from conjresp.fields import sample_coefficients
 from conjresp.flow import FieldStack
 
 
@@ -251,6 +254,67 @@ class TestFlowMap:
             assert np.array_equal(m.factor.values, alone[:n])
             assert np.array_equal(m.factor.gradients, alone[n:].reshape((n, n) + grid.shape))
 
+    # (grid, steps, times, sorted [(batch entries, substeps)] of the integrations):
+    # 0 and duplicates in any order and sign; 1-d |t| = 1 splits into 2
+    # factors at half the substeps, and 2-d |t| = 0.6 into 2 factors whose
+    # stability count equals that of |t| = 0.3 in one
+    BATCHED_BUILDS = [
+        ((128,), 256, [0.6, -0.05, 0.0, 0.3, -0.6, 0.05, -0.0, 0.3, -1.0], [(2, 128), (6, 256)]),
+        ((24, 24), 16, [0.6, -0.05, 0.0, 0.3, -0.6, 0.05, -0.0, 0.3], [(2, 16), (4, 18)]),
+    ]
+
+    @pytest.mark.parametrize("resolution, steps, times, integrations", BATCHED_BUILDS)
+    def test_batched_build_is_each_single_build_bit_for_bit(
+            self, monkeypatch, resolution, steps, times, integrations):
+        grid, n = TorusGrid(resolution), len(resolution)
+        X = band_limited_field(grid, np.random.default_rng(7), 2, 0.05)
+        build, calls = flow._flow_factor, []
+
+        def counting(grid, velocity, shear, factor_times, substeps):
+            calls.append((len(factor_times), substeps))
+            return build(grid, velocity, shear, factor_times, substeps)
+
+        monkeypatch.setattr(flow, "_flow_factor", counting)
+        maps = flow.flow_maps(X, times, steps)
+        assert sorted(calls) == integrations
+        assert [m.time for m in maps] == [abs(t) if t == 0.0 else t for t in times]
+        assert len({m.submaps for m in maps if m.time}) == 2
+        assert all(m is flow_map(X, t, steps) for m, t in zip(maps, times))
+        assert len(calls) == len(integrations)  # memoized: no build after the batch
+        monkeypatch.setattr(flow, "_flow_factor", build)
+        velocity = np.stack([c.values for c in X.components])
+        shear = np.stack([[c.derivative(j).values for j in range(n)] for c in X.components])
+        for m in maps:
+            if m.time == 0.0:
+                assert (m.steps, m.submaps) == (0, 1)
+                assert not m.factor.values.any() and not m.factor.gradients.any()
+                continue
+            alone = flow._flow_factor(grid, velocity, shear, (m.time / m.submaps,),
+                                      m.steps // m.submaps)[0]
+            assert np.array_equal(m.factor.values, alone[:n])
+            assert np.array_equal(m.factor.gradients, alone[n:].reshape((n, n) + grid.shape))
+
+    @pytest.mark.parametrize("resolution", [(64,), (16, 16), (32, 16)])
+    def test_stage_transforms_are_numpys_n_d_transforms_bit_for_bit(self, monkeypatch,
+                                                                     resolution):
+        # np.fft.rfftn / irfftn are the oracle: the same transforms with
+        # numpy's own argument handling, on a stage's (batch, n, n) + grid stack
+        grid, n = TorusGrid(resolution), len(resolution)
+        axes = tuple(range(3, n + 3))
+        G = np.random.default_rng(2).standard_normal((3, n, n) + grid.shape)
+        coefficients = np.fft.rfftn(G, axes=axes)
+        assert np.array_equal(flow._rfftn(G, axes), coefficients)
+        assert np.array_equal(flow._irfftn(coefficients, grid.shape, axes),
+                              np.fft.irfftn(coefficients, s=grid.shape, axes=axes))
+        X = band_limited_field(grid, np.random.default_rng(9), 2, 0.05)
+        velocity = np.stack([c.values for c in X.components])
+        shear = np.stack([[c.derivative(j).values for j in range(n)] for c in X.components])
+        got = flow._flow_factor(grid, velocity, shear, (0.2, -0.2, 0.05), 8)
+        monkeypatch.setattr(flow, "_rfftn", lambda a, axes: np.fft.rfftn(a, axes=axes))
+        monkeypatch.setattr(flow, "_irfftn",
+                            lambda a, shape, axes: np.fft.irfftn(a, s=shape, axes=axes))
+        assert np.array_equal(got, flow._flow_factor(grid, velocity, shear, (0.2, -0.2, 0.05), 8))
+
     def test_the_opposite_time_is_built_with_the_map(self, monkeypatch):
         X = single_mode_field(TorusGrid(32))
         phi = flow_map(X, 0.1, steps=8)
@@ -301,12 +365,33 @@ class TestFieldStack:
             assert np.array_equal(got_values, values) and np.array_equal(got_grads, grads)
             only_values, none = stack(grid.points(), gradients=False)
             assert np.array_equal(only_values, values) and none is None
+            none, only_grads = stack(grid.points(), values=False)
+            assert np.array_equal(only_grads, grads) and none is None
             for shift in (1.0, -2.0):
                 got_values, got_grads = stack(grid.points() + shift)
                 assert np.max(np.abs(got_values - values)) <= 1e-13
                 assert np.max(np.abs(got_grads - grads)) <= 1e-13
                 only_values = stack(grid.points() + shift, gradients=False)[0]
                 assert np.max(np.abs(only_values - values)) <= 1e-13
+                none, only_grads = stack(grid.points() + shift, values=False)
+                assert none is None and np.max(np.abs(only_grads - grads)) <= 1e-13
+
+    @pytest.mark.parametrize("resolution", [32, (16, 8)])
+    def test_gradients_alone_interpolate_only_the_gradient_rows(self, monkeypatch, resolution):
+        grid = TorusGrid(resolution)
+        stack = FieldStack.of(band_limited_field(grid, np.random.default_rng(3), 2, 0.3).components)
+        pts = np.random.default_rng(4).uniform(-1.0, 2.0, (7, grid.dim))
+        rows = []
+
+        def recording(grid, coefficients, points):
+            rows.append(coefficients.shape[0])
+            return sample_coefficients(grid, coefficients, points)
+
+        monkeypatch.setattr(flow, "sample_coefficients", recording)
+        for kwargs in ({}, {"gradients": False}, {"values": False}):
+            stack(pts, **kwargs)
+        n = grid.dim
+        assert rows == [n + n * n, n, n * n]
 
 
 def reference_point_flow(evaluator, s0, s1, points, steps, with_jacobian):

@@ -27,7 +27,7 @@ PUBLIC = [
 MODULE_ONLY = {
     "fields": ["MIN_RESOLUTION", "as_points", "mod1", "sample_coefficients"],
     "exactness": ["MEAN_ZERO_TOL", "weighted_response"],
-    "flow": ["RK4_STABILITY_LIMIT", "SUBMAP_STRETCH", "TAIL_TOL"],
+    "flow": ["RK4_STABILITY_LIMIT", "SUBMAP_STRETCH", "TAIL_TOL", "flow_maps"],
     "verify": ["NOISE_FLOOR", "ORDER_RANGE"],
 }
 
