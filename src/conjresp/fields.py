@@ -182,10 +182,15 @@ def sample_coefficients(grid: TorusGrid, stack: np.ndarray, points: np.ndarray) 
     By the symmetry only the rows k0 = 0..N0/2 are summed, rows 0 and N0/2
     once and every other row twice, with the Nyquist phase cos(pi N x) on
     each axis.  In 2-d the term -c_{N0/2,N1/2} sin(pi N0 x0) sin(pi N1 x1)
-    restores the corner mode's cos(pi (N0 x0 + N1 x1)).  The 2-d sum is one
-    GEMM over the half rows, then one batched matrix-vector product with the
-    full axis-1 phases.  Sharing the phase tables across the F fields is
-    what keeps flow integration cheap.
+    restores the corner mode's cos(pi (N0 x0 + N1 x1)).  The 1-d sum is one
+    real GEMM of the rows' real and imaginary parts, stacked, with the float
+    view of the phase table: Re(c e) = Re c Re e - Im c Im e.  A complex
+    GEMM would give the same sum, but with bits that depend on the BLAS
+    thread count, and the view copies nothing, as `_half_phases` fills the
+    table wavenumber-major.  The 2-d sum is one GEMM over the half rows,
+    then one batched matrix-vector product with the full axis-1 phases.
+    Sharing the phase tables across the F fields is what keeps flow
+    integration cheap.
     """
     pts = as_points(points, grid.dim) % 1.0
     n0 = grid.resolution[0]
@@ -194,9 +199,12 @@ def sample_coefficients(grid: TorusGrid, stack: np.ndarray, points: np.ndarray) 
     weights = np.full((h0 + 1,) + (1,) * (grid.dim - 1), 2.0)
     weights[[0, h0]] = 1.0
     rows = stack[:, : h0 + 1] * weights
+    count = stack.shape[0]
     if grid.dim == 1:
-        return (phases0 @ rows.T).real
-    count, n1 = stack.shape[0], grid.resolution[1]
+        # (2F, 2M): columns alternate Re e, Im e
+        out = np.concatenate([rows.real, rows.imag]) @ phases0.T.view(float)
+        return out[:count, 0::2].T - out[count:, 1::2].T
+    n1 = grid.resolution[1]
     h1 = n1 // 2
     half1, sin1 = _half_phases(pts[:, 1], n1)
     phases1 = np.concatenate([half1, half1[:, h1 - 1:0:-1].conj()], axis=1)

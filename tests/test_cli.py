@@ -423,6 +423,13 @@ THREAD_RUNS = [
                "moser": {"eta0_modes": [[1, 1, 0.1, 0.05]],
                          "eta1_modes": [[0, 1, 0.1, 0.0], [2, -1, 0.05, 0.05]],
                          "steps": 16}}),
+    ("moser", {"grid": {"resolution": [128]}, "map": {"kind": "linear", "A": [[2]]},
+               "moser": {"eta1_modes": [[1, 0.3, 0.1], [3, 0.1, -0.05]], "steps": 128,
+                         "check_conjugated": True, "transfer_resolution": 512}}),
+    ("verify", doubling_config(grid={"resolution": [256]},
+                               map={"kind": "warped_doubling",
+                                    "generator_modes": [[2, 0.03, 0.02]]},
+                               rho={"modes": [[1, 1.0, 0.0], [2, 0.2, -0.1]], "center": True})),
 ]
 RUN_ALL = ("import json, sys\n"
            "from conjresp.cli import main\n"
@@ -445,7 +452,8 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
         outputs.append({p.relative_to(root).as_posix(): p.read_bytes()
                         for p in root.rglob("*") if p.is_file()})
     assert sorted(outputs[0]) == ["0/report.json", "1/report.json", "2/sweep.csv",
-                                  "3/moser_report.json"]
+                                  "3/moser_report.json", "4/moser_report.json",
+                                  "5/report.json"]
     assert outputs[0] == outputs[1]
 
 

@@ -7,6 +7,10 @@ and higher-resolution self-consistency for off-grid sampling.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +55,37 @@ def sample_direct(grid, stack, points):
     k = np.stack([a.ravel() for a in axes], axis=1)
     phases = np.exp(2j * np.pi * ((points % 1.0) @ k.T))
     return (phases @ stack.reshape(stack.shape[0], -1).T).real
+
+
+def sample_complex_gemm(grid, stack, points):
+    """The 1-d half sum as one complex GEMM, (phases @ rows.T).real: the sum
+    `sample_coefficients` makes, but with bits that depend on the BLAS
+    thread count."""
+    half = grid.resolution[0] // 2
+    phases, _ = fields._half_phases(points[:, 0] % 1.0, grid.resolution[0])
+    weights = np.full(half + 1, 2.0)
+    weights[[0, half]] = 1.0
+    return (phases @ (stack[:, : half + 1] * weights).T).real
+
+
+# 1-d sample sizes of the thread-count test: 90 shapes
+THREAD_SHAPES = {"resolution": [128, 256, 512], "count": [1, 2, 6],
+                 "m": [64, 100, 256, 300, 512, 1000, 1024, 2048, 3000, 4096]}
+SAMPLE_ALL = """
+import hashlib, itertools, json, sys
+import numpy as np
+from conjresp import ScalarField, TorusGrid
+from conjresp.fields import sample_coefficients
+digests = {}
+for n, count, m in itertools.product(*json.loads(sys.argv[1]).values()):
+    grid, rng = TorusGrid(n), np.random.default_rng(n + count)
+    stack = np.stack([ScalarField(grid, rng.standard_normal(n)).coefficients
+                      for _ in range(count)])
+    points = np.random.default_rng(m).uniform(-1.0, 2.0, (m, 1))
+    got = np.ascontiguousarray(sample_coefficients(grid, stack, points))
+    digests[f"{n}/{count}/{m}"] = hashlib.sha256(got.tobytes()).hexdigest()
+print(json.dumps(digests))
+"""
 
 
 def random_band_limited(grid, seed, max_mode=5, amplitude=1.0):
@@ -256,6 +291,33 @@ class TestInterpolation:
         got = sample_coefficients(grid, stack, points)
         scale = np.abs(stack).reshape(count, -1).sum(axis=1)
         assert np.all(np.abs(got - sample_direct(grid, stack, points)) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("resolution", [128, 256, 512])
+    @pytest.mark.parametrize("count", [1, 2, 6])
+    @pytest.mark.parametrize("m", [64, 1000, 4096])
+    def test_one_d_sum_is_the_complex_gemm(self, resolution, count, m):
+        grid, rng = TorusGrid(resolution), np.random.default_rng(7)
+        stack = np.stack([ScalarField(grid, rng.standard_normal(resolution)).coefficients
+                          for _ in range(count)])
+        points = np.random.default_rng(m).uniform(-1.0, 2.0, (m, 1))
+        want = sample_complex_gemm(grid, stack, points)
+        got = sample_coefficients(grid, stack, points)
+        assert got.shape == (m, count)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_one_d_sum_does_not_depend_on_the_blas_thread_count(self):
+        # a complex GEMM gives different bits at 1 and 2 OpenBLAS threads on
+        # many of these shapes; the real GEMM of the float view on none
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=str(Path(fields.__file__).parents[1]))
+            done = subprocess.run([sys.executable, "-c", SAMPLE_ALL, json.dumps(THREAD_SHAPES)],
+                                  env=env, capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            digests.append(json.loads(done.stdout))
+        assert len(digests[0]) == 90
+        assert [shape for shape in digests[0] if digests[0][shape] != digests[1][shape]] == []
 
 
 class TestArithmetic:
