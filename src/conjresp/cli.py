@@ -1,8 +1,7 @@
 """Batch front end: solve / verify / moser / sweep pipelines driven by a
 JSON config, emitting machine-readable results and plot-ready tables.
 
-    conjresp <solve|verify|moser|sweep> --config cfg.json --out dir
-             [--quiet] [--format json|csv]
+    conjresp <solve|verify|moser|sweep> --config cfg.json --out dir [--quiet]
 
 Exit codes: 0 ok, 2 validation failure, 3 convergence failure,
 4 verification failure.  Identical configs produce byte-identical outputs
@@ -83,10 +82,10 @@ def _checks(cfg: dict, grid, transfer_ts):
     return response, derivative, transfers
 
 
-def cmd_solve(cfg: dict, out: Path, quiet: bool, fmt: str) -> int:
+def cmd_solve(cfg: dict, out: Path, quiet: bool) -> int:
     grid = build_grid(cfg)
     _, omega, rho, strategy = _problem(cfg, grid)
-    prefix = cfg["output"]["prefix"]
+    prefix, fmt = cfg["output"]["prefix"], cfg["output"]["format"]
 
     potential, X = solve_potential(rho, omega, strategy)
     named = ([("u", potential)] if isinstance(potential, ScalarField)
@@ -102,7 +101,7 @@ def cmd_solve(cfg: dict, out: Path, quiet: bool, fmt: str) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: dict, out: Path, quiet: bool, fmt: str) -> int:
+def cmd_verify(cfg: dict, out: Path, quiet: bool) -> int:
     transfer_ts = [cfg["verify"]["transfer_t"]]
     response, derivative, transfers = _checks(cfg, build_grid(cfg), transfer_ts)
 
@@ -135,7 +134,7 @@ def cmd_verify(cfg: dict, out: Path, quiet: bool, fmt: str) -> int:
     return EXIT_OK
 
 
-def cmd_moser(cfg: dict, out: Path, quiet: bool, fmt: str) -> int:
+def cmd_moser(cfg: dict, out: Path, quiet: bool) -> int:
     grid = build_grid(cfg)
     moser_cfg = cfg["moser"]
     with naming("moser.eta0_modes"):
@@ -192,7 +191,7 @@ def cmd_moser(cfg: dict, out: Path, quiet: bool, fmt: str) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(cfg: dict, out: Path, quiet: bool, fmt: str) -> int:
+def cmd_sweep(cfg: dict, out: Path, quiet: bool) -> int:
     grids = [build_grid(cfg, n) for n in cfg["verify"]["resolutions"] or [None]]
 
     lines = ["scenario_id,N,t,response_error,derivative_error,transfer_residual,fitted_order"]
@@ -226,8 +225,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--quiet", action="store_true", help="suppress progress prints")
-        p.add_argument("--format", choices=("json", "csv"), default=None,
-                       help="field file format (default: output.format or json)")
     return parser
 
 
@@ -236,14 +233,13 @@ def main(argv=None) -> int:
     out, created = Path(args.out), None
     try:
         cfg = load_config(args.config)
-        fmt = args.format or cfg["output"]["format"]
         try:
             # the topmost directory this run makes, removed again if it exits 2
             created = next((p for p in reversed((out, *out.parents)) if not p.exists()), None)
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
-        return _COMMANDS[args.command](cfg, out, args.quiet, fmt)
+        return _COMMANDS[args.command](cfg, out, args.quiet)
     except ValueError as exc:  # ConfigError, NormalizationError, PositivityError, ...
         if created is not None:
             shutil.rmtree(created, ignore_errors=True)

@@ -25,11 +25,10 @@ TRANSFER_TOL = 1e-4  # verify's transfer pass threshold, moser.transfer_tol's de
 # section -> key -> default, or the JSON type of a key without one (it reads
 # None when absent); a float key accepts any number and reads a float
 KEYS = {
-    "grid": {"dim": int, "resolution": list},
+    "grid": {"resolution": list},
     "map": {"kind": str, "A": list, "generator_modes": list, "displacement_modes": list,
             "eta_modes": list},
     "rho": {"modes": list, "center": False},
-    "flow": {"steps": int},
     "verify": {"t_values": list, "steps": int, "transfer_t": 0.02,
                "transfer_resolution": TRANSFER_RESOLUTION, "resolutions": list},
     "moser": {"eta0_modes": list, "eta1_modes": list, "steps": 256,
@@ -37,7 +36,7 @@ KEYS = {
               "transfer_tol": TRANSFER_TOL, "transfer_resolution": TRANSFER_RESOLUTION},
     "output": {"format": "json", "prefix": "solve"},
 }
-POSITIVE_KEYS = (("flow", "steps"), ("verify", "steps"), ("moser", "steps"),  # each > 0
+POSITIVE_KEYS = (("verify", "steps"), ("moser", "steps"),  # each > 0
                  ("moser", "pushforward_tol"), ("moser", "transfer_tol"))
 CUSTOM_STRATEGY_KEYS = {"harmonic": list, "alpha_modes": list}
 MAP_KINDS = {"linear": {"A"}, "custom": {"A", "displacement_modes", "eta_modes"},
@@ -122,8 +121,6 @@ def load_config(path) -> dict:
         with naming(f"{section}.transfer_resolution"):
             TorusGrid(cfg[section]["transfer_resolution"])
     verify = cfg["verify"]
-    if verify["steps"] is None:
-        verify["steps"] = cfg["flow"]["steps"]
     if verify["t_values"] is not None:
         t_values = [_value(t, float, "verify.t_values") for t in verify["t_values"]]
         try:
@@ -167,11 +164,7 @@ def build_grid(cfg: dict, resolution_override: int | None = None) -> TorusGrid:
         resolution = [resolution_override] * len(resolution)
         key = "verify.resolutions"
     with naming(key):
-        grid = TorusGrid(resolution)
-    dim = cfg["grid"]["dim"]
-    if dim is not None and dim != grid.dim:
-        raise ConfigError(f"grid dim {dim} contradicts the resolution list (dim {grid.dim})")
-    return grid
+        return TorusGrid(resolution)
 
 
 def build_map(cfg: dict, grid: TorusGrid) -> TorusMap:

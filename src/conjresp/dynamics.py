@@ -49,7 +49,6 @@ __all__ = [
     "TorusMap",
     "make_linear",
     "make_warped_doubling",
-    "DeformedMap",
     "ConjugatedMap",
     "deformation_derivative",
     "invariance_defect",
@@ -226,7 +225,8 @@ def transfer_check(T_t, eta_t: VolumeDensity, resolution: int) -> float:
     """Sup-norm transfer-operator residual of eta_t under an expanding circle
     map (possibly deformed): max_y | sum_{z in T^{-1}(y)} eta(z)/|T'(z)| - eta(y) |.
 
-    T_t is a TorusMap or a ConjugatedMap (a DeformedMap is one); its
+    T_t is a TorusMap or a ConjugatedMap, such as the deformed map
+    ConjugatedMap(T, *flow_maps(X, (t, -t), steps)); its
     `preimages_with_derivative` enforces the expansion precondition.
     """
     y = TorusGrid((resolution,)).axis_points(0)
@@ -250,8 +250,10 @@ def make_warped_doubling(generator: VectorFieldT) -> TorusMap:
     T = h o D o h^{-1} (`ConjugatedMap`, with h^{+-1} from `_warp_conjugacy`),
     whose invariant density is the pushforward of Lebesgue by h
     (`transported_density`, so an under-resolved one raises QualityError).
-    The map carries the invariance certificate; construction fails if the
-    transfer residual exceeds its tolerance.
+    The map carries the invariance certificate.  The program built that
+    density, so a transfer residual above CERTIFICATE_TOL means the grid
+    under-resolves the construction: the ConstructionError names N, the
+    residual, and says to raise N.
     """
     grid = generator.grid
     if grid.dim != 1:
@@ -261,7 +263,14 @@ def make_warped_doubling(generator: VectorFieldT) -> TorusMap:
     x = grid.points()
     g_values = ConjugatedMap(make_linear([[2]], grid), forward, inverse).lift(x) - 2.0 * x
     displacement = VectorFieldT([ScalarField(grid, g_values.reshape(grid.shape))])
-    return TorusMap(grid, [[2]], displacement, density)
+    try:
+        return TorusMap(grid, [[2]], displacement, density)
+    except ConstructionError as exc:
+        raise ConstructionError(
+            f"warped doubling map under-resolved at N = {grid.resolution[0]}: transfer "
+            f"residual {exc.residual:.3e} exceeds {CERTIFICATE_TOL:.0e}; raise N",
+            exc.residual,
+        ) from exc
 
 
 def _warp_conjugacy(generator: VectorFieldT) -> list:
@@ -316,25 +325,14 @@ class ConjugatedMap:
 
 
 class DeformedMap(ConjugatedMap):
-    """The conjugated family T_t = phi^t o T o phi^{-t} for a fixed field:
-    the ConjugatedMap of the flow maps of X at times t and -t (`flow_maps`;
-    ``steps`` is a lower bound on their RK4 substeps).  At the grid points
-    phi^{-t} is read off the grid.
+    """Removed: T_t = phi^t o T o phi^{-t} is
+    ConjugatedMap(T, *flow_maps(X, (t, -t), steps)).  The class keeps only the
+    three method aliases that bench/tracing.py looks up in its own namespace."""
 
-    At t = 0 both flow maps are the zero displacement, so `lift`, the
-    preimage derivatives and the call at points in [0, 1) equal the base
-    map's bit for bit, and the preimages equal the base's reduced mod 1.
-    Elsewhere the call reduces a point before applying T, so it agrees with
-    T only to rounding.
-    """
+    def __init__(self, *args, **kwargs):
+        raise TypeError("DeformedMap is removed: use "
+                        "ConjugatedMap(T, *flow_maps(X, (t, -t), steps))")
 
-    def __init__(self, base: TorusMap, field: VectorFieldT, t: float,
-                 steps: int | None = None):
-        if base.grid != field.grid:
-            raise ValueError("map and field live on different grids")
-        super().__init__(base, *flow_maps(field, (t, -t), steps))
-
-    # bench/tracing.py looks these three up in this class's own namespace
     __call__ = ConjugatedMap.__call__
     lift = ConjugatedMap.lift
     preimages_with_derivative = ConjugatedMap.preimages_with_derivative

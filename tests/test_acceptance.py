@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from conjresp import (
-    DeformedMap,
     ScalarField,
     SolutionStrategy,
     TorusGrid,
@@ -38,6 +37,7 @@ from conjresp import (
     ConjugatedMap,
 )
 from conjresp.cli import main as cli_main
+from conjresp.flow import flow_maps
 
 
 def report(number: int, name: str, ok: bool, detail: str) -> None:
@@ -179,14 +179,15 @@ def test_criterion_5_deformed_invariance(canonical_doubling, warped_map):
     T = make_linear([[2]], grid)
     t = 0.02
     eta_t = pushforward_density(omega, X, t, steps=32)
-    r_doubling = transfer_check(DeformedMap(T, X, t, steps=32), eta_t, 512)
+    r_doubling = transfer_check(ConjugatedMap(T, *flow_maps(X, (t, -t), 32)), eta_t, 512)
     r_doubling_0 = transfer_check(T, omega, 512)
 
     omega_w = warped_map.density
     rho_w = remove_weighted_mean(rho, omega_w)
     X_w = solve_for_field(rho_w, omega_w)
     eta_w_t = pushforward_density(omega_w, X_w, t, steps=32)
-    r_warped = transfer_check(DeformedMap(warped_map, X_w, t, steps=32), eta_w_t, 512)
+    warped_t = ConjugatedMap(warped_map, *flow_maps(X_w, (t, -t), 32))
+    r_warped = transfer_check(warped_t, eta_w_t, 512)
     r_warped_0 = transfer_check(warped_map, omega_w, 512)
 
     ok = (r_doubling <= 1e-4 and r_warped <= 1e-4

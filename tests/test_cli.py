@@ -119,13 +119,36 @@ class TestSolve:
         assert "under-resolved" in err and "4.7e-02" in err and "raise N" in err
         assert not any(out.iterdir())
 
+    def test_failed_warped_certificate_exits_3_naming_the_resolution(self, tmp_path, capsys):
+        # the transfer residual is 5.6e-6 at N = 256 and 8.8e-12 at N = 512
+        modes = [[3, 0.0331 * np.cos(1.277), 0.0331 * np.sin(1.277)]]
+        codes = {}
+        for n in (256, 512):
+            cfg = doubling_config(grid={"resolution": [n]},
+                                  map={"kind": "warped_doubling", "generator_modes": modes})
+            codes[n] = main(["solve", "--config", write_config(tmp_path, cfg, f"{n}.json"),
+                             "--out", str(tmp_path / str(n)), "--quiet"])
+        assert codes == {256: 3, 512: 0}
+        err = capsys.readouterr().err
+        assert err.startswith("convergence error:") and "N = 256" in err and "raise N" in err
+        assert not any((tmp_path / "256").iterdir())
+
     def test_csv_format(self, tmp_path):
-        cfg = write_config(tmp_path, doubling_config())
+        cfg = write_config(tmp_path, doubling_config(output={"format": "csv"}))
         out = tmp_path / "out"
-        assert main(["solve", "--config", cfg, "--out", str(out), "--format", "csv",
-                     "--quiet"]) == 0
+        assert main(["solve", "--config", cfg, "--out", str(out), "--quiet"]) == 0
         text = (out / "solve_X0.csv").read_text()
         assert text.splitlines()[0] == "x1,value"
+
+    def test_format_flag_exits_2_naming_itself(self, tmp_path, capsys):
+        # output.format is the one place the field format is set
+        cfg = write_config(tmp_path, doubling_config())
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--config", cfg, "--out", str(out), "--format", "csv"])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = doubling_config()
@@ -484,11 +507,13 @@ class TestConfigValidation:
         expected = -np.sin(2 * np.pi * x) / (2 * np.pi) + 0.1
         assert np.max(np.abs(shifted.values - expected)) <= 1e-12
 
-    def test_grid_dim_mismatch(self, tmp_path):
+    def test_grid_dim_mismatch(self, tmp_path, capsys):
+        # the dimension is len(grid.resolution); grid.dim is not a key
         cfg = doubling_config()
         cfg["grid"] = {"dim": 2, "resolution": [64]}
         path = write_config(tmp_path, cfg)
         assert main(["solve", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert "['dim'] in section 'grid'" in capsys.readouterr().err
 
 
 def _set(path, value):
@@ -520,7 +545,9 @@ MALFORMED = [
     ("verify", _set(["verify", "steps"], 16.0), "verify.steps"),
     ("verify", _set(["verify", "steps"], "16"), "verify.steps"),
     ("verify", _set(["verify", "t_values"], 0.01), "verify.t_values"),
-    ("sweep", _without_verify_steps(_set(["flow", "steps"], 16.0)), "flow.steps"),
+    # verify.steps is the flow maps' one step setting, and the grid's dimension its length
+    ("sweep", _without_verify_steps(_set(["flow", "steps"], 16)), "['flow']", "flow.steps"),
+    ("verify", _set(["grid", "dim"], 1), "['dim'] in section 'grid'", "grid.dim"),
     ("verify", _set(["verify", "transfer_t"], None), "verify.transfer_t"),
     ("verify", _set(["rho", "modes"], 5), "rho.modes"),
     ("verify", _set(["strategy"], {"custom": {"harmonic": 5}}), "strategy.custom.harmonic"),
@@ -542,7 +569,7 @@ MALFORMED = [
     ("moser", _with_moser(_set(["moser", "pushforward_tol"], float("nan"))),
      "moser.pushforward_tol"),
     ("verify", _set(["verify", "steps"], 0), "verify.steps", "verify.steps-zero"),
-    ("sweep", _without_verify_steps(_set(["flow", "steps"], -1)), "flow.steps",
+    ("sweep", _without_verify_steps(_set(["flow", "steps"], -1)), "['flow']",
      "flow.steps-negative"),
     ("moser", _with_moser(_set(["moser", "steps"], 0)), "moser.steps", "moser.steps-zero"),
     ("verify", _set(["rho", "modes"], [[1, float("nan"), 0.0]]), "rho.modes", "rho.modes-nan"),

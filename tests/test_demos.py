@@ -1,4 +1,5 @@
-"""Smoke test: every demo script runs to completion."""
+"""Smoke tests: every demo script runs to completion, and so do the
+README's examples."""
 
 import os
 import subprocess
@@ -6,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from conjresp.config import load_config
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("0*.py"))
@@ -18,3 +21,21 @@ def test_demo_runs(script, tmp_path):
     proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def readme_block(heading: str, language: str) -> str:
+    """The first fenced ``language`` block under the README heading."""
+    section = (ROOT / "README.md").read_text().split(f"\n{heading}\n", 1)[1]
+    return section.split(f"```{language}\n", 1)[1].split("\n```", 1)[0]
+
+
+def test_readme_quick_start_runs(capsys):
+    exec(compile(readme_block("## Library quick start", "python"), "README.md", "exec"), {})
+    identity, transfer, order = (float(line) for line in capsys.readouterr().out.split())
+    assert identity <= 1e-12 and transfer <= 1e-12 and abs(order - 2.0) <= 0.05
+
+
+def test_readme_config_example_loads(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(readme_block("### Config schema", "json"))
+    assert load_config(path)["scenario_id"] == "doubling-cos"

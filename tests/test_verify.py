@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conjresp import (
-    DeformedMap,
+    ConjugatedMap,
     ExpansionError,
     ScalarField,
     SolutionStrategy,
@@ -24,6 +24,7 @@ from conjresp import (
     solve_for_field,
     transfer_check,
 )
+from conjresp.flow import flow_maps
 
 
 def canonical_setup(n=128):
@@ -169,7 +170,7 @@ class TestTransferCheck:
         T = make_linear([[2]], grid)
         t = 0.02
         eta_t = pushforward_density(omega, X, t, steps=32)
-        residual = transfer_check(DeformedMap(T, X, t, steps=32), eta_t, 512)
+        residual = transfer_check(ConjugatedMap(T, *flow_maps(X, (t, -t), 32)), eta_t, 512)
         assert residual <= 1e-4
 
     def test_wrong_density_is_detected(self):
