@@ -18,7 +18,6 @@ from conjresp import (
     VolumeDensity,
     SolutionStrategy,
     lie_derivative_density,
-    multiply,
     pushforward_density,
     response_check,
     solve_for_field,
@@ -32,7 +31,7 @@ print("solving div(eta X) = -rho eta on a 256-point circle grid")
 for strategy in (SolutionStrategy.canonical(), SolutionStrategy.gradient(),
                  SolutionStrategy.custom((0.1,))):
     X = solve_for_field(rho, omega, strategy)
-    residual = (lie_derivative_density(X, omega) + multiply(rho, omega.eta)).max_abs
+    residual = (lie_derivative_density(X, omega) + rho * omega.eta).max_abs
     print(f"  {strategy.kind:<10} sup|X| = {X.sup_norm:.6f}   "
           f"residual max|div(eta X) + rho eta| = {residual:.2e}")
 

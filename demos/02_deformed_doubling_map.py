@@ -11,10 +11,10 @@ from conjresp import (
     ConjugatedMap,
     ScalarField,
     TorusGrid,
+    TorusMap,
     VolumeDensity,
     deformation_derivative,
     derivative_check,
-    make_linear,
     pushforward_density,
     solve_for_field,
     transfer_check,
@@ -26,7 +26,7 @@ grid = TorusGrid(256)
 omega = VolumeDensity.lebesgue(grid)
 rho = ScalarField.from_modes(grid, [[1, 1.0, 0.0]])
 X = solve_for_field(rho, omega)
-T = make_linear([[2]], grid)
+T = TorusMap(grid, [[2]])
 
 tdot = deformation_derivative(T, X)
 x = grid.axis_points(0)

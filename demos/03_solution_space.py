@@ -14,10 +14,10 @@ from conjresp import (
     ScalarField,
     SolutionStrategy,
     TorusGrid,
+    TorusMap,
     VolumeDensity,
     deformation_derivative,
     invariance_defect,
-    make_linear,
     response_check,
     solve_for_field,
 )
@@ -25,7 +25,7 @@ from conjresp import (
 grid = TorusGrid(256)
 omega = VolumeDensity.lebesgue(grid)
 rho = ScalarField.from_modes(grid, [[1, 1.0, 0.0]])
-T = make_linear([[2]], grid)
+T = TorusMap(grid, [[2]])
 
 X = solve_for_field(rho, omega)
 strategies = {
@@ -52,7 +52,7 @@ for c in (0.1, -0.3):
           f"sup|Tdot' - Tdot| = {max(f.max_abs for f in dtd.components):.6f}")
 
 print("\non the identity map every field is invariant, and Tdot vanishes:")
-identity = make_linear([[1]], grid)
+identity = TorusMap(grid, [[1]])
 _, defect = invariance_defect(identity, X)
 td = deformation_derivative(identity, X)
 print(f"  defect = {defect:.2e}, sup|Tdot| = {max(f.max_abs for f in td.components):.2e}")

@@ -15,12 +15,13 @@ from conjresp import (
     ConjugatedMap,
     ScalarField,
     TorusGrid,
+    TorusMap,
     VectorFieldT,
     VolumeDensity,
-    make_linear,
     make_warped_doubling,
     moser_transport,
     transfer_check,
+    transported_density,
 )
 
 grid = TorusGrid(128)
@@ -28,11 +29,11 @@ omega0 = VolumeDensity.lebesgue(grid)
 omega1 = VolumeDensity.from_modes(grid, [[1, 0.5, 0.0]])  # 1 + 0.5 cos(2 pi x)
 
 transport = moser_transport(omega0, omega1, steps=256)
-pushed = transport.pushforward_density()
+pushed = transported_density(omega0, transport.inverse_transport)
 print("transport from Lebesgue to 1 + 0.5 cos(2 pi x):")
 print(f"  max|psi_* eta0 - eta1| = {np.max(np.abs(pushed.eta.values - omega1.eta.values)):.2e}")
 
-doubling = make_linear([[2]], grid)
+doubling = TorusMap(grid, [[2]])
 conjugated = ConjugatedMap(doubling, transport.transport, transport.inverse_transport)
 residual = transfer_check(conjugated, omega1, 512)
 print(f"  conjugated doubling map preserves the target: transfer residual {residual:.2e}")

@@ -11,6 +11,7 @@ Exit codes: 0 ok, 2 validation failure, 3 convergence failure,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import shutil
 import sys
@@ -18,13 +19,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (TRANSFER_TOL, build_grid, build_map, build_rho, build_strategy,
-                     load_config, naming, required)
+from .config import (PUSHFORWARD_TOL, TRANSFER_TOL, build_grid, build_map, build_rho,
+                     build_strategy, load_config, naming, required)
 from .dynamics import ConjugatedMap
 from .errors import ConfigError, ConstructionError, ConvergenceError, QualityError
-from .exactness import lie_derivative_density, multiply, solve_for_field, solve_potential
+from .exactness import lie_derivative_density, solve_for_field, solve_potential
 from .fields import ScalarField, VolumeDensity, save_field
-from .flow import flow_maps, moser_transport
+from .flow import flow_maps, moser_transport, transported_density
 from .verify import derivative_check, pushforward_density, response_check, transfer_check
 
 EXIT_OK = 0
@@ -93,7 +94,7 @@ def cmd_solve(cfg: dict, out: Path, quiet: bool) -> int:
     for name, field in named + [(f"X{i}", c) for i, c in enumerate(X.components)]:
         save_field(field, out / f"{prefix}_{name}.{fmt}", fmt)
 
-    target = multiply(rho, omega.eta)
+    target = rho * omega.eta
     residual = (lie_derivative_density(X, omega) + target).max_abs
     scale = max(target.max_abs, 1e-300)
     _say(quiet, f"strategy {strategy.kind}: max|div(eta X) + rho eta| = "
@@ -144,11 +145,13 @@ def cmd_moser(cfg: dict, out: Path, quiet: bool) -> int:
     with naming("moser.eta1_modes"):
         omega1 = VolumeDensity.from_modes(grid, eta1_modes)
     steps = moser_cfg["steps"]
-    pushforward_tol = moser_cfg["pushforward_tol"]
     torus_map = None
     if moser_cfg["check_conjugated"]:
-        # psi o T o psi^{-1} preserves psi_* eta0 = eta1 only if T preserves eta0
         torus_map = build_map(cfg, grid)
+        if not torus_map.expanding:  # the transfer check sums over preimages
+            raise ConfigError("moser.check_conjugated needs an expanding circle map; "
+                              "the configured map is not one")
+        # psi o T o psi^{-1} preserves psi_* eta0 = eta1 only if T preserves eta0
         mismatch = float(np.max(np.abs(omega0.eta.values - torus_map.density.eta.values)))
         if mismatch > DENSITY_MATCH_TOL:
             raise ConfigError(
@@ -157,20 +160,20 @@ def cmd_moser(cfg: dict, out: Path, quiet: bool) -> int:
             )
 
     transport = moser_transport(omega0, omega1, steps=steps)
-    pushed = transport.pushforward_density()
+    pushed = transported_density(omega0, transport.inverse_transport)
     residual = float(np.max(np.abs(pushed.eta.values - omega1.eta.values)))
     _say(quiet, f"pushforward residual max|psi_* eta0 - eta1| = {residual:.3e}")
 
     # (name, residual, tolerance) of each check made
-    checks = [("pushforward", residual, pushforward_tol)]
+    checks = [("pushforward", residual, PUSHFORWARD_TOL)]
     transfer = None
     if torus_map is not None:
         conjugated = ConjugatedMap(torus_map, transport.transport, transport.inverse_transport)
         resolution = moser_cfg["transfer_resolution"]
         transfer_residual = transfer_check(conjugated, omega1, resolution)
-        checks.append(("conjugated-map transfer", transfer_residual, moser_cfg["transfer_tol"]))
+        checks.append(("conjugated-map transfer", transfer_residual, TRANSFER_TOL))
         transfer = {"resolution": resolution, "residual": transfer_residual,
-                    "passed": transfer_residual <= moser_cfg["transfer_tol"]}
+                    "passed": transfer_residual <= TRANSFER_TOL}
         _say(quiet, f"conjugated-map transfer residual = {transfer_residual:.3e}")
 
     failing = [f"{name} residual {value:.3e} > {tol:.1e}" for name, value, tol in checks
@@ -180,7 +183,7 @@ def cmd_moser(cfg: dict, out: Path, quiet: bool) -> int:
         "scenario_id": cfg["scenario_id"],
         "steps": steps,
         "pushforward_residual": residual,
-        "pushforward_tol": pushforward_tol,
+        "pushforward_tol": PUSHFORWARD_TOL,
         "transfer": transfer,
         "passed": bool(passed),
     }
@@ -194,7 +197,7 @@ def cmd_moser(cfg: dict, out: Path, quiet: bool) -> int:
 def cmd_sweep(cfg: dict, out: Path, quiet: bool) -> int:
     grids = [build_grid(cfg, n) for n in cfg["verify"]["resolutions"] or [None]]
 
-    lines = ["scenario_id,N,t,response_error,derivative_error,transfer_residual,fitted_order"]
+    rows = []
     for grid in grids:
         response, derivative, transfers = _checks(cfg, grid, cfg["verify"]["t_values"])
         fitted = response.fitted_order if response.fitted_order is not None else float("nan")
@@ -202,10 +205,14 @@ def cmd_sweep(cfg: dict, out: Path, quiet: bool) -> int:
                      else [float("nan")] * len(response.t_values))
         for t, re_, de, tr in zip(response.t_values, response.errors, derivative.errors,
                                   residuals):
-            lines.append(f"{cfg['scenario_id']},{grid.resolution[0]},{t:.17g},{re_:.17g},{de:.17g},"
-                         f"{tr:.17g},{fitted:.17g}")
-    (out / "sweep.csv").write_text("\n".join(lines) + "\n")
-    _say(quiet, f"wrote {len(lines) - 1} sweep rows to {out / 'sweep.csv'}")
+            rows.append([cfg["scenario_id"], grid.resolution[0],
+                         *(f"{value:.17g}" for value in (t, re_, de, tr, fitted))])
+    with open(out / "sweep.csv", "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")  # quotes only the cells that need it
+        writer.writerow(["scenario_id", "N", "t", "response_error", "derivative_error",
+                         "transfer_residual", "fitted_order"])
+        writer.writerows(rows)
+    _say(quiet, f"wrote {len(rows)} sweep rows to {out / 'sweep.csv'}")
     return EXIT_OK
 
 

@@ -20,7 +20,8 @@ from .fields import ScalarField, TorusGrid, VectorFieldT, VolumeDensity
 from .verify import checked_t_values
 
 TRANSFER_RESOLUTION = 512  # transfer-check targets of verify and moser
-TRANSFER_TOL = 1e-4  # verify's transfer pass threshold, moser.transfer_tol's default
+PUSHFORWARD_TOL = 1e-6  # moser's bound on max|psi_* eta0 - eta1|
+TRANSFER_TOL = 1e-4  # the transfer checks' bound, in verify and moser
 
 # section -> key -> default, or the JSON type of a key without one (it reads
 # None when absent); a float key accepts any number and reads a float
@@ -32,12 +33,11 @@ KEYS = {
     "verify": {"t_values": list, "steps": int, "transfer_t": 0.02,
                "transfer_resolution": TRANSFER_RESOLUTION, "resolutions": list},
     "moser": {"eta0_modes": list, "eta1_modes": list, "steps": 256,
-              "check_conjugated": False, "pushforward_tol": 1e-6,
-              "transfer_tol": TRANSFER_TOL, "transfer_resolution": TRANSFER_RESOLUTION},
+              "check_conjugated": False, "transfer_resolution": TRANSFER_RESOLUTION},
     "output": {"format": "json", "prefix": "solve"},
 }
-POSITIVE_KEYS = (("verify", "steps"), ("moser", "steps"),  # each > 0
-                 ("moser", "pushforward_tol"), ("moser", "transfer_tol"))
+POSITIVE_KEYS = (("verify", "steps"), ("verify", "transfer_t"),  # each > 0
+                 ("moser", "steps"))
 CUSTOM_STRATEGY_KEYS = {"harmonic": list, "alpha_modes": list}
 MAP_KINDS = {"linear": {"A"}, "custom": {"A", "displacement_modes", "eta_modes"},
              "warped_doubling": {"generator_modes"}}

@@ -47,7 +47,6 @@ WARP_FACTORS = 8
 
 __all__ = [
     "TorusMap",
-    "make_linear",
     "make_warped_doubling",
     "ConjugatedMap",
     "deformation_derivative",
@@ -60,7 +59,9 @@ class TorusMap:
     (default Lebesgue).  Invariance is certified exactly (residual 0.0) when
     g = 0 and the density is flat, by a transfer residual <= CERTIFICATE_TOL
     on any other expanding circle map (ConstructionError above it), and
-    not at all otherwise (``certified`` False)."""
+    not at all otherwise (``certified`` False).  With g = 0 the map is
+    integer-linear: [[2]] is the circle doubling map, [[2, 1], [1, 1]] the
+    cat map."""
 
     def __init__(self, grid: TorusGrid, matrix, displacement: VectorFieldT | None = None,
                  density: VolumeDensity | None = None):
@@ -238,13 +239,6 @@ def transfer_check(T_t, eta_t: VolumeDensity, resolution: int) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def make_linear(matrix, grid: TorusGrid) -> TorusMap:
-    """Integer-linear torus map; Lebesgue is invariant.  The single-entry
-    matrix [[2]] is the circle doubling map, [[2, 1], [1, 1]] the cat map,
-    and [[1]] the (degenerate) identity."""
-    return TorusMap(grid, matrix)
-
-
 def make_warped_doubling(generator: VectorFieldT) -> TorusMap:
     """Doubling map D conjugated by the time-one flow h of the generator:
     T = h o D o h^{-1} (`ConjugatedMap`, with h^{+-1} from `_warp_conjugacy`),
@@ -261,7 +255,7 @@ def make_warped_doubling(generator: VectorFieldT) -> TorusMap:
     forward, inverse = _warp_conjugacy(generator)
     density = transported_density(VolumeDensity.lebesgue(grid), inverse)
     x = grid.points()
-    g_values = ConjugatedMap(make_linear([[2]], grid), forward, inverse).lift(x) - 2.0 * x
+    g_values = ConjugatedMap(TorusMap(grid, [[2]]), forward, inverse).lift(x) - 2.0 * x
     displacement = VectorFieldT([ScalarField(grid, g_values.reshape(grid.shape))])
     try:
         return TorusMap(grid, [[2]], displacement, density)

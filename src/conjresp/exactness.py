@@ -37,9 +37,7 @@ from .fields import (
     VectorFieldT,
     VolumeDensity,
     divergence,
-    divide,
     gradient,
-    multiply,
 )
 
 MEAN_ZERO_TOL = 1e-10
@@ -128,7 +126,7 @@ def exact_primitive(h: ScalarField) -> CoVectorForm:
 def weighted_response(rho: ScalarField, omega: VolumeDensity) -> ScalarField:
     """rho * eta, after the gate that every construction needs: the integral
     of rho against the density must vanish."""
-    weighted = multiply(rho, omega.eta)
+    weighted = rho * omega.eta
     if abs(weighted.mean) > MEAN_ZERO_TOL:
         raise NormalizationError(
             "rho violates the mean-zero requirement: its integral against the "
@@ -165,14 +163,14 @@ def add_closed_form(theta: CoVectorForm, strategy: SolutionStrategy) -> CoVector
 def contract(X: VectorFieldT, omega: VolumeDensity) -> CoVectorForm:
     """The contraction i_X (eta vol): the form whose flux is eta X."""
     return CoVectorForm.from_flux(
-        VectorFieldT([multiply(omega.eta, c) for c in X.components])
+        VectorFieldT([omega.eta * c for c in X.components])
     )
 
 
 def contract_inverse(theta: CoVectorForm, omega: VolumeDensity) -> VectorFieldT:
-    """The unique X with i_X (eta vol) = theta (eta is nowhere zero): the
-    flux of theta divided by eta."""
-    return VectorFieldT([divide(c, omega.eta) for c in theta.flux().components])
+    """The unique X with i_X (eta vol) = theta: the flux of theta divided by
+    eta, a quotient that raises PositivityError unless eta > 0 on the grid."""
+    return VectorFieldT([c / omega.eta for c in theta.flux().components])
 
 
 def lie_derivative_density(X: VectorFieldT, omega: VolumeDensity) -> ScalarField:
@@ -187,7 +185,7 @@ def lie_derivative_density(X: VectorFieldT, omega: VolumeDensity) -> ScalarField
 
 def remove_weighted_mean(rho: ScalarField, omega: VolumeDensity) -> ScalarField:
     """Subtract the eta-weighted mean so the zero-integral gate passes."""
-    shift = multiply(rho, omega.eta).mean / omega.eta.mean
+    shift = (rho * omega.eta).mean / omega.eta.mean
     return rho - shift
 
 

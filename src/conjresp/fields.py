@@ -37,8 +37,6 @@ __all__ = [
     "VolumeDensity",
     "VectorFieldT",
     "CoVectorForm",
-    "multiply",
-    "divide",
     "gradient",
     "divergence",
     "wrap_difference",
@@ -336,9 +334,11 @@ class ScalarField:
         return ScalarField(self.grid, -self.values)
 
     def __truediv__(self, other):
+        """Pointwise quotient; a field denominator must live on the same
+        grid and be strictly positive."""
         if isinstance(other, ScalarField):
-            return divide(self, other)
-        return ScalarField(self.grid, self.values / float(other))
+            _require_positive(other, "quotient denominator")
+        return self._binary(other, np.divide)
 
     def __repr__(self):
         return f"ScalarField(grid={self.grid!r}, mean={self.mean:.3g}, max_abs={self.max_abs:.3g})"
@@ -348,19 +348,6 @@ def _require_same_grid(*objects):
     grids = {obj.grid for obj in objects}
     if len(grids) > 1:
         raise ValueError(f"operands live on different grids: {sorted(g.resolution for g in grids)}")
-
-
-def multiply(f: ScalarField, g: ScalarField) -> ScalarField:
-    """Pointwise product on the grid."""
-    _require_same_grid(f, g)
-    return ScalarField(f.grid, f.values * g.values)
-
-
-def divide(f: ScalarField, g: ScalarField) -> ScalarField:
-    """Pointwise quotient; the denominator must be strictly positive."""
-    _require_same_grid(f, g)
-    _require_positive(g, "quotient denominator")
-    return ScalarField(f.grid, f.values / g.values)
 
 
 def _require_positive(f: ScalarField, what: str) -> None:

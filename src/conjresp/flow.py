@@ -450,7 +450,9 @@ class MoserFlow:
     """Time-one transport pushing omega0 forward to omega1.
 
     Calling the object (or `transport`) integrates points from s = 0 to 1;
-    `inverse_transport` runs the same nonautonomous field backwards.
+    `inverse_transport` runs the same nonautonomous field backwards, so
+    `transported_density(omega0, flow.inverse_transport)` is the transported
+    omega0 to compare against omega1.
     """
 
     def __init__(self, theta, omega0: VolumeDensity, omega1: VolumeDensity,
@@ -492,10 +494,6 @@ class MoserFlow:
 
     def inverse_transport(self, points, jacobian: bool = True) -> FlowEvaluation:
         return self._run(points, 1.0, 0.0, jacobian)
-
-    def pushforward_density(self) -> VolumeDensity:
-        """The transported omega0, for comparison against the target omega1."""
-        return transported_density(self.omega0, self.inverse_transport)
 
 
 def moser_transport(omega0: VolumeDensity, omega1: VolumeDensity,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import ConjugatedMap, TorusMap, deformation_derivative, transfer_check
-from .fields import ScalarField, VectorFieldT, VolumeDensity, multiply, wrap_difference
+from .fields import ScalarField, VectorFieldT, VolumeDensity, wrap_difference
 from .flow import flow_map, flow_maps, transported_density
 
 NOISE_FLOOR = 1e-11
@@ -92,7 +92,7 @@ def response_check(omega: VolumeDensity, rho: ScalarField, X: VectorFieldT,
         return pushforward_density(omega, X, t, steps=steps).eta.values
 
     return _central_difference_check(t_values, lambda t: eta(t) - eta(-t),
-                                     multiply(rho, omega.eta).values)
+                                     (rho * omega.eta).values)
 
 
 def derivative_check(T: TorusMap, X: VectorFieldT, t_values,

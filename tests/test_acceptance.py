@@ -16,22 +16,22 @@ from conjresp import (
     ScalarField,
     SolutionStrategy,
     TorusGrid,
+    TorusMap,
     VectorFieldT,
     VolumeDensity,
     deformation_derivative,
     derivative_check,
     invariance_defect,
     lie_derivative_density,
-    make_linear,
     make_warped_doubling,
     moser_transport,
-    multiply,
     pushforward_density,
     remove_weighted_mean,
     response_check,
     solve_for_field,
     solve_weighted_poisson,
     transfer_check,
+    transported_density,
     divergence,
     gradient,
     ConjugatedMap,
@@ -118,7 +118,7 @@ def test_criterion_1_construction_identity(scenarios):
         for rho in rhos:
             for strategy in strategies + [custom_strategy(dim)]:
                 X = solve_for_field(rho, omega, strategy)
-                target = multiply(rho, omega.eta)
+                target = rho * omega.eta
                 residual = (lie_derivative_density(X, omega) + target).max_abs
                 worst = max(worst, residual / target.max_abs)
                 count += 1
@@ -132,7 +132,7 @@ def test_criterion_2_analytic_oracle(canonical_doubling):
     grid, omega, rho, X = canonical_doubling
     x = grid.axis_points(0)
     x_err = float(np.max(np.abs(X.components[0].values + np.sin(2 * np.pi * x) / (2 * np.pi))))
-    T = make_linear([[2]], grid)
+    T = TorusMap(grid, [[2]])
     td = deformation_derivative(T, X)
     td_expected = np.sin(2 * np.pi * x) / np.pi - np.sin(4 * np.pi * x) / (2 * np.pi)
     td_err = float(np.max(np.abs(td.components[0].values - td_expected)))
@@ -158,14 +158,14 @@ def test_criterion_3_first_order_response(response_scenarios):
 
 def test_criterion_4_deformation_derivative(canonical_doubling):
     grid, omega, rho, X = canonical_doubling
-    T = make_linear([[2]], grid)
+    T = TorusMap(grid, [[2]])
     rep = derivative_check(T, X, T_SWEEP, steps=16)
     t2 = TorusGrid((64, 64))
     rho2 = ScalarField.from_modes(t2, [[1, 0, 1.0, 0.0]])
     X2 = solve_for_field(rho2, VolumeDensity.lebesgue(t2))
-    cat = make_linear([[2, 1], [1, 1]], t2)
+    cat = TorusMap(t2, [[2, 1], [1, 1]])
     rep2 = derivative_check(cat, X2, T_SWEEP, steps=10)
-    identity = make_linear([[1]], grid)
+    identity = TorusMap(grid, [[1]])
     td_identity = deformation_derivative(identity, X)
     identity_sup = max(c.max_abs for c in td_identity.components)
     ok = rep.passed and rep2.passed and identity_sup <= 1e-10
@@ -176,7 +176,7 @@ def test_criterion_4_deformation_derivative(canonical_doubling):
 
 def test_criterion_5_deformed_invariance(canonical_doubling, warped_map):
     grid, omega, rho, X = canonical_doubling
-    T = make_linear([[2]], grid)
+    T = TorusMap(grid, [[2]])
     t = 0.02
     eta_t = pushforward_density(omega, X, t, steps=32)
     r_doubling = transfer_check(ConjugatedMap(T, *flow_maps(X, (t, -t), 32)), eta_t, 512)
@@ -204,7 +204,7 @@ def test_criterion_6_solution_multiplicity(canonical_doubling):
     shift_err = float(np.max(np.abs(
         X_custom.components[0].values - (X.components[0].values + c / omega.eta.values))))
 
-    T = make_linear([[2]], grid)
+    T = TorusMap(grid, [[2]])
     V = X_custom - X
     _, defect_sup = invariance_defect(T, V)
     td_diff = deformation_derivative(T, X_custom) - deformation_derivative(T, X)
@@ -256,13 +256,13 @@ def test_criterion_7_weighted_poisson(warped_map):
     grid = TorusGrid(256)
     omega = VolumeDensity.from_modes(grid, [[1, 0.5, 0.0]])
     u_true = ScalarField.from_modes(grid, [[1, 0.0, 1.0]])
-    g = divergence(VectorFieldT([multiply(omega.eta, u_true.derivative(0))]))
+    g = divergence(VectorFieldT([omega.eta * u_true.derivative(0)]))
     u = solve_weighted_poisson(omega, g)
     u_err = float(np.max(np.abs(u.values - u_true.values)))
 
     rho = ScalarField.from_modes(grid, [[2, 1.0, 0.0]])  # zero mean against eta
     X = solve_for_field(rho, omega, SolutionStrategy.gradient())
-    target = multiply(rho, omega.eta)
+    target = rho * omega.eta
     residual = (lie_derivative_density(X, omega) + target).max_abs / target.max_abs
     rep = response_check(omega, rho, X, T_SWEEP, steps=16)
 
@@ -277,10 +277,10 @@ def test_criterion_8_moser_transport():
     omega0 = VolumeDensity.lebesgue(grid)
     omega1 = VolumeDensity.from_modes(grid, [[1, 0.5, 0.0]])
     transport = moser_transport(omega0, omega1, steps=256)
-    pushed = transport.pushforward_density()
+    pushed = transported_density(omega0, transport.inverse_transport)
     push_residual = float(np.max(np.abs(pushed.eta.values - omega1.eta.values)))
 
-    doubling = make_linear([[2]], grid)
+    doubling = TorusMap(grid, [[2]])
     conjugated = ConjugatedMap(doubling, transport.transport, transport.inverse_transport)
     trans_residual = transfer_check(conjugated, omega1, 512)
 

@@ -1,5 +1,6 @@
 """The batch front end: config validation, exit codes, artifacts, determinism."""
 
+import csv
 import gc
 import json
 import os
@@ -239,22 +240,25 @@ class TestMoser:
 
     def test_failure_names_the_failing_check_with_its_residual_and_tolerance(
             self, tmp_path, capsys):
-        cfg = {
-            "grid": {"resolution": [64]},
-            "map": {"kind": "linear", "A": [[2]]},
-            "moser": {"eta1_modes": [[1, 0.2, 0.0]], "steps": 32, "check_conjugated": True,
-                      "transfer_resolution": 64, "transfer_tol": 1e-300},
-        }
-        path = write_config(tmp_path, cfg)
-        out = tmp_path / "o"
-        assert main(["moser", "--config", path, "--out", str(out), "--quiet"]) == 3
-        report = json.loads((out / "moser_report.json").read_text())
-        assert report["pushforward_residual"] <= report["pushforward_tol"]
-        assert report["transfer"]["passed"] is False
-        err = capsys.readouterr().err
-        assert (f"conjugated-map transfer residual {report['transfer']['residual']:.3e} "
-                "> 1.0e-300") in err
-        assert "pushforward" not in err
+        # too few steps for this target: 2 fail both checks, 4 only the pushforward
+        for steps, transfer_passes in ((2, False), (4, True)):
+            cfg = {
+                "grid": {"resolution": [64]},
+                "map": {"kind": "linear", "A": [[2]]},
+                "moser": {"eta1_modes": [[1, 0.5, 0.0]], "steps": steps,
+                          "check_conjugated": True, "transfer_resolution": 64},
+            }
+            path = write_config(tmp_path, cfg)
+            out = tmp_path / f"o{steps}"
+            assert main(["moser", "--config", path, "--out", str(out), "--quiet"]) == 3
+            report = json.loads((out / "moser_report.json").read_text())
+            assert report["pushforward_tol"] == 1e-6
+            assert report["transfer"]["passed"] is transfer_passes
+            err = capsys.readouterr().err
+            assert f"pushforward residual {report['pushforward_residual']:.3e} > 1.0e-06" in err
+            transfer = (f"conjugated-map transfer residual "
+                        f"{report['transfer']['residual']:.3e} > 1.0e-04")
+            assert (transfer in err) is not transfer_passes
 
     def test_conjugated_check_rejects_non_invariant_eta0(self, tmp_path, capsys):
         cfg = {
@@ -267,6 +271,26 @@ class TestMoser:
         assert main(["moser", "--config", path, "--out", str(tmp_path / "o"), "--quiet"]) == 2
         err = capsys.readouterr().err
         assert "eta0" in err and "invariant density" in err
+
+    @pytest.mark.parametrize("resolution, A, eta1_modes", [
+        ([64], [[1]], [[1, 0.3, 0.0]]),
+        ([16, 16], [[2, 1], [1, 1]], [[1, 0, 0.3, 0.0]]),
+    ], ids=["identity", "cat"])
+    def test_conjugated_check_rejects_a_non_expanding_map_before_transport(
+            self, tmp_path, capsys, monkeypatch, resolution, A, eta1_modes):
+        def no_transport(*args, **kwargs):
+            raise AssertionError("moser_transport ran before the map was checked")
+
+        monkeypatch.setattr("conjresp.cli.moser_transport", no_transport)
+        cfg = {
+            "grid": {"resolution": resolution},
+            "map": {"kind": "linear", "A": A},
+            "moser": {"eta1_modes": eta1_modes, "steps": 16, "check_conjugated": True},
+        }
+        path = write_config(tmp_path, cfg)
+        assert main(["moser", "--config", path, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "moser.check_conjugated needs an expanding circle map" in err
 
     def test_missing_target_exits_2(self, tmp_path):
         cfg = {"grid": {"resolution": [64]}, "moser": {"steps": 16}}
@@ -328,6 +352,20 @@ class TestSweep:
         cfg["verify"]["t_values"] = []
         path = write_config(tmp_path, cfg)
         assert main(["sweep", "--config", path, "--out", str(tmp_path / "o")]) == 2
+
+    def test_scenario_id_with_csv_specials_reads_back(self, tmp_path):
+        scenario_id = 'a,b "c"\nd'
+        cfg = doubling_config(scenario_id=scenario_id)
+        cfg["grid"] = {"resolution": [64]}
+        cfg["verify"]["transfer_resolution"] = 128
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", path, "--out", str(out), "--quiet"]) == 0
+        with open(out / "sweep.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [row["scenario_id"] for row in rows] == [scenario_id] * 3
+        assert [float(row["t"]) for row in rows] == cfg["verify"]["t_values"]
+        assert all(None not in row for row in rows)  # no cell beyond the header
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = doubling_config()
@@ -577,14 +615,20 @@ MALFORMED = [
      "verify.transfer_resolution-zero"),
     ("moser", _with_moser(_set(["moser", "transfer_resolution"], 6)),
      "moser.transfer_resolution"),
-    ("moser", _with_moser(_set(["moser", "pushforward_tol"], -1)), "moser.pushforward_tol",
-     "moser.pushforward_tol-negative"),
-    ("moser", _with_moser(_set(["moser", "pushforward_tol"], 0)), "moser.pushforward_tol",
-     "moser.pushforward_tol-zero"),
-    ("moser", _with_moser(_set(["moser", "transfer_tol"], -1)), "moser.transfer_tol",
-     "moser.transfer_tol-negative"),
-    ("moser", _with_moser(_set(["moser", "transfer_tol"], 0)), "moser.transfer_tol",
-     "moser.transfer_tol-zero"),
+    # moser's tolerances are the constants config.PUSHFORWARD_TOL and TRANSFER_TOL
+    ("moser", _with_moser(_set(["moser", "pushforward_tol"], -1)),
+     "['pushforward_tol'] in section 'moser'", "moser.pushforward_tol-negative"),
+    ("moser", _with_moser(_set(["moser", "pushforward_tol"], 0)),
+     "['pushforward_tol'] in section 'moser'", "moser.pushforward_tol-zero"),
+    ("moser", _with_moser(_set(["moser", "transfer_tol"], -1)),
+     "['transfer_tol'] in section 'moser'", "moser.transfer_tol-negative"),
+    ("moser", _with_moser(_set(["moser", "transfer_tol"], 0)),
+     "['transfer_tol'] in section 'moser'", "moser.transfer_tol-zero"),
+    # T_0 = T, so a transfer check at t = 0 tests nothing
+    ("verify", _set(["verify", "transfer_t"], 0), "verify.transfer_t must be positive",
+     "verify.transfer_t-zero"),
+    ("verify", _set(["verify", "transfer_t"], -0.02), "verify.transfer_t must be positive",
+     "verify.transfer_t-negative"),
     ("solve", _set(["map"], {"kind": "custom", "A": [[2]], "eta_modes": [[1, 0.3, 0.1]]}),
      "map.eta_modes", "map.eta_modes-not-invariant"),
     ("solve", _set(["output", "prefix"], "sub/x"), "output.prefix", "output.prefix-path"),

@@ -2,13 +2,14 @@
 README's examples."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from conjresp.config import load_config
+from conjresp.config import CUSTOM_STRATEGY_KEYS, KEYS, load_config
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("0*.py"))
@@ -39,3 +40,12 @@ def test_readme_config_example_loads(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(readme_block("### Config schema", "json"))
     assert load_config(path)["scenario_id"] == "doubling-cos"
+
+
+def test_readme_config_table_is_the_schema():
+    section = (ROOT / "README.md").read_text().split("\n### Config schema\n", 1)[1]
+    rows = re.findall(r"^\| `([^`]+)` \|", section.split("\n### ", 1)[0], re.MULTILINE)
+    keys = ["scenario_id", "strategy",
+            *(f"strategy.custom.{key}" for key in CUSTOM_STRATEGY_KEYS),
+            *(f"{name}.{key}" for name, table in KEYS.items() for key in table)]
+    assert sorted(rows) == sorted(keys)

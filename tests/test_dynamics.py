@@ -26,7 +26,6 @@ from conjresp import (
     deformation_derivative,
     integrate_flow,
     invariance_defect,
-    make_linear,
     make_warped_doubling,
     solve_for_field,
     wrap_difference,
@@ -55,13 +54,13 @@ def warped():
 
 class TestMakeLinear:
     def test_doubling(self):
-        T = make_linear([[2]], TorusGrid(32))
+        T = TorusMap(TorusGrid(32), [[2]])
         assert abs(T([0.3])[0, 0] - 0.6) <= 1e-15
         assert T.degree == 2
         assert T.certified and T.certificate_residual == 0.0
 
     def test_cat_map(self):
-        T = make_linear([[2, 1], [1, 1]], TorusGrid((16, 16)))
+        T = TorusMap(TorusGrid((16, 16)), [[2, 1], [1, 1]])
         got = T([[0.5, 0.5]])[0]
         assert np.allclose(got, [0.5, 0.0], atol=1e-15)
 
@@ -73,21 +72,21 @@ class TestMakeLinear:
         assert T.certified and T.certificate_residual == 0.0
 
     def test_identity(self):
-        T = make_linear([[1]], TorusGrid(16))
+        T = TorusMap(TorusGrid(16), [[1]])
         pts = np.array([[0.12], [0.8]])
         assert np.array_equal(T(pts), pts)
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
-            make_linear([[0]], TorusGrid(16))
+            TorusMap(TorusGrid(16), [[0]])
         with pytest.raises(ValueError):
-            make_linear([[1, 1], [1, 1]], TorusGrid((16, 16)))
+            TorusMap(TorusGrid((16, 16)), [[1, 1], [1, 1]])
 
     def test_non_integer_rejected(self):
         with pytest.raises(ValueError):
-            make_linear([[1.5]], TorusGrid(16))
+            TorusMap(TorusGrid(16), [[1.5]])
         with pytest.raises(ValueError, match="integer matrix"):
-            make_linear([["a"]], TorusGrid(16))
+            TorusMap(TorusGrid(16), [["a"]])
 
 
 def hand_warped_doubling(generator):
@@ -116,7 +115,7 @@ def conjugated_doubling(forward, inverse):
     at the grid points, as the warped construction evaluates them."""
     grid = forward.grid
     x = grid.points()
-    g = ConjugatedMap(make_linear([[2]], grid), forward, inverse).lift(x)[:, 0] - 2.0 * x[:, 0]
+    g = ConjugatedMap(TorusMap(grid, [[2]]), forward, inverse).lift(x)[:, 0] - 2.0 * x[:, 0]
     return g, transported_density(VolumeDensity.lebesgue(grid), inverse).eta.values.ravel()
 
 
@@ -251,21 +250,21 @@ class TestReductionIntoUnitInterval:
     def test_maps_and_transports_reduce_into_the_unit_interval(self):
         # x % 1.0 alone rounds -1e-17 up to 1.0
         grid = TorusGrid(64)
-        assert np.array_equal(make_linear([[2]], grid)([[-1e-17]]), [[0.0]])
+        assert np.array_equal(TorusMap(grid, [[2]])([[-1e-17]]), [[0.0]])
         assert np.array_equal(FlowEvaluation(np.array([[-1e-17]]), None, 0.0, 0).points,
                               [[0.0]])
 
         def transport(shift):
             return lambda pts, jacobian=True: FlowEvaluation(pts + shift, None, 0.0, 0)
 
-        conjugated = ConjugatedMap(make_linear([[1]], grid), transport(-1e-17), transport(0.0))
+        conjugated = ConjugatedMap(TorusMap(grid, [[1]]), transport(-1e-17), transport(0.0))
         assert np.array_equal(conjugated([[0.0]]), [[0.0]])
 
 
 class TestDeformationDerivative:
     def test_identity_map_gives_zero(self):
         grid = TorusGrid(64)
-        T = make_linear([[1]], grid)
+        T = TorusMap(grid, [[1]])
         X = canonical_field(grid)
         td = deformation_derivative(T, X)
         assert td.components[0].max_abs <= 1e-12
@@ -274,7 +273,7 @@ class TestDeformationDerivative:
         # -2 X(x) + X(2x) with X = -sin(2 pi x)/(2 pi):
         # sin(2 pi x)/pi - sin(4 pi x)/(2 pi)
         grid = TorusGrid(64)
-        T = make_linear([[2]], grid)
+        T = TorusMap(grid, [[2]])
         td = deformation_derivative(T, canonical_field(grid))
         x = grid.axis_points(0)
         expected = np.sin(2 * np.pi * x) / np.pi - np.sin(4 * np.pi * x) / (2 * np.pi)
@@ -282,12 +281,12 @@ class TestDeformationDerivative:
 
     def test_zero_field(self):
         grid = TorusGrid(32)
-        td = deformation_derivative(make_linear([[2]], grid), VectorFieldT.zero(grid))
+        td = deformation_derivative(TorusMap(grid, [[2]]), VectorFieldT.zero(grid))
         assert td.components[0].max_abs == 0.0
 
     def test_two_torus(self):
         grid = TorusGrid((32, 32))
-        T = make_linear([[2, 1], [1, 1]], grid)
+        T = TorusMap(grid, [[2, 1], [1, 1]])
         rho = ScalarField.from_modes(grid, [[1, 0, 1.0, 0.0]])
         X = solve_for_field(rho, VolumeDensity.lebesgue(grid))
         td = deformation_derivative(T, X)
@@ -322,7 +321,7 @@ class TestDeformedMap:
         # keeps only the three methods the benchmark's tracer wraps
         from conjresp.dynamics import DeformedMap
         with pytest.raises(TypeError, match=r"ConjugatedMap\(T, \*flow_maps"):
-            DeformedMap(make_linear([[2]], TorusGrid(64)), canonical_field(TorusGrid(64)), 0.1)
+            DeformedMap(TorusMap(TorusGrid(64), [[2]]), canonical_field(TorusGrid(64)), 0.1)
         assert {"__call__", "lift", "preimages_with_derivative"} <= set(vars(DeformedMap))
         assert not hasattr(conjresp, "DeformedMap")
 
@@ -333,7 +332,7 @@ class TestDeformedMap:
         inside = np.array([[0.0], [0.3], [0.5], [0.77], [0.999]])
         outside = np.array([[-0.4], [-1e-3], [1.0], [1.3], [2.75]])
         y = np.linspace(0.0, 1.0, 17, endpoint=False)
-        for T in (make_linear([[2]], TorusGrid(64)), warped):
+        for T in (TorusMap(TorusGrid(64), [[2]]), warped):
             D = ConjugatedMap(T, *flow_maps(canonical_field(T.grid), (0.0, -0.0)))
             for pts in (inside, outside):
                 assert np.array_equal(D.lift(pts), T.lift(pts))
@@ -346,7 +345,7 @@ class TestDeformedMap:
 
     def test_finite_difference_matches_derivative(self):
         grid = TorusGrid(64)
-        T = make_linear([[2]], grid)
+        T = TorusMap(grid, [[2]])
         X = canonical_field(grid)
         td = deformation_derivative(T, X).values_matrix()
         pts = grid.points()
@@ -358,7 +357,7 @@ class TestDeformedMap:
 
     def test_degree_preserved(self):
         grid = TorusGrid(64)
-        T = make_linear([[2]], grid)
+        T = TorusMap(grid, [[2]])
         X = canonical_field(grid)
         D = ConjugatedMap(T, *flow_maps(X, (0.05, -0.05), 64))
         ends = D.lift(np.array([[0.0], [1.0]]))
@@ -367,7 +366,7 @@ class TestDeformedMap:
     def test_conjugacy_consistency(self):
         # T_t o phi^t = phi^t o T pointwise
         grid = TorusGrid(64)
-        T = make_linear([[2]], grid)
+        T = TorusMap(grid, [[2]])
         X = canonical_field(grid)
         t = 0.2
         D = ConjugatedMap(T, *flow_maps(X, (t, -t), 64))
@@ -380,7 +379,7 @@ class TestDeformedMap:
     def test_first_order_law(self):
         # ||(T_t - T)/t - Tdot|| decays linearly on a geometric t sequence
         grid = TorusGrid(64)
-        T = make_linear([[2]], grid)
+        T = TorusMap(grid, [[2]])
         X = canonical_field(grid)
         td = deformation_derivative(T, X).values_matrix()
         pts = grid.points()
@@ -413,7 +412,7 @@ class TestKernelLaw:
     def test_derivative_difference_is_invariance_defect(self):
         # Tdot(X) - Tdot(Y) = -(DT(V) - V o T) with V = X - Y, identically
         grid = TorusGrid(64)
-        T = make_linear([[2]], grid)
+        T = TorusMap(grid, [[2]])
         omega = VolumeDensity.lebesgue(grid)
         rho = ScalarField.from_modes(grid, [[1, 1.0, 0.0]])
         X = solve_for_field(rho, omega, SolutionStrategy.canonical())
@@ -429,7 +428,7 @@ class TestKernelLaw:
 class TestInvarianceDefect:
     def test_zero_field(self):
         grid = TorusGrid(32)
-        field, sup = invariance_defect(make_linear([[2]], grid), VectorFieldT.zero(grid))
+        field, sup = invariance_defect(TorusMap(grid, [[2]]), VectorFieldT.zero(grid))
         assert sup == 0.0 and field.max_abs == 0.0
 
     def test_doubling_constant_field(self):
@@ -437,7 +436,7 @@ class TestInvarianceDefect:
         grid = TorusGrid(32)
         c = 0.37
         field, sup = invariance_defect(
-            make_linear([[2]], grid), VectorFieldT([ScalarField.constant(grid, c)])
+            TorusMap(grid, [[2]]), VectorFieldT([ScalarField.constant(grid, c)])
         )
         assert abs(sup - c) <= 1e-14
         assert np.max(np.abs(field.values - c)) <= 1e-14
@@ -446,14 +445,14 @@ class TestInvarianceDefect:
         grid = TorusGrid(64)
         x = grid.axis_points(0)
         V = VectorFieldT([ScalarField(grid, 0.3 + 0.2 * np.sin(2 * np.pi * x))])
-        _, sup = invariance_defect(make_linear([[1]], grid), V)
+        _, sup = invariance_defect(TorusMap(grid, [[1]]), V)
         assert sup <= 1e-12
 
 
 class TestPreimages:
     def test_doubling_branches(self):
         grid = TorusGrid(64)
-        T = make_linear([[2]], grid)
+        T = TorusMap(grid, [[2]])
         y = np.array([0.3, 0.9])
         pre, deriv = T.preimages_with_derivative(y)
         assert np.allclose(sorted(pre[:, 0]), [0.15, 0.65], atol=1e-12)
@@ -463,7 +462,7 @@ class TestPreimages:
         # a target at a branch end has a preimage at z = 1.0 on the lift
         # (the warped map's second branch at y = 0), reported as 0.0
         y = np.array([0.0, 1.0 - 1e-17, -1e-17])
-        for T in (make_linear([[2]], TorusGrid(64)), warped):
+        for T in (TorusMap(TorusGrid(64), [[2]]), warped):
             pre, deriv = T.preimages_with_derivative(y)
             assert np.all((pre >= 0.0) & (pre < 1.0))
             images = T(pre.reshape(-1, 1))[:, 0].reshape(pre.shape)
@@ -473,13 +472,13 @@ class TestPreimages:
 
     def test_non_expanding_rejected(self):
         grid = TorusGrid(32)
-        T = make_linear([[1]], grid)
+        T = TorusMap(grid, [[1]])
         with pytest.raises(ExpansionError):
             T.preimages_with_derivative(np.array([0.5]))
 
     def test_orientation_reversing_expanding(self):
         grid = TorusGrid(64)
-        T = make_linear([[-2]], grid)
+        T = TorusMap(grid, [[-2]])
         y = np.array([0.25])
         pre, deriv = T.preimages_with_derivative(y)
         assert np.max(np.abs(wrap_difference(T(pre.reshape(-1, 1))[:, 0] - 0.25))) <= 1e-12
@@ -535,7 +534,7 @@ class TestNewtonPreimages:
 
     @pytest.mark.parametrize("matrix", [[[2]], [[-2]], [[3]]])
     def test_linear_maps_take_one_evaluation(self, matrix):
-        T = make_linear(matrix, TorusGrid(64))
+        T = TorusMap(TorusGrid(64), matrix)
         y = np.random.default_rng(11).uniform(0.0, 1.0, 50)
         calls = counting_lift_evaluations(T)
         pre, deriv = T.preimages_with_derivative(y)
@@ -566,7 +565,7 @@ class TestNewtonPreimages:
 
     def test_a_root_at_the_branch_end_one_is_reported_as_zero(self):
         # the reversed doubling map's lift -2z takes the target -2 at z = 1
-        T = make_linear([[-2]], TorusGrid(64))
+        T = TorusMap(TorusGrid(64), [[-2]])
         assert bisection_preimages(T, [0.0])[0, 0] == pytest.approx(1.0, abs=1e-15)
         pre, _ = T.preimages_with_derivative(np.array([0.0]))
         assert pre[:, 0].tolist() == [0.0, 0.5]

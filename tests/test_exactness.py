@@ -26,7 +26,6 @@ from conjresp import (
     exterior_derivative,
     gradient,
     lie_derivative_density,
-    multiply,
     remove_weighted_mean,
     solve_exactness,
     solve_for_field,
@@ -132,12 +131,12 @@ class TestSolveExactness:
         omega = random_density(grid, 8)
         rho = ScalarField.from_modes(grid, [[1, 1.0, 0.0]])
         # generically integral rho d(omega) != 0 for a warped density
-        assert abs(multiply(rho, omega.eta).mean) > 1e-10
+        assert abs((rho * omega.eta).mean) > 1e-10
         with pytest.raises(NormalizationError):
             solve_exactness(rho, omega)
         centered = remove_weighted_mean(rho, omega)
         theta = solve_exactness(centered, omega)
-        target = multiply(centered, omega.eta)
+        target = centered * omega.eta
         assert (exterior_derivative(theta) + target).max_abs <= 1e-10 * max(1.0, target.max_abs)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -147,7 +146,7 @@ class TestSolveExactness:
         omega = random_density(grid, seed + 40)
         rho = remove_weighted_mean(random_band_limited(grid, seed), omega)
         theta = solve_exactness(rho, omega)
-        target = multiply(rho, omega.eta)
+        target = rho * omega.eta
         residual = exterior_derivative(theta) + target
         assert residual.max_abs <= 1e-10 * max(1.0, target.max_abs)
 
@@ -271,7 +270,7 @@ class TestWeightedPoisson:
         grid = TorusGrid(256)
         omega = VolumeDensity.from_modes(grid, [[1, 0.5, 0.0]])
         u_true = ScalarField.from_modes(grid, [[1, 0.0, 1.0]])
-        g = divergence(VectorFieldT([multiply(omega.eta, u_true.derivative(0))]))
+        g = divergence(VectorFieldT([omega.eta * u_true.derivative(0)]))
         u = solve_weighted_poisson(omega, g)
         assert np.max(np.abs(u.values - u_true.values)) <= 1e-8
 
@@ -280,7 +279,7 @@ class TestWeightedPoisson:
         omega = VolumeDensity.from_modes(grid, [[1, 0, 0.4, 0.0], [0, 1, 0.0, 0.2]])
         u_true = ScalarField.from_modes(grid, [[1, 1, 0.5, 0.3], [2, 0, 0.0, 0.2]])
         u_true = u_true - u_true.mean
-        flux = VectorFieldT([multiply(omega.eta, u_true.derivative(i)) for i in range(2)])
+        flux = VectorFieldT([omega.eta * u_true.derivative(i) for i in range(2)])
         g = divergence(flux)
         u = solve_weighted_poisson(omega, g)
         assert np.max(np.abs(u.values - u_true.values)) <= 1e-8
@@ -335,7 +334,7 @@ class TestSolveForField:
         else:
             strategy = SolutionStrategy(kind)
         X = solve_for_field(rho, omega, strategy)
-        target = multiply(rho, omega.eta)
+        target = rho * omega.eta
         residual = lie_derivative_density(X, omega) + target
         assert residual.max_abs <= 1e-8 * max(1.0, target.max_abs)
 

@@ -18,10 +18,10 @@ PUBLIC = [
     "QualityError", "ScalarField", "SolutionStrategy", "TorusGrid", "TorusMap",
     "VectorFieldT", "VolumeDensity", "add_closed_form", "contract", "contract_inverse",
     "default_steps", "deformation_derivative", "derivative_check", "divergence",
-    "divide", "exact_primitive", "exterior_derivative", "field_from_json",
+    "exact_primitive", "exterior_derivative", "field_from_json",
     "field_to_csv", "field_to_json", "flow_map", "gradient", "integrate_flow",
     "invariance_defect", "lie_derivative_density", "load_field",
-    "make_linear", "make_warped_doubling", "moser_transport", "multiply",
+    "make_warped_doubling", "moser_transport",
     "pushforward_density", "remove_weighted_mean", "response_check", "save_field",
     "solve_exactness", "solve_for_field", "solve_laplace", "solve_weighted_poisson",
     "transfer_check", "transported_density", "wrap_difference",

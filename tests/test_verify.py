@@ -14,10 +14,10 @@ from conjresp import (
     ScalarField,
     SolutionStrategy,
     TorusGrid,
+    TorusMap,
     VectorFieldT,
     VolumeDensity,
     derivative_check,
-    make_linear,
     make_warped_doubling,
     pushforward_density,
     response_check,
@@ -123,27 +123,27 @@ class TestResponseCheck:
 class TestDerivativeCheck:
     def test_zero_field(self):
         grid = TorusGrid(64)
-        T = make_linear([[2]], grid)
+        T = TorusMap(grid, [[2]])
         report = derivative_check(T, VectorFieldT.zero(grid), [1e-2, 5e-3, 2.5e-3])
         assert report.passed and max(report.errors) <= 1e-12
 
     def test_doubling_order_two(self):
         grid, omega, rho, X = canonical_setup()
-        T = make_linear([[2]], grid)
+        T = TorusMap(grid, [[2]])
         report = derivative_check(T, X, [1e-2, 5e-3, 2.5e-3], steps=16)
         assert report.fitted_order == pytest.approx(2.0, abs=0.3)
         assert report.passed
 
     def test_identity_map(self):
         grid, omega, rho, X = canonical_setup(64)
-        T = make_linear([[1]], grid)
+        T = TorusMap(grid, [[1]])
         report = derivative_check(T, X, [1e-2, 5e-3], steps=16)
         assert report.passed
         assert max(report.errors) <= 1e-10
 
     def test_single_large_t_flagged(self):
         grid, omega, rho, X = canonical_setup(64)
-        T = make_linear([[2]], grid)
+        T = TorusMap(grid, [[2]])
         report = derivative_check(T, X, [0.5], steps=64)
         assert report.fitted_order is None
         assert not report.passed
@@ -152,7 +152,7 @@ class TestDerivativeCheck:
 class TestTransferCheck:
     def test_doubling_exact_at_t_zero(self):
         grid = TorusGrid(64)
-        T = make_linear([[2]], grid)
+        T = TorusMap(grid, [[2]])
         residual = transfer_check(T, VolumeDensity.lebesgue(grid), 256)
         assert residual <= 1e-12
 
@@ -167,7 +167,7 @@ class TestTransferCheck:
 
     def test_deformed_doubling(self):
         grid, omega, rho, X = canonical_setup(256)
-        T = make_linear([[2]], grid)
+        T = TorusMap(grid, [[2]])
         t = 0.02
         eta_t = pushforward_density(omega, X, t, steps=32)
         residual = transfer_check(ConjugatedMap(T, *flow_maps(X, (t, -t), 32)), eta_t, 512)
@@ -175,19 +175,19 @@ class TestTransferCheck:
 
     def test_wrong_density_is_detected(self):
         grid = TorusGrid(128)
-        T = make_linear([[2]], grid)
+        T = TorusMap(grid, [[2]])
         skewed = VolumeDensity.from_modes(grid, [[1, 0.3, 0.0]])
         assert transfer_check(T, skewed, 128) > 0.1
 
     def test_resolution_must_be_an_integer(self):
         grid = TorusGrid(64)
-        T = make_linear([[2]], grid)
+        T = TorusMap(grid, [[2]])
         with pytest.raises(ValueError, match="must be integers"):
             transfer_check(T, T.density, 512.7)
         assert transfer_check(T, T.density, np.int64(512)) == transfer_check(T, T.density, 512)
 
     def test_non_expanding_rejected(self):
         grid = TorusGrid(64)
-        T = make_linear([[1]], grid)
+        T = TorusMap(grid, [[1]])
         with pytest.raises(ExpansionError):
             transfer_check(T, VolumeDensity.lebesgue(grid), 64)
