@@ -182,6 +182,8 @@ def cmd_moser(cfg: dict, out: Path, quiet: bool) -> int:
     report = {
         "scenario_id": cfg["scenario_id"],
         "steps": steps,
+        "substeps": transport.substeps,
+        "submaps": transport.submaps,
         "pushforward_residual": residual,
         "pushforward_tol": PUSHFORWARD_TOL,
         "transfer": transfer,

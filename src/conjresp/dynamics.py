@@ -274,8 +274,8 @@ def _warp_conjugacy(generator: VectorFieldT) -> list:
     at least WARP_CONSTRUCTION_STEPS / WARP_FACTORS substeps, so h^{+-1}
     takes at least WARP_CONSTRUCTION_STEPS in all, at about the step size
     of a one-factor build, in about an eighth of its RK4 stages."""
-    return [FlowMap(generator.grid, phi.factor.values, phi.factor.gradients,
-                    WARP_FACTORS * phi.time, WARP_FACTORS * phi.steps, WARP_FACTORS * phi.submaps)
+    return [FlowMap(phi.factors * WARP_FACTORS, WARP_FACTORS * phi.time,
+                    WARP_FACTORS * phi.steps)
             for phi in flow_maps(generator, (1.0 / WARP_FACTORS, -1.0 / WARP_FACTORS),
                                  steps=WARP_CONSTRUCTION_STEPS // WARP_FACTORS)]
 

@@ -4,21 +4,24 @@ One integrator, `_rk4`: the classical fourth-order one-step scheme with fixed
 uniform substeps (so runs are bit-reproducible), passing each stage its time.
 It steps two state layouts:
 
-* `flow_map` is grid-resident: it flows the periodic displacement D of
-  phi^s = id + D, and its gradient G, on the field's grid, by the transport
-  equation dD/dtau = X + (X . grad) D and its gradient, with spectral
-  derivatives, and never samples X off the grid; phi^t is the power
-  (phi^s)^m, with m = 1 unless the flow stretches too much in time t to be
-  resolved on the grid.  Jacobians are I + G.  phi^t and phi^-t are built
-  together, once per (field, |t|, steps): later calls at either sign return
-  the same read-only maps for as long as the field lives.  `flow_maps`
-  builds the maps of many t at once, by one RK4 integration of the stacked
-  states of every factor that takes the same substep count.
-* `integrate_flow` and the Moser transport move points (Lagrangian): the
-  state is the points and their Jacobians, (M, n + n^2), and each stage
-  samples the field and its gradient at the moving points, so Jacobians
-  ride along by the variational equation J' = DX(phi) J on the same stages.
-  `integrate_flow` is the independent check of `flow_map`.
+* `flow_map` and the Moser transport are grid-resident: a factor phi =
+  id + D is kept as its periodic displacement D and gradient G on the
+  field's grid, flowed by the transport equation dD/dtau = X + (X . grad) D
+  and its gradient, with spectral derivatives, never sampling X off the
+  grid; a map is the product of its factors, each stretching little enough
+  to be resolved on the grid.  Jacobians are I + G.  phi^t is the power
+  (phi^s)^m, with m = 1 unless the flow stretches too much in time t.
+  phi^t and phi^-t are built together, once per (field, |t|, steps): later
+  calls at either sign return the same read-only maps for as long as the
+  field lives.  `flow_maps` builds the maps of many t at once, by one RK4
+  integration of the stacked states of every factor that takes the same
+  substep count.  A Moser map's field depends on time, so its factors are
+  distinct, and those of one direction take one RK4 integration.
+* `integrate_flow` moves points (Lagrangian): the state is the points and
+  their Jacobians, (M, n + n^2), and each stage samples the field and its
+  gradient at the moving points, so Jacobians ride along by the variational
+  equation J' = DX(phi) J on the same stages.  It is the independent check
+  of `flow_map`.
 
 Either way a field and its gradient are sampled through `FieldStack`, as
 torus maps do (read off the grid at exactly the grid points, interpolated
@@ -37,6 +40,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 
 import numpy as np
 
@@ -61,6 +65,16 @@ from .fields import (
 RK4_STABILITY_LIMIT = 0.15
 # Largest |s| max_x ||grad X(x)||_inf of one factor phi^s of a flow map.
 SUBMAP_STRETCH = 0.5
+# Largest max_s max_x ||grad X_s(x)||_inf / m of the m factors of a Moser map.
+# Its pushforward reads the first factor off the grid and interpolates the
+# others, so a factor that stretches more than this leaves it spatially
+# under-resolved: at 0.5 a 48^2 pushforward residual reached 1.4e-6 against
+# PUSHFORWARD_TOL = 1e-6 whatever the substeps, at 0.125 it stays below 1e-7.
+MOSER_SUBMAP_STRETCH = 0.125
+# The RK4_STABILITY_LIMIT of a Moser map's substeps.  It sets only a floor for
+# stability: the requested steps set the accuracy, and RK4 is stable up to
+# 2 sqrt(2) on the imaginary axis.
+MOSER_STABILITY_LIMIT = 0.6
 # Largest spectral tail/peak (see `_spectral_tail`) a transported density may
 # have: resolved verification densities sit near 1e-4 and below, the
 # under-resolved ones near 1e-2.
@@ -184,10 +198,11 @@ class FieldStack:
         return (vals if values else None), (grads if gradients else None)
 
 
-def _rk4(rate, state: np.ndarray, s0: float, h, steps: int) -> np.ndarray:
+def _rk4(rate, state: np.ndarray, s0, h, steps: int) -> np.ndarray:
     """``steps`` classical RK4 substeps of dy/ds = rate(s, y) from y(s0) =
-    ``state``.  An array ``h`` holds one step per batch entry and broadcasts
-    over its state, and over the stage times passed to ``rate``."""
+    ``state``.  Arrays ``s0`` and ``h`` hold one start and step per batch
+    entry and broadcast over its state, and over the stage times passed to
+    ``rate``."""
     for i in range(steps):
         s = s0 + i * h
         k1 = rate(s, state)
@@ -198,29 +213,6 @@ def _rk4(rate, state: np.ndarray, s0: float, h, steps: int) -> np.ndarray:
     return state
 
 
-def _point_flow(field, s0: float, s1: float, pts: np.ndarray, steps: int,
-                jacobian: bool) -> FlowEvaluation:
-    """(M, n) points flowed from s0 to s1 in ``steps`` RK4 substeps (none: the
-    identity) by ``field(s, points, jacobian)``, which returns the (M, n)
-    velocities and, with ``jacobian``, their (M, n, n) Jacobians DX (else
-    None).  The Jacobians J of the flow ride along, row by row, in one
-    (M, n + n^2) state with the points, at the rate DX J."""
-    m, n = pts.shape
-    identity = np.tile(np.eye(n).ravel(), (m, 1)) if jacobian else np.empty((m, 0))
-
-    def rate(s, state):
-        velocity, dX = field(s, state[:, :n], jacobian)
-        if dX is None:
-            return velocity
-        return np.concatenate([velocity, (dX @ state[:, n:].reshape(m, n, n)).reshape(m, -1)],
-                              axis=1)
-
-    state = _rk4(rate, np.concatenate([pts, identity], axis=1), s0, (s1 - s0) / max(steps, 1),
-                 steps)
-    return FlowEvaluation(state[:, :n], state[:, n:].reshape(m, n, n) if jacobian else None,
-                          s1 - s0, steps)
-
-
 def integrate_flow(
     X: VectorFieldT,
     t: float,
@@ -229,7 +221,11 @@ def integrate_flow(
     jacobian: bool = True,
 ) -> FlowEvaluation:
     """phi^t at the given points; the torus is compact so any t is allowed.
-    At t = 0 this is the identity, in 0 steps, whatever ``steps`` says."""
+    At t = 0 this is the identity, in 0 steps, whatever ``steps`` says.
+
+    The state is the points and, with ``jacobian``, their Jacobians J row by
+    row, (M, n + n^2): each stage samples X and its gradient DX at the moving
+    points, so J rides along at the rate DX J on the same stages."""
     pts = as_points(points, X.grid.dim)
     if t == 0.0:
         steps = 0
@@ -238,39 +234,56 @@ def integrate_flow(
     elif steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     stack = FieldStack.of(X.components)
-    return _point_flow(lambda s, p, grads: stack(p, grads), 0.0, float(t), pts, steps, jacobian)
+    m, n = pts.shape
+    identity = np.tile(np.eye(n).ravel(), (m, 1)) if jacobian else np.empty((m, 0))
+
+    def rate(s, state):
+        velocity, dX = stack(state[:, :n], jacobian)
+        if dX is None:
+            return velocity
+        return np.concatenate([velocity, (dX @ state[:, n:].reshape(m, n, n)).reshape(m, -1)],
+                              axis=1)
+
+    state = _rk4(rate, np.concatenate([pts, identity], axis=1), 0.0, float(t) / max(steps, 1),
+                 steps)
+    return FlowEvaluation(state[:, :n], state[:, n:].reshape(m, n, n) if jacobian else None,
+                          float(t), steps)
 
 
 class FlowMap:
-    """phi^t of a field, kept on its grid as ``submaps`` equal factors
-    phi^s = id + D, s = t / submaps, with D periodic.
+    """A transport kept on its grid as factors phi_k = id + D_k, D_k periodic,
+    applied in order: phi^t of a field is the power (phi^s)^m, s = t / m, one
+    factor object repeated, and a Moser map the product of its own factors.
 
-    Calling the object evaluates phi^t (and, with ``jacobian``, the product
-    of the factors' I + G by the chain rule) at points, one `FieldStack`
-    call per factor.  It has the call signature of the other transports
-    (`MoserFlow`), so `ConjugatedMap` and `transported_density` take it.
+    Calling the object evaluates the product (and, with ``jacobian``, the
+    product of the factors' I + G by the chain rule) at points, one
+    `FieldStack` call per factor.  It has the call signature of the other
+    transports (`MoserFlow`), so `ConjugatedMap` and `transported_density`
+    take it.
 
     grid     -- the field's grid
-    factor   -- `FieldStack` of one factor's D and G = grad D
+    factors  -- `FieldStack`s of each factor's D and G = grad D, in order
     time     -- t
-    steps    -- RK4 substeps over [0, t] (submaps times those of a factor)
+    steps    -- RK4 substeps over [0, t] (those of all factors)
     submaps  -- number of factors
     """
 
-    def __init__(self, grid, displacement: np.ndarray, gradient: np.ndarray, time: float,
-                 steps: int, submaps: int = 1):
-        self.grid = grid
-        self.factor = FieldStack(grid, displacement, gradient)
+    def __init__(self, factors, time: float, steps: int):
+        self.factors = tuple(factors)
+        self.grid = self.factors[0].grid
         self.time = float(time)
         self.steps = int(steps)
-        self.submaps = int(submaps)
+
+    @property
+    def submaps(self) -> int:
+        return len(self.factors)
 
     def __call__(self, points, jacobian: bool = True) -> FlowEvaluation:
         n = self.grid.dim
         lifts = as_points(points, n)
         jac = np.tile(np.eye(n), (lifts.shape[0], 1, 1)) if jacobian else None
-        for _ in range(self.submaps):
-            values, grads = self.factor(lifts, jacobian)
+        for factor in self.factors:
+            values, grads = factor(lifts, jacobian)
             lifts = lifts + values
             if jacobian:
                 jac = (np.eye(n) + grads) @ jac
@@ -334,8 +347,8 @@ def _build_flow_maps(X: VectorFieldT, times, steps: int | None) -> list:
     grid, n = X.grid, X.grid.dim
     maps = []
     if 0.0 in times:
-        maps.append(FlowMap(grid, np.zeros((n,) + grid.shape), np.zeros((n, n) + grid.shape),
-                            0.0, 0))
+        zero = np.zeros((n + n * n,) + grid.shape)
+        maps.append(FlowMap((_factor(grid, zero),), 0.0, 0))
     times = [t for t in times if t > 0.0]
     if not times:
         return maps
@@ -353,19 +366,32 @@ def _build_flow_maps(X: VectorFieldT, times, steps: int | None) -> list:
         groups.setdefault(substeps, []).append((t, submaps))
     for substeps, group in groups.items():
         signed = [(sign * t, submaps) for t, submaps in group for sign in (1.0, -1.0)]
-        states = _flow_factor(grid, velocity, shear, [t / m for t, m in signed], substeps)
-        maps += [FlowMap(grid, state[:n], state[n:].reshape((n, n) + grid.shape), t,
-                         submaps * substeps, submaps)
+        states = _flow_factor(grid, lambda s: (velocity, shear), [t / m for t, m in signed],
+                              substeps)
+        maps += [FlowMap((_factor(grid, state),) * submaps, t, submaps * substeps)
                  for state, (t, submaps) in zip(states, signed)]
     return maps
 
 
-def _flow_factor(grid, velocity: np.ndarray, shear: np.ndarray, times, steps: int) -> np.ndarray:
-    """D and G of the factors phi^s = id + D, one per s in ``times``, for the
-    field with grid values ``velocity`` (n,) + grid.shape and gradient
-    ``shear`` (n, n) + grid.shape, each stacked as one (n + n^2,) + grid.shape
-    array (G row by row), by `steps` RK4 substeps of one batched state of
-    shape (len(times), n + n^2) + grid.shape.  Every stage makes one set of
+def _factor(grid, state: np.ndarray) -> FieldStack:
+    """The `FieldStack` of a factor's D and G, from its (n + n^2,) +
+    grid.shape state (G row by row)."""
+    n = grid.dim
+    return FieldStack(grid, state[:n], state[n:].reshape((n, n) + grid.shape))
+
+
+def _flow_factor(grid, field, times, steps: int, starts=0.0) -> np.ndarray:
+    """D and G of the factors phi = id + D, one per entry of ``times``, each
+    flowing its field from its start (``starts``, one for all or one per
+    entry) over its time, stacked as one (n + n^2,) + grid.shape array (G
+    row by row), by `steps` RK4 substeps of one batched state of shape
+    (len(times), n + n^2) + grid.shape.
+
+    ``field(s)`` gives the grid values and gradient of the field at the
+    stage times s, of shape (len(times), 1) + (1,) * n: either one velocity
+    (n,) + grid.shape and shear (n, n) + grid.shape for every entry (an
+    autonomous field), or one per entry, (len(times), n) + grid.shape and
+    (len(times), n, n) + grid.shape.  Every stage makes one set of
     transforms for the whole batch, and every batch entry is computed as it
     would be alone."""
     n = grid.dim
@@ -375,17 +401,22 @@ def _flow_factor(grid, velocity: np.ndarray, shear: np.ndarray, times, steps: in
     axes = tuple(range(3, n + 3))
 
     def rate(s, state):
+        velocity, shear = field(s)
+        batch = "b" if velocity.ndim > n + 1 else ""
         G = state[:, n:].reshape((-1, n, n) + grid.shape)
         coefficients = _rfftn(G, axes)
-        dD = velocity + np.einsum("bik...,k...->bi...", G, velocity)
-        dG = shear + np.einsum("bik...,kj...->bij...", G, shear)
+        dD = velocity + np.einsum(f"bik...,{batch}k...->bi...", G, velocity)
+        dG = shear + np.einsum(f"bik...,{batch}kj...->bij...", G, shear)
+        rows = velocity.reshape((-1, n, 1, 1) + grid.shape)
         for k, symbol in enumerate(symbols):
-            dG += velocity[k] * _irfftn(coefficients * symbol, grid.shape, axes)
+            dG += rows[:, k] * _irfftn(coefficients * symbol, grid.shape, axes)
         return np.concatenate([dD, dG.reshape((-1, n * n) + grid.shape)], axis=1)
 
-    # one step size per batch entry, broadcast over its state
-    h = (np.asarray(times, dtype=float) / steps).reshape((-1,) + (1,) * (n + 1))
-    return _rk4(rate, np.zeros((h.shape[0], n + n * n) + grid.shape), 0.0, h, steps)
+    # one step size and start per batch entry, broadcast over its state
+    shape = (-1,) + (1,) * (n + 1)
+    h = (np.asarray(times, dtype=float) / steps).reshape(shape)
+    s0 = np.asarray(starts, dtype=float).reshape(shape)
+    return _rk4(rate, np.zeros((h.shape[0], n + n * n) + grid.shape), s0, h, steps)
 
 
 def _rfftn(a: np.ndarray, axes) -> np.ndarray:
@@ -447,12 +478,31 @@ def _spectral_tail(field: ScalarField) -> float:
 
 
 class MoserFlow:
-    """Time-one transport pushing omega0 forward to omega1.
+    """Time-one transport pushing omega0 forward to omega1, the flow of the
+    field X_s = flux / eta_s from s = 0 to 1, where flux is that of theta
+    and eta_s = (1 - s) eta0 + s eta1.
 
-    Calling the object (or `transport`) integrates points from s = 0 to 1;
-    `inverse_transport` runs the same nonautonomous field backwards, so
-    `transported_density(omega0, flow.inverse_transport)` is the transported
-    omega0 to compare against omega1.
+    Both directions are `FlowMap`s on the grid, each built on first use
+    (`forward`, `inverse`).  [0, 1] splits into ``submaps`` equal factors,
+    the fewest for which max_s max_x ||grad X_s(x)||_inf / submaps <=
+    MOSER_SUBMAP_STRETCH, and each factor is a reference map
+    (`_flow_factor` with X_s at every stage's time): Phi = phi_{s -> s_a}
+    solves dPhi/ds = -DPhi X_s from Phi = id at s = s_a, so integrated
+    from a factor's start to its end it gives the factor of the inverse,
+    and from its end to its start the factor of the forward map.  All
+    factors of one direction take one batched integration of ``substeps`` /
+    ``submaps`` substeps each: ``steps`` of them over [0, 1] at least, and
+    at least the substeps that keep h * pi * max_s max_x sum_i |X_s,i(x)| N_i
+    within MOSER_STABILITY_LIMIT.
+
+    Calling the object (or `transport`) evaluates phi_{0->1} at points and
+    `inverse_transport` phi_{1->0}, so `transported_density(omega0,
+    flow.inverse_transport)` is the transported omega0 to compare against
+    omega1.
+
+    steps     -- the requested lower bound on the RK4 substeps over [0, 1]
+    substeps  -- the RK4 substeps taken over [0, 1] by either direction
+    submaps   -- number of factors of either direction
     """
 
     def __init__(self, theta, omega0: VolumeDensity, omega1: VolumeDensity,
@@ -463,37 +513,67 @@ class MoserFlow:
         self.omega0 = omega0
         self.omega1 = omega1
         self.steps = int(steps)
-        self._stack = FieldStack.of(list(theta.flux().components) + [omega0.eta, omega1.eta])
+        grid, n = self.grid, self.grid.dim
+        fields = list(theta.flux().components) + [omega0.eta, omega1.eta]
+        self._values = np.stack([f.values for f in fields])
+        self._gradients = np.stack([[f.derivative(j).values for j in range(n)] for f in fields])
+        # |X_s(x)| is largest at s = 0 or 1, as eta_s(x) is linear in s; the
+        # stretch is sampled at s = 0, 1/16, ..., 1
+        velocity, shear = self._grid_field(np.linspace(0.0, 1.0, 17).reshape((-1, 1) + (1,) * n))
+        stretch = float(np.abs(shear).sum(axis=2).max())
+        speed = float(sum(np.abs(velocity[:, i]) * size
+                          for i, size in enumerate(grid.resolution)).max())
+        self.submaps = max(1, math.ceil(stretch / MOSER_SUBMAP_STRETCH))
+        stable = math.ceil(math.pi * speed / (self.submaps * MOSER_STABILITY_LIMIT))
+        self.substeps = self.submaps * max(math.ceil(self.steps / self.submaps), stable, 1)
 
     @property
     def grid(self):
         return self.theta.grid
 
-    def _field(self, s: float, pts: np.ndarray, jacobian: bool):
-        """X_s with i_{X_s} omega_s = theta, and (with ``jacobian``) its
-        Jacobian, at points.  The numerators (the flux of theta) are fixed;
-        only the interpolated density eta_s = (1-s) eta0 + s eta1 moves, so
-        both follow from one sample by the quotient rule."""
+    def _grid_field(self, s: np.ndarray):
+        """X_s and its gradient at the grid points, (B, n) + grid.shape and
+        (B, n, n) + grid.shape, at the times s of shape (B, 1) + (1,) * n.
+        The numerators (the flux of theta) are fixed; only the density
+        eta_s moves, so the gradient follows by the quotient rule."""
         n = self.grid.dim
-        values, grads = self._stack(pts, jacobian)
-        es = (1.0 - s) * values[:, n] + s * values[:, n + 1]
-        vel = values[:, :n] / es[:, None]
-        if grads is None:
-            return vel, None
-        des = (1.0 - s) * grads[:, n] + s * grads[:, n + 1]
-        return vel, (grads[:, :n] - vel[:, :, None] * des[:, None, :]) / es[:, None, None]
+        es = (1.0 - s) * self._values[n] + s * self._values[n + 1]
+        des = (1.0 - s) * self._gradients[n] + s * self._gradients[n + 1]
+        velocity = self._values[:n] / es
+        return velocity, (self._gradients[:n] - velocity[:, :, None] * des[:, None]) / es[:, None]
 
-    def _run(self, points, s0: float, s1: float, jacobian: bool) -> FlowEvaluation:
-        return _point_flow(self._field, s0, s1, as_points(points, self.grid.dim), self.steps,
-                           jacobian)
+    def _build(self, time: float) -> FlowMap:
+        """phi_{0->1} (``time`` 1) or phi_{1->0} (``time`` -1)."""
+        m = self.submaps
+        ends = np.arange(m + 1) / m
+        starts = ends[1:] if time > 0 else ends[:-1]
+
+        def field(s):
+            velocity, shear = self._grid_field(s)
+            return -velocity, -shear
+
+        states = _flow_factor(self.grid, field, [-time / m] * m, self.substeps // m, starts)
+        factors = [_factor(self.grid, state) for state in states]
+        # phi_{0->1} runs the factors from s = 0 up, phi_{1->0} from s = 1 down
+        return FlowMap(factors if time > 0 else factors[::-1], time, self.substeps)
+
+    @cached_property
+    def forward(self) -> FlowMap:
+        """phi_{0->1}, built on first use."""
+        return self._build(1.0)
+
+    @cached_property
+    def inverse(self) -> FlowMap:
+        """phi_{1->0}, built on first use."""
+        return self._build(-1.0)
 
     def transport(self, points, jacobian: bool = True) -> FlowEvaluation:
-        return self._run(points, 0.0, 1.0, jacobian)
+        return self.forward(points, jacobian)
 
     __call__ = transport
 
     def inverse_transport(self, points, jacobian: bool = True) -> FlowEvaluation:
-        return self._run(points, 1.0, 0.0, jacobian)
+        return self.inverse(points, jacobian)
 
 
 def moser_transport(omega0: VolumeDensity, omega1: VolumeDensity,
@@ -503,7 +583,9 @@ def moser_transport(omega0: VolumeDensity, omega1: VolumeDensity,
     The fixed primitive theta solves d theta = (eta0 - eta1) vol; the tiny
     mass mismatch allowed by the density gates is projected out before the
     exactness solve.  The interpolated density stays positive automatically
-    (a convex combination of positive endpoints).
+    (a convex combination of positive endpoints).  ``steps`` is a lower
+    bound on the RK4 substeps over [0, 1]; see `MoserFlow` for the count
+    taken and the maps' factors, which are built on first use.
     """
     if omega0.grid != omega1.grid:
         raise ValueError("densities live on different grids")

@@ -240,16 +240,18 @@ class TestMoser:
 
     def test_failure_names_the_failing_check_with_its_residual_and_tolerance(
             self, tmp_path, capsys):
-        # too few steps for this target: 2 fail both checks, 4 only the pushforward
-        for steps, transfer_passes in ((2, False), (4, True)):
+        # targets too steep for their grid: at N = 32 both checks fail, at
+        # N = 16 only the pushforward
+        for resolution, eta1_modes, transfer_passes in (
+                (32, [[1, 0.9, 0.0]], False), (16, [[1, 0.8, 0.0], [2, 0.15, 0.0]], True)):
             cfg = {
-                "grid": {"resolution": [64]},
+                "grid": {"resolution": [resolution]},
                 "map": {"kind": "linear", "A": [[2]]},
-                "moser": {"eta1_modes": [[1, 0.5, 0.0]], "steps": steps,
-                          "check_conjugated": True, "transfer_resolution": 64},
+                "moser": {"eta1_modes": eta1_modes, "steps": 16,
+                          "check_conjugated": True, "transfer_resolution": resolution},
             }
             path = write_config(tmp_path, cfg)
-            out = tmp_path / f"o{steps}"
+            out = tmp_path / f"o{resolution}"
             assert main(["moser", "--config", path, "--out", str(out), "--quiet"]) == 3
             report = json.loads((out / "moser_report.json").read_text())
             assert report["pushforward_tol"] == 1e-6
@@ -259,6 +261,31 @@ class TestMoser:
             transfer = (f"conjugated-map transfer residual "
                         f"{report['transfer']['residual']:.3e} > 1.0e-04")
             assert (transfer in err) is not transfer_passes
+
+    # two benchmark ops (seed 1702 op 15, seed 1701 op 4) whose pushforward
+    # and conjugated-map transfer residuals reached 1.4e-6 and 4.3e-5 when
+    # each factor of a Moser map stretched up to 0.5
+    RESOLVED_ONLY_BY_SHORT_FACTORS = [
+        {"grid": {"resolution": [48, 48]},
+         "moser": {"eta0_modes": [[1, 2, -0.280811, -0.04292]],
+                   "eta1_modes": [[-2, -2, -0.147534, 0.218544]], "steps": 16}},
+        {"grid": {"resolution": [128]}, "map": {"kind": "linear", "A": [[2]]},
+         "moser": {"eta1_modes": [[3, -0.407072, 0.56784]], "steps": 128,
+                   "check_conjugated": True, "transfer_resolution": 512}},
+    ]
+
+    @pytest.mark.parametrize("cfg", RESOLVED_ONLY_BY_SHORT_FACTORS, ids=["48x48", "doubling"])
+    def test_short_factors_resolve_the_transport(self, tmp_path, cfg):
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["moser", "--config", path, "--out", str(out), "--quiet"]) == 0
+        report = json.loads((out / "moser_report.json").read_text())
+        assert report["pushforward_residual"] <= 1e-7
+        if "check_conjugated" in cfg["moser"]:
+            assert report["transfer"]["residual"] <= 1e-5
+        # steps is the configured lower bound; substeps and submaps what ran
+        assert report["steps"] == cfg["moser"]["steps"] <= report["substeps"]
+        assert report["submaps"] > 1 and report["substeps"] % report["submaps"] == 0
 
     def test_conjugated_check_rejects_non_invariant_eta0(self, tmp_path, capsys):
         cfg = {
@@ -420,10 +447,10 @@ def test_each_flow_map_is_built_once_per_run(tmp_path, monkeypatch, command, con
     built, integrated = Counter(), Counter()
     build = flow._flow_factor
 
-    def counting(grid, velocity, shear, times, steps):
+    def counting(grid, field, times, steps):
         built[grid.resolution] += len(times)
         integrated[grid.resolution] += 1
-        return build(grid, velocity, shear, times, steps)
+        return build(grid, field, times, steps)
 
     monkeypatch.setattr(flow, "_flow_factor", counting)
     path = write_config(tmp_path, config())
@@ -452,8 +479,8 @@ def test_batched_builds_write_the_files_of_pairwise_builds(tmp_path, monkeypatch
     # before the maps of all t were batched
     build = flow._flow_factor
 
-    def pairwise(grid, velocity, shear, times, steps):
-        return np.concatenate([build(grid, velocity, shear, times[i:i + 2], steps)
+    def pairwise(grid, field, times, steps):
+        return np.concatenate([build(grid, field, times[i:i + 2], steps)
                                for i in range(0, len(times), 2)])
 
     path = write_config(tmp_path, config)
@@ -491,6 +518,7 @@ THREAD_RUNS = [
                                map={"kind": "warped_doubling",
                                     "generator_modes": [[2, 0.03, 0.02]]},
                                rho={"modes": [[1, 1.0, 0.0], [2, 0.2, -0.1]], "center": True})),
+    ("moser", TestMoser.RESOLVED_ONLY_BY_SHORT_FACTORS[0]),
 ]
 RUN_ALL = ("import json, sys\n"
            "from conjresp.cli import main\n"
@@ -514,7 +542,7 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
                         for p in root.rglob("*") if p.is_file()})
     assert sorted(outputs[0]) == ["0/report.json", "1/report.json", "2/sweep.csv",
                                   "3/moser_report.json", "4/moser_report.json",
-                                  "5/report.json"]
+                                  "5/report.json", "6/moser_report.json"]
     assert outputs[0] == outputs[1]
 
 

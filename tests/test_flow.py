@@ -6,11 +6,14 @@ the classical h^4 convergence order, Liouville's formula, and composition
 identities (group law, inverse round trip).  The grid-resident flow maps are
 checked against the point integrator `integrate_flow`, batched builds
 against single builds and the stage transforms against numpy's n-d ones, bit
-for bit, and the point flows against the point RK4 with its own Jacobian
-recurrence, bit for bit.
+for bit, and `integrate_flow` against the point RK4 with its own Jacobian
+recurrence, bit for bit.  The grid Moser maps are checked against that point
+RK4 of the Moser field, and each of their factors against the stretch bound.
 """
 
+import functools
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -250,10 +253,10 @@ class TestFlowMap:
         velocity = np.stack([c.values for c in X.components])
         shear = np.stack([[c.derivative(j).values for j in range(n)] for c in X.components])
         for m in (phi, back):
-            alone = flow._flow_factor(grid, velocity, shear, (m.time / m.submaps,),
+            alone = flow._flow_factor(grid, lambda s: (velocity, shear), (m.time / m.submaps,),
                                       m.steps // m.submaps)[0]
-            assert np.array_equal(m.factor.values, alone[:n])
-            assert np.array_equal(m.factor.gradients, alone[n:].reshape((n, n) + grid.shape))
+            assert np.array_equal(m.factors[0].values, alone[:n])
+            assert np.array_equal(m.factors[0].gradients, alone[n:].reshape((n, n) + grid.shape))
 
     # (grid, steps, times, sorted [(batch entries, substeps)] of the integrations):
     # 0 and duplicates in any order and sign; 1-d |t| = 1 splits into 2
@@ -271,9 +274,9 @@ class TestFlowMap:
         X = band_limited_field(grid, np.random.default_rng(7), 2, 0.05)
         build, calls = flow._flow_factor, []
 
-        def counting(grid, velocity, shear, factor_times, substeps):
+        def counting(grid, field, factor_times, substeps):
             calls.append((len(factor_times), substeps))
-            return build(grid, velocity, shear, factor_times, substeps)
+            return build(grid, field, factor_times, substeps)
 
         monkeypatch.setattr(flow, "_flow_factor", counting)
         maps = flow.flow_maps(X, times, steps)
@@ -288,12 +291,12 @@ class TestFlowMap:
         for m in maps:
             if m.time == 0.0:
                 assert (m.steps, m.submaps) == (0, 1)
-                assert not m.factor.values.any() and not m.factor.gradients.any()
+                assert not m.factors[0].values.any() and not m.factors[0].gradients.any()
                 continue
-            alone = flow._flow_factor(grid, velocity, shear, (m.time / m.submaps,),
+            alone = flow._flow_factor(grid, lambda s: (velocity, shear), (m.time / m.submaps,),
                                       m.steps // m.submaps)[0]
-            assert np.array_equal(m.factor.values, alone[:n])
-            assert np.array_equal(m.factor.gradients, alone[n:].reshape((n, n) + grid.shape))
+            assert np.array_equal(m.factors[0].values, alone[:n])
+            assert np.array_equal(m.factors[0].gradients, alone[n:].reshape((n, n) + grid.shape))
 
     @pytest.mark.parametrize("resolution", [(64,), (16, 16), (32, 16)])
     def test_stage_transforms_are_numpys_n_d_transforms_bit_for_bit(self, monkeypatch,
@@ -310,11 +313,12 @@ class TestFlowMap:
         X = band_limited_field(grid, np.random.default_rng(9), 2, 0.05)
         velocity = np.stack([c.values for c in X.components])
         shear = np.stack([[c.derivative(j).values for j in range(n)] for c in X.components])
-        got = flow._flow_factor(grid, velocity, shear, (0.2, -0.2, 0.05), 8)
+        field = lambda s: (velocity, shear)  # noqa: E731
+        got = flow._flow_factor(grid, field, (0.2, -0.2, 0.05), 8)
         monkeypatch.setattr(flow, "_rfftn", lambda a, axes: np.fft.rfftn(a, axes=axes))
         monkeypatch.setattr(flow, "_irfftn",
                             lambda a, shape, axes: np.fft.irfftn(a, s=shape, axes=axes))
-        assert np.array_equal(got, flow._flow_factor(grid, velocity, shear, (0.2, -0.2, 0.05), 8))
+        assert np.array_equal(got, flow._flow_factor(grid, field, (0.2, -0.2, 0.05), 8))
 
     def test_the_opposite_time_is_built_with_the_map(self, monkeypatch):
         X = single_mode_field(TorusGrid(32))
@@ -335,13 +339,14 @@ class TestFlowMap:
         grid = TorusGrid((16, 8))
         phi = flow_map(band_limited_field(grid, np.random.default_rng(8), 1, 0.1), t)
         assert (phi.time, phi.steps, phi.submaps) == (0.0, 0, 1)
-        assert not phi.factor.values.any() and not phi.factor.gradients.any()
+        assert not phi.factors[0].values.any() and not phi.factors[0].gradients.any()
 
     def test_shared_arrays_are_read_only(self):
         grid = TorusGrid((16, 16))
         phi = flow_map(band_limited_field(grid, np.random.default_rng(5), 1, 0.1), 0.2)
         phi(np.random.default_rng(6).random((3, 2)))  # builds the coefficient stack
-        for array in (phi.factor.values, phi.factor.gradients, phi.factor.coefficients):
+        factor = phi.factors[0]
+        for array in (factor.values, factor.gradients, factor.coefficients):
             with pytest.raises(ValueError, match="read-only"):
                 array[(0,) * array.ndim] = 0.0
 
@@ -360,8 +365,8 @@ class TestFieldStack:
         phi = flow_map(X, 0.2)
         for stack, values, grads in (
                 (FieldStack.of(X.components), want_values, want_grads),
-                (phi.factor, phi.factor.values.reshape(n, -1).T,
-                 phi.factor.gradients.reshape(n, n, -1).transpose(2, 0, 1))):
+                (phi.factors[0], phi.factors[0].values.reshape(n, -1).T,
+                 phi.factors[0].gradients.reshape(n, n, -1).transpose(2, 0, 1))):
             got_values, got_grads = stack(grid.points())
             assert np.array_equal(got_values, values) and np.array_equal(got_grads, grads)
             only_values, none = stack(grid.points(), gradients=False)
@@ -440,8 +445,9 @@ def stepper_points(grid, kind):
 
 
 class TestSharedStepper:
-    """The point flows on the shared RK4 stepper against the point RK4 with
-    its separate Jacobian recurrence, bit for bit."""
+    """The point flow on the shared RK4 stepper against the point RK4 with
+    its separate Jacobian recurrence, bit for bit, and the grid Moser maps
+    against that point RK4 of the Moser field."""
 
     @pytest.mark.parametrize("resolution, kind", STEPPER_CASES)
     @pytest.mark.parametrize("t", [0.7, -0.7])
@@ -475,15 +481,40 @@ class TestSharedStepper:
     @pytest.mark.parametrize("direction", ["transport", "inverse_transport"])
     @pytest.mark.parametrize("jacobian", [True, False])
     def test_moser_transport(self, resolution, kind, direction, jacobian):
-        grid = TorusGrid(resolution)
-        modes0, modes1 = self.MOSER_DENSITIES[resolution]
-        transport = moser_transport(VolumeDensity.from_modes(grid, modes0),
-                                    VolumeDensity.from_modes(grid, modes1), steps=16)
-        pts = stepper_points(grid, kind)
-        s0, s1 = (0.0, 1.0) if direction == "transport" else (1.0, 0.0)
-        want = reference_point_flow(lambda s, p: transport._field(s, p, jacobian),
-                                    s0, s1, pts, 16, jacobian)
-        assert_same_flow(getattr(transport, direction)(pts, jacobian=jacobian), *want)
+        # the grid maps at 16 steps against the point RK4 of the same field at 1024
+        transport, lifts, jacobians = moser_oracle(resolution, kind, direction)
+        got = getattr(transport, direction)(stepper_points(transport.grid, kind),
+                                            jacobian=jacobian)
+        assert np.max(np.abs(got.lifts - lifts)) <= 2e-8
+        if jacobian:
+            assert np.max(np.abs(got.jacobians - jacobians)) <= 2e-6
+        else:
+            assert got.jacobians is None
+
+
+@functools.cache
+def moser_oracle(resolution, kind, direction):
+    """The Moser transport of `TestSharedStepper.MOSER_DENSITIES` at 16 steps,
+    with the lifts and Jacobians of its ``direction`` at the stepper points
+    by the point RK4 in 1024 steps, X_s = flux / eta_s and its Jacobian
+    sampled at the points by the quotient rule."""
+    grid = TorusGrid(resolution)
+    n = grid.dim
+    omega0, omega1 = (VolumeDensity.from_modes(grid, modes)
+                      for modes in TestSharedStepper.MOSER_DENSITIES[resolution])
+    transport = moser_transport(omega0, omega1, steps=16)
+    stack = FieldStack.of(list(transport.theta.flux().components) + [omega0.eta, omega1.eta])
+
+    def field(s, p):
+        values, grads = stack(p)
+        es = (1.0 - s) * values[:, n] + s * values[:, n + 1]
+        vel = values[:, :n] / es[:, None]
+        des = (1.0 - s) * grads[:, n] + s * grads[:, n + 1]
+        return vel, (grads[:, :n] - vel[:, :, None] * des[:, None, :]) / es[:, None, None]
+
+    s0, s1 = (0.0, 1.0) if direction == "transport" else (1.0, 0.0)
+    return (transport, *reference_point_flow(field, s0, s1, stepper_points(grid, kind), 1024,
+                                             True))
 
 
 class TestTransportedDensity:
@@ -628,6 +659,37 @@ class TestMoserTransport:
         reflected_push = (-transport.transport((-pts) % 1.0).points) % 1.0
         back = transport.inverse_transport(pts).points
         assert np.max(np.abs(wrap_difference(reflected_push - back))) <= 1e-6
+
+    @pytest.mark.parametrize("resolution, modes0, modes1", [
+        ((48, 48), [[1, 2, -0.280811, -0.04292]], [[-2, -2, -0.147534, 0.218544]]),
+        (128, None, [[3, -0.407072, 0.56784]]),
+        (64, [[1, 0.2, 0.1]], [[1, -0.1, 0.25], [2, 0.05, 0.0]]),
+    ])
+    def test_every_factor_honours_the_submap_stretch(self, resolution, modes0, modes1):
+        # a factor over an interval where the integral of ||grad X_s||_inf is
+        # at most c has ||G||_inf = ||DPhi - I||_inf <= e^c - 1 (Gronwall)
+        grid = TorusGrid(resolution)
+        omega0 = VolumeDensity.from_modes(grid, modes0) if modes0 else VolumeDensity.lebesgue(grid)
+        transport = moser_transport(omega0, VolumeDensity.from_modes(grid, modes1), steps=16)
+        assert transport.submaps > 1 and transport.substeps % transport.submaps == 0
+        for phi in (transport.forward, transport.inverse):
+            assert (phi.submaps, phi.steps) == (transport.submaps, transport.substeps)
+            assert len({id(factor) for factor in phi.factors}) == phi.submaps
+            for factor in phi.factors:
+                stretch = np.abs(factor.gradients).sum(axis=1).max()
+                assert stretch <= math.expm1(flow.MOSER_SUBMAP_STRETCH)
+
+    def test_steps_are_a_lower_bound_raised_for_stability(self):
+        # 8 factors, each of at least 4 substeps (the stability floor)
+        grid = TorusGrid(64)
+        omega0 = VolumeDensity.lebesgue(grid)
+        omega1 = VolumeDensity.from_modes(grid, [[1, 0.5, 0.0]])
+        for steps, substeps in ((1, 32), (4, 32), (64, 64)):
+            transport = moser_transport(omega0, omega1, steps=steps)
+            assert (transport.steps, transport.substeps, transport.submaps) == (steps, substeps, 8)
+            pushed = transported_density(omega0, transport.inverse_transport)
+            assert transport.inverse.steps == substeps
+            assert np.max(np.abs(pushed.eta.values - omega1.eta.values)) <= 1e-8
 
     def test_rejects_mismatched_grids(self):
         with pytest.raises(ValueError):

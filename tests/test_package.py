@@ -31,7 +31,8 @@ PUBLIC = [
 MODULE_ONLY = {
     "fields": ["MIN_RESOLUTION", "as_points", "mod1", "sample_coefficients"],
     "exactness": ["MEAN_ZERO_TOL", "weighted_response"],
-    "flow": ["RK4_STABILITY_LIMIT", "SUBMAP_STRETCH", "TAIL_TOL", "flow_maps"],
+    "flow": ["MOSER_STABILITY_LIMIT", "MOSER_SUBMAP_STRETCH", "RK4_STABILITY_LIMIT",
+             "SUBMAP_STRETCH", "TAIL_TOL", "flow_maps"],
     "verify": ["NOISE_FLOOR", "ORDER_RANGE"],
 }
 
