@@ -43,11 +43,11 @@ print("\ncanonical X against the closed form -sin(2 pi x)/(2 pi):",
 # push the density along the flow: eta_t should be 1 + t cos(2 pi x) + O(t^2)
 print("\npushforward densities along the flow of X:")
 for t in (0.05, 0.01, 0.002):
-    eta_t = pushforward_density(omega, X, t, steps=32)
+    eta_t = pushforward_density(omega, X, t)
     deviation = np.max(np.abs(eta_t.eta.values - (1.0 + t * np.cos(2 * np.pi * x))))
     print(f"  t = {t:<6} max|eta_t - (1 + t rho)| = {deviation:.2e}  (~ {deviation / t**2:.2f} t^2)")
 
-report = response_check(omega, rho, X, [1e-2, 5e-3, 2.5e-3], steps=16)
+report = response_check(omega, rho, X, [1e-2, 5e-3, 2.5e-3])
 print(f"\ncentral-difference response check: fitted order {report.fitted_order:.3f}, "
       f"errors {['%.1e' % e for e in report.errors]}")
 
@@ -64,7 +64,7 @@ try:
     ax0.legend()
     ax0.set_title("prescribed response and solution field")
     for t in (0.0, 0.1, 0.25):
-        eta_t = pushforward_density(omega, X, t, steps=64) if t else omega
+        eta_t = pushforward_density(omega, X, t) if t else omega
         ax1.plot(x, eta_t.eta.values, label=f"t = {t}")
     ax1.set_xlabel("x")
     ax1.legend()

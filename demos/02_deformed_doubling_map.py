@@ -37,24 +37,24 @@ print("deformation derivative vs hand formula -2X(x) + X(2x):",
 print("\nfinite differences of the deformed family against the derivative:")
 pts = grid.points()
 for t in (2e-2, 1e-2, 5e-3):
-    plus = ConjugatedMap(T, *flow_maps(X, (t, -t), 16))(pts)
-    minus = ConjugatedMap(T, *flow_maps(X, (-t, t), 16))(pts)
+    plus = ConjugatedMap(T, *flow_maps(X, (t, -t)))(pts)
+    minus = ConjugatedMap(T, *flow_maps(X, (-t, t)))(pts)
     fd = wrap_difference(plus - minus) / (2 * t)
     err = np.max(np.abs(fd - tdot.values_matrix()))
     print(f"  t = {t:<6} max|(T_t - T_-t)/2t - Tdot| = {err:.2e}")
 
-report = derivative_check(T, X, [1e-2, 5e-3, 2.5e-3], steps=16)
+report = derivative_check(T, X, [1e-2, 5e-3, 2.5e-3])
 print(f"fitted convergence order: {report.fitted_order:.3f}")
 
 print("\ndegree of the lift stays 2 under deformation:")
-D = ConjugatedMap(T, *flow_maps(X, (0.05, -0.05), 64))
+D = ConjugatedMap(T, *flow_maps(X, (0.05, -0.05)))
 ends = D.lift(np.array([[0.0], [1.0]]))
 print(f"  lift(1) - lift(0) = {ends[1, 0] - ends[0, 0]:.12f}")
 
 print("\nT_t preserves the transported density (transfer-operator residual):")
 for t in (0.0, 0.01, 0.02):
-    eta_t = pushforward_density(omega, X, t, steps=32)
-    residual = transfer_check(ConjugatedMap(T, *flow_maps(X, (t, -t), 32)), eta_t, 512)
+    eta_t = pushforward_density(omega, X, t)
+    residual = transfer_check(ConjugatedMap(T, *flow_maps(X, (t, -t))), eta_t, 512)
     print(f"  t = {t:<5} residual = {residual:.2e}")
 
 try:
@@ -66,7 +66,7 @@ try:
     fig, ax = plt.subplots(figsize=(4.8, 4.2), constrained_layout=True)
     xs = np.linspace(0, 1, 512, endpoint=False).reshape(-1, 1)
     ax.plot(xs, T(xs), ".", ms=1, label="T")
-    big = ConjugatedMap(T, *flow_maps(X, (0.4, -0.4), 64))
+    big = ConjugatedMap(T, *flow_maps(X, (0.4, -0.4)))
     ax.plot(xs, big(xs), ".", ms=1, label="T_t, t = 0.4")
     ax.set_xlabel("x")
     ax.set_ylabel("map value")

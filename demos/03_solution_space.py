@@ -37,7 +37,7 @@ strategies = {
 print("same response, different fields (all orders fit ~2):")
 for label, strategy in strategies.items():
     Y = solve_for_field(rho, omega, strategy)
-    rep = response_check(omega, rho, Y, [1e-2, 5e-3, 2.5e-3], steps=16)
+    rep = response_check(omega, rho, Y, [1e-2, 5e-3, 2.5e-3])
     shift = np.max(np.abs(Y.components[0].values - X.components[0].values))
     print(f"  {label:<14} |Y - X|_sup = {shift:.3f}   order {rep.fitted_order:.2f}   "
           f"e(t_min) {rep.errors[-1]:.1e}")
@@ -65,6 +65,6 @@ alpha = ScalarField.from_modes(grid2, [[0, 1, 0.0, 1.0]])
 X2 = solve_for_field(rho2, omega2)
 X2a = solve_for_field(rho2, omega2, SolutionStrategy.custom((0.0, 0.0), alpha))
 change = max((a - b).max_abs for a, b in zip(X2a.components, X2.components))
-rep = response_check(omega2, rho2, X2a, [2e-3, 1e-3, 5e-4], steps=10)
+rep = response_check(omega2, rho2, X2a, [2e-3, 1e-3, 5e-4])
 print(f"\n2-torus d(alpha) addition: |X' - X|_sup = {change:.2f}, "
       f"response order {rep.fitted_order:.2f}, e(t_min) = {rep.errors[-1]:.1e}")

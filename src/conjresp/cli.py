@@ -5,7 +5,7 @@ JSON config, emitting machine-readable results and plot-ready tables.
 
 Exit codes: 0 ok, 2 validation failure, 3 convergence failure,
 4 verification failure.  Identical configs produce byte-identical outputs
-(fixed-step integrators, no randomness).
+(fixed step and term rules, no randomness).
 """
 
 from __future__ import annotations
@@ -63,21 +63,20 @@ def _checks(cfg: dict, grid, transfer_ts):
     an expanding circle map one {"t", "resolution", "residual"} transfer check
     of phi^t_* omega under phi^t o T o phi^{-t} per t in transfer_ts, else None."""
     t_values = required(cfg, "verify", "t_values")
-    steps = cfg["verify"]["steps"]
     torus_map, omega, rho, strategy = _problem(cfg, grid)
 
     X = solve_for_field(rho, omega, strategy)
     # every check's flow maps in one batch; only expanding circle maps get transfer checks
-    flow_maps(X, [*t_values, *(transfer_ts if torus_map.expanding else ())], steps)
-    response = response_check(omega, rho, X, t_values, steps=steps)
-    derivative = derivative_check(torus_map, X, t_values, steps=steps)
+    flow_maps(X, [*t_values, *(transfer_ts if torus_map.expanding else ())])
+    response = response_check(omega, rho, X, t_values)
+    derivative = derivative_check(torus_map, X, t_values)
     if not torus_map.expanding:
         return response, derivative, None
     resolution = cfg["verify"]["transfer_resolution"]
     transfers = []
     for t in transfer_ts:
-        eta_t = pushforward_density(omega, X, t, steps=steps)
-        deformed = ConjugatedMap(torus_map, *flow_maps(X, (t, -t), steps))
+        eta_t = pushforward_density(omega, X, t)
+        deformed = ConjugatedMap(torus_map, *flow_maps(X, (t, -t)))
         residual = transfer_check(deformed, eta_t, resolution)
         transfers.append({"t": t, "resolution": resolution, "residual": residual})
     return response, derivative, transfers

@@ -37,12 +37,8 @@ EXPANSION_MARGIN = 0.01
 CERTIFICATE_RESOLUTION = 256
 CERTIFICATE_TOL = 1e-6
 EXPANSION_SAMPLES = 4096  # points at which the expansion margin samples F'
-# Fewest RK4 substeps of the warped doubling map's conjugacy h^{+-1} over
-# its whole flow time 1
-WARP_CONSTRUCTION_STEPS = 128
 # h^{+-1} is this power of the flow map at time +-1/WARP_FACTORS, which is
-# all that is integrated: a 1-d RK4 stage costs call overhead rather than
-# arithmetic, so an eighth of the stages builds h in about a third of the time
+# all that is built: each factor stretches and reaches little, so its series is short
 WARP_FACTORS = 8
 
 __all__ = [
@@ -227,7 +223,7 @@ def transfer_check(T_t, eta_t: VolumeDensity, resolution: int) -> float:
     map (possibly deformed): max_y | sum_{z in T^{-1}(y)} eta(z)/|T'(z)| - eta(y) |.
 
     T_t is a TorusMap or a ConjugatedMap, such as the deformed map
-    ConjugatedMap(T, *flow_maps(X, (t, -t), steps)); its
+    ConjugatedMap(T, *flow_maps(X, (t, -t))); its
     `preimages_with_derivative` enforces the expansion precondition.
     """
     y = TorusGrid((resolution,)).axis_points(0)
@@ -270,14 +266,10 @@ def make_warped_doubling(generator: VectorFieldT) -> TorusMap:
 def _warp_conjugacy(generator: VectorFieldT) -> list:
     """[h, h^{-1}] of the warped doubling map: the flow maps of the generator
     at times 1 and -1, each the WARP_FACTORS-th power of its flow map at
-    time +-1 / WARP_FACTORS.  That pair is one `flow_maps` integration of
-    at least WARP_CONSTRUCTION_STEPS / WARP_FACTORS substeps, so h^{+-1}
-    takes at least WARP_CONSTRUCTION_STEPS in all, at about the step size
-    of a one-factor build, in about an eighth of its RK4 stages."""
+    time +-1 / WARP_FACTORS, that pair one `flow_maps` build."""
     return [FlowMap(phi.factors * WARP_FACTORS, WARP_FACTORS * phi.time,
                     WARP_FACTORS * phi.steps)
-            for phi in flow_maps(generator, (1.0 / WARP_FACTORS, -1.0 / WARP_FACTORS),
-                                 steps=WARP_CONSTRUCTION_STEPS // WARP_FACTORS)]
+            for phi in flow_maps(generator, (1.0 / WARP_FACTORS, -1.0 / WARP_FACTORS))]
 
 
 class ConjugatedMap:
@@ -320,12 +312,12 @@ class ConjugatedMap:
 
 class DeformedMap(ConjugatedMap):
     """Removed: T_t = phi^t o T o phi^{-t} is
-    ConjugatedMap(T, *flow_maps(X, (t, -t), steps)).  The class keeps only the
+    ConjugatedMap(T, *flow_maps(X, (t, -t))).  The class keeps only the
     three method aliases that bench/tracing.py looks up in its own namespace."""
 
     def __init__(self, *args, **kwargs):
         raise TypeError("DeformedMap is removed: use "
-                        "ConjugatedMap(T, *flow_maps(X, (t, -t), steps))")
+                        "ConjugatedMap(T, *flow_maps(X, (t, -t)))")
 
     __call__ = ConjugatedMap.__call__
     lift = ConjugatedMap.lift

@@ -1,24 +1,19 @@
 """Flow maps of periodic vector fields, with Jacobians, plus volume transport.
 
-One integrator, `_rk4`: the classical fourth-order one-step scheme with fixed
-uniform substeps (so runs are bit-reproducible), passing each stage its time.
-It steps two state layouts:
-
-* `flow_map` and the Moser transport are grid-resident: a factor phi =
-  id + D is kept as its periodic displacement D and gradient G on the
-  field's grid, flowed by the transport equation dD/dtau = X + (X . grad) D
-  and its gradient, with spectral derivatives, never sampling X off the
-  grid; a map is the product of its factors, each stretching little enough
-  to be resolved on the grid.  Jacobians are I + G.  phi^t is the power
-  (phi^s)^m, with m = 1 unless the flow stretches too much in time t.
-  phi^t and phi^-t are built together, once per (field, |t|, steps): later
-  calls at either sign return the same read-only maps for as long as the
-  field lives.  `flow_maps` builds the maps of many t at once, by one RK4
-  integration of the stacked states of every factor that takes the same
-  substep count.  A Moser map's field depends on time, so its factors are
-  distinct, and those of one direction take one RK4 integration.
-* `integrate_flow` moves points (Lagrangian): the state is the points and
-  their Jacobians, (M, n + n^2), and each stage samples the field and its
+* `flow_map` is grid-resident: a factor phi = id + D is kept as its periodic
+  displacement D and gradient G on the field's grid, flowed by the transport
+  equation dD/dtau = X + (X . grad) D and its gradient, with spectral
+  derivatives, never sampling X off the grid; a map is the product of its
+  factors, each stretching little enough to be resolved on the grid, so
+  Jacobians are products of I + G.  For an autonomous field that grid system
+  is affine with constant coefficients, and a factor is its exact Taylor
+  series, whose terms do not depend on time: phi^t and phi^-t of every t of
+  a build sum one run of terms, and are kept, read-only, for as long as the
+  field lives.  A Moser map's field depends on time, so its distinct factors
+  take one RK4 integration (`_rk4`, fixed uniform substeps, each stage
+  passed its time) of the same grid system per direction.
+* `integrate_flow` moves points (Lagrangian) by RK4: the state is the points
+  and their Jacobians, (M, n + n^2), and each stage samples the field and its
   gradient at the moving points, so Jacobians ride along by the variational
   equation J' = DX(phi) J on the same stages.  It is the independent check
   of `flow_map`.
@@ -44,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import QualityError
+from .errors import ConvergenceError, QualityError
 from .exactness import exact_primitive
 from .fields import (
     ScalarField,
@@ -55,40 +50,39 @@ from .fields import (
     sample_coefficients,
 )
 
-# Largest h * pi * max_x sum_i |X_i(x)| N_i a flow map steps at.  The spectral
-# advection operator (X . grad) has eigenvalues up to that size on the
-# imaginary axis, where explicit RK4 is stable only up to 2 sqrt(2).  The
-# margin is for accuracy: at the same step size the grid scheme's time error
-# is up to 10x the point integrator's, and at 0.15 the verification
-# workloads' response errors stay within 1e-5 (relative) of the point
-# integrator's at their nominal step counts.
-RK4_STABILITY_LIMIT = 0.15
 # Largest |s| max_x ||grad X(x)||_inf of one factor phi^s of a flow map.
 SUBMAP_STRETCH = 0.5
+# Largest reach |s| pi max_x sum_i |X_i(x)| N_i of one factor phi^s of a flow
+# map, the top eigenvalue of (X . grad): rounding at the top wavenumbers grows
+# in the series like reach^k / k!, at most about 2e4-fold at 12, while a field
+# of sup|X| = 2/pi at t = 0.5 and N = 256 (reach 256) diverges in one factor.
+SERIES_REACH = 12.0
+# A series ends at its first term within SERIES_TOL (see `flow_map`), or
+# raises ConvergenceError after SERIES_TERMS terms.
+SERIES_TOL = 1e-16
+SERIES_TERMS = 60
 # Largest max_s max_x ||grad X_s(x)||_inf / m of the m factors of a Moser map.
 # Its pushforward reads the first factor off the grid and interpolates the
 # others, so a factor that stretches more than this leaves it spatially
 # under-resolved: at 0.5 a 48^2 pushforward residual reached 1.4e-6 against
 # PUSHFORWARD_TOL = 1e-6 whatever the substeps, at 0.125 it stays below 1e-7.
 MOSER_SUBMAP_STRETCH = 0.125
-# The RK4_STABILITY_LIMIT of a Moser map's substeps.  It sets only a floor for
-# stability: the requested steps set the accuracy, and RK4 is stable up to
-# 2 sqrt(2) on the imaginary axis.
+# Largest h * pi * max_s max_x sum_i |X_s,i(x)| N_i of a Moser map's RK4
+# substeps, a floor for stability only (RK4 is stable up to 2 sqrt(2) on the
+# imaginary axis); the requested steps set the accuracy.
 MOSER_STABILITY_LIMIT = 0.6
 # Largest spectral tail/peak (see `_spectral_tail`) a transported density may
 # have: resolved verification densities sit near 1e-4 and below, the
 # under-resolved ones near 1e-2.
 TAIL_TOL = 1e-3
 
-# field -> {(t, steps): FlowMap}, with t and -t entered together; an entry
-# lives as long as its field, whose values are read-only, so a map is never
-# stale
+# field -> {t: FlowMap}, with t and -t entered together; an entry lives as
+# long as its field, whose values are read-only, so a map is never stale
 _FLOW_MAPS = weakref.WeakKeyDictionary()
 
 __all__ = [
     "FlowEvaluation",
     "FlowMap",
-    "default_steps",
     "flow_map",
     "integrate_flow",
     "transported_density",
@@ -104,7 +98,8 @@ class FlowEvaluation:
     lifts     -- (M, n) unreduced endpoints on the universal cover
     jacobians -- (M, n, n) Jacobian matrices, or None if not requested
     time      -- total flow time
-    steps     -- substep count actually used
+    steps     -- the steps taken: RK4 substeps, or Taylor steps of a flow
+                 map (see `FlowMap`)
     points    -- the lifts reduced into [0, 1)
     """
 
@@ -130,12 +125,6 @@ class FlowEvaluation:
     def determinants(self) -> np.ndarray | None:
         """det of each Jacobian (None without Jacobians)."""
         return self._determinants
-
-
-def default_steps(X: VectorFieldT, t: float) -> int:
-    """ceil(64 * max(1, sup|X| * |t|)): truncation error far below the
-    verification tolerances for smooth band-limited fields."""
-    return int(math.ceil(64.0 * max(1.0, X.sup_norm * abs(t))))
 
 
 class FieldStack:
@@ -213,15 +202,11 @@ def _rk4(rate, state: np.ndarray, s0, h, steps: int) -> np.ndarray:
     return state
 
 
-def integrate_flow(
-    X: VectorFieldT,
-    t: float,
-    points,
-    steps: int | None = None,
-    jacobian: bool = True,
-) -> FlowEvaluation:
-    """phi^t at the given points; the torus is compact so any t is allowed.
-    At t = 0 this is the identity, in 0 steps, whatever ``steps`` says.
+def integrate_flow(X: VectorFieldT, t: float, points, steps: int,
+                   jacobian: bool = True) -> FlowEvaluation:
+    """phi^t at the given points by ``steps`` RK4 substeps; the torus is
+    compact so any t is allowed.  At t = 0 this is the identity, in 0 steps,
+    whatever ``steps`` says.
 
     The state is the points and, with ``jacobian``, their Jacobians J row by
     row, (M, n + n^2): each stage samples X and its gradient DX at the moving
@@ -229,8 +214,6 @@ def integrate_flow(
     pts = as_points(points, X.grid.dim)
     if t == 0.0:
         steps = 0
-    elif steps is None:
-        steps = default_steps(X, t)
     elif steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     stack = FieldStack.of(X.components)
@@ -264,7 +247,8 @@ class FlowMap:
     grid     -- the field's grid
     factors  -- `FieldStack`s of each factor's D and G = grad D, in order
     time     -- t
-    steps    -- RK4 substeps over [0, t] (those of all factors)
+    steps    -- a Moser map's RK4 substeps over [0, t]; a field's flow map
+                takes one Taylor step per factor, so there it is ``submaps``
     submaps  -- number of factors
     """
 
@@ -290,87 +274,93 @@ class FlowMap:
         return FlowEvaluation(lifts, jac, self.time, self.steps)
 
 
-def flow_map(X: VectorFieldT, t: float, steps: int | None = None) -> FlowMap:
-    """phi^t of X on X's grid; any real t is allowed.
+def flow_map(X: VectorFieldT, t: float) -> FlowMap:
+    """phi^t of X on X's grid, any real t: the power (phi^s)^m, s = t / m,
+    with m the fewest factors for which |s| max_x ||grad X(x)||_inf <=
+    SUBMAP_STRETCH (submaps resolved where phi^t may not be) and
+    |s| pi max_x sum_i |X_i(x)| N_i <= SERIES_REACH.  phi^s = id + D, and
+    D and its gradient G solve dD/dtau = X + G X, dG/dtau = DX + G DX +
+    (X . grad) G from 0 at tau = 0 to s: G is flowed, not taken as grad D;
+    only G is differentiated (spectrally), and products are pointwise at the
+    grid points, so D and G stay exact there to second order in s, however
+    X's spectrum ends.  That system is affine with constant coefficients,
+    so its solution is its Taylor series in s, the Lie series of the flow:
 
-    phi^t is the power (phi^s)^m with s = t / m, and m the fewest factors for
-    which |s| max_x ||grad X(x)||_inf <= SUBMAP_STRETCH: a map that stretches
-    little is resolved on the grid that resolves X, where phi^t itself may
-    not be (the characteristic mapping method's composition of submaps).
-    The displacement D of phi^s = id + D and its gradient G solve
+        D = sum_k s^k / k! N_k,    N_1 = X,   N_(k+1) = M_k X,
+        G = sum_k s^k / k! M_k,    M_1 = DX,  M_(k+1) = M_k DX + (X . grad) M_k,
 
-        dD/dtau = X + G X,    dG/dtau = DX + G DX + (X . grad) G
-
-    from D = G = 0 at tau = 0 to tau = s (phi^(tau + u) = phi^tau o phi^u,
-    differentiated in u at 0, and its gradient), by RK4 with spectral
-    derivatives.  Only G is differentiated, and every product is pointwise
-    at the grid points, so D and G stay exact there to second order in s,
-    however X's spectrum ends.
-
-    ``steps`` (default `default_steps`) is a lower bound on the RK4 substeps
-    over [0, t]: explicit RK4 on the advection term is stable only for small
-    enough substeps, so each factor takes at least the substeps that keep
-    h * pi * max_x sum_i |X_i(x)| N_i within RK4_STABILITY_LIMIT.  The count
-    used is the ``steps`` of the result and of its evaluations.
-
-    This is ``flow_maps(X, (t,), steps)[0]``: phi^t and phi^-t are built
-    together, once per (X, |t|, steps), and a repeated call, or a call at
-    -t, returns the same `FlowMap` for as long as X lives.
+    up to the first term with |s^k / k!| max|N_k| <= SERIES_TOL |s| max|X|
+    and |s^k / k!| max|M_k| <= SERIES_TOL |s| max|DX|, else ConvergenceError
+    after SERIES_TERMS terms.  This is ``flow_maps(X, (t,))[0]``: phi^t and
+    phi^-t are built together, once per (X, |t|), kept while X lives.
     """
-    return flow_maps(X, (t,), steps)[0]
+    return flow_maps(X, (t,))[0]
 
 
-def flow_maps(X: VectorFieldT, times, steps: int | None = None) -> list:
-    """[`flow_map`(X, t, steps) for t in times], with every map not built yet
-    built at once.
+def flow_maps(X: VectorFieldT, times) -> list:
+    """[`flow_map`(X, t) for t in times], with every map not built yet built
+    at once.
 
-    The submaps and substeps depend on |t| alone, so phi^t and phi^-t are
-    always built together, and every missing |t| whose factors take the same
-    substep count joins one RK4 integration of all those factors' stacked
-    states (`_flow_factor`), each with its own step size.  Each map is bit
-    for bit what a build of it alone would give, and is kept for as long as
-    X lives.
+    The factors depend on |t| alone, so phi^t and phi^-t are always built
+    together, every missing map summing one run of `_series_terms`, dropped
+    after the build.  Each sum ends on its own tolerance, so each map is bit
+    for bit what a build of it alone would give.
     """
     times = [float(t) for t in times]
-    if steps is not None and steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
     maps = _FLOW_MAPS.setdefault(X, {})
-    missing = sorted({abs(t) for t in times if (t, steps) not in maps})
-    for phi in _build_flow_maps(X, missing, steps):
-        maps[phi.time, steps] = phi
-    return [maps[t, steps] for t in times]
+    missing = sorted({abs(t) for t in times if t not in maps})
+    for phi in _build_flow_maps(X, missing):
+        maps[phi.time] = phi
+    return [maps[t] for t in times]
 
 
-def _build_flow_maps(X: VectorFieldT, times, steps: int | None) -> list:
-    """phi^t and phi^-t for each t > 0 in ``times``, and the zero map if
-    ``times`` holds 0, with one `_flow_factor` integration per substep count."""
-    grid, n = X.grid, X.grid.dim
-    maps = []
-    if 0.0 in times:
-        zero = np.zeros((n + n * n,) + grid.shape)
-        maps.append(FlowMap((_factor(grid, zero),), 0.0, 0))
-    times = [t for t in times if t > 0.0]
+def _build_flow_maps(X: VectorFieldT, times) -> list:
+    """phi^t and phi^-t for each t >= 0 in ``times``, from one run of
+    `_series_terms`; at t = 0 both are the zero map, of 0 steps."""
     if not times:
-        return maps
+        return []
+    grid, n = X.grid, X.grid.dim
     velocity = np.stack([c.values for c in X.components])
     shear = np.stack([[c.derivative(j).values for j in range(n)] for c in X.components])
     stretch = float(np.abs(shear).sum(axis=1).max())  # max_x ||grad X(x)||_inf
     speed = float(sum(np.abs(v) * size for v, size in zip(velocity, grid.resolution)).max())
-    # substeps per factor -> [(t, submaps)] of the maps whose factors take them
-    groups = {}
-    for t in times:
-        submaps = max(1, math.ceil(t * stretch / SUBMAP_STRETCH))
-        stable = math.ceil(t / submaps * math.pi * speed / RK4_STABILITY_LIMIT)
-        requested = default_steps(X, t) if steps is None else steps
-        substeps = max(math.ceil(requested / submaps), stable, 1)
-        groups.setdefault(substeps, []).append((t, submaps))
-    for substeps, group in groups.items():
-        signed = [(sign * t, submaps) for t, submaps in group for sign in (1.0, -1.0)]
-        states = _flow_factor(grid, lambda s: (velocity, shear), [t / m for t, m in signed],
-                              substeps)
-        maps += [FlowMap((_factor(grid, state),) * submaps, t, submaps * substeps)
-                 for state, (t, submaps) in zip(states, signed)]
-    return maps
+    signed = [(sign * t, max(1, math.ceil(t * stretch / SUBMAP_STRETCH),
+                             math.ceil(t * math.pi * speed / SERIES_REACH)))
+              for t in times for sign in ((1.0, -1.0) if t else (1.0,))]
+    # per map: its factor's time s, the weight s^k / k! of term k, and the sum
+    s = [t / m for t, m in signed]
+    weights, sums = [1.0] * len(signed), [0.0] * len(signed)
+    bounds = SERIES_TOL * np.array([np.abs(velocity).max(), np.abs(shear).max()])
+    summing = range(len(signed))
+    for k, term in enumerate(_series_terms(grid, velocity, shear), 1):
+        sizes = np.array([np.abs(term[:n]).max(), np.abs(term[n:]).max()])
+        for i in summing:
+            weights[i] *= s[i] / k
+            sums[i] = sums[i] + weights[i] * term
+        summing = [i for i in summing if np.any(abs(weights[i]) * sizes > abs(s[i]) * bounds)]
+        if not summing:
+            break
+        if k == SERIES_TERMS:
+            i = summing[0]
+            last = abs(weights[i]) * sizes
+            raise ConvergenceError(
+                f"the flow map at t = {signed[i][0]:g} did not converge: the series of its "
+                f"factor phi^s, s = {s[i]:g}, still had a term of size {last[0]:.3e} (D) "
+                f"and {last[1]:.3e} (G) after {k} terms", float(last.max()), k)
+    return [FlowMap((_factor(grid, total),) * m, t, m if t else 0)
+            for total, (t, m) in zip(sums, signed)]
+
+
+def _series_terms(grid, velocity, shear):
+    """For k = 1, 2, ... the terms N_k and M_k (row by row) of `flow_map`'s
+    series of the field of grid values ``velocity`` and ``shear``, stacked
+    as one (n + n^2,) + grid.shape array, each from the last."""
+    n = grid.dim
+    rate = _grid_rate(grid)
+    term = np.concatenate([velocity, shear.reshape((n * n,) + grid.shape)])
+    while True:
+        yield term
+        term = rate(term[n:].reshape((1, n, n) + grid.shape), velocity, shear, False)[0]
 
 
 def _factor(grid, state: np.ndarray) -> FieldStack:
@@ -380,37 +370,46 @@ def _factor(grid, state: np.ndarray) -> FieldStack:
     return FieldStack(grid, state[:n], state[n:].reshape((n, n) + grid.shape))
 
 
-def _flow_factor(grid, field, times, steps: int, starts=0.0) -> np.ndarray:
-    """D and G of the factors phi = id + D, one per entry of ``times``, each
-    flowing its field from its start (``starts``, one for all or one per
-    entry) over its time, stacked as one (n + n^2,) + grid.shape array (G
-    row by row), by `steps` RK4 substeps of one batched state of shape
-    (len(times), n + n^2) + grid.shape.
-
-    ``field(s)`` gives the grid values and gradient of the field at the
-    stage times s, of shape (len(times), 1) + (1,) * n: either one velocity
-    (n,) + grid.shape and shear (n, n) + grid.shape for every entry (an
-    autonomous field), or one per entry, (len(times), n) + grid.shape and
-    (len(times), n, n) + grid.shape.  Every stage makes one set of
-    transforms for the whole batch, and every batch entry is computed as it
-    would be alone."""
+def _grid_rate(grid):
+    """rate(G, velocity, shear, source=True): at gradients G, (B, n, n) +
+    grid.shape, the rates X + G X and DX + G DX + (X . grad) G of `flow_map`'s
+    grid system, without ``source`` G X and G DX + (X . grad) G, as (B, n +
+    n^2) + grid.shape.  X and DX are one for all entries or one per entry;
+    one set of transforms serves the batch, each entry computed as alone."""
     n = grid.dim
     # real-to-complex transforms keep the last axis' wavenumbers 0..N/2
     symbols = [grid.derivative_symbol(j)[..., : grid.resolution[-1] // 2 + 1]
                for j in range(n)]
     axes = tuple(range(3, n + 3))
 
-    def rate(s, state):
-        velocity, shear = field(s)
+    def rate(G, velocity, shear, source=True):
         batch = "b" if velocity.ndim > n + 1 else ""
-        G = state[:, n:].reshape((-1, n, n) + grid.shape)
         coefficients = _rfftn(G, axes)
-        dD = velocity + np.einsum(f"bik...,{batch}k...->bi...", G, velocity)
-        dG = shear + np.einsum(f"bik...,{batch}kj...->bij...", G, shear)
+        dD = np.einsum(f"bik...,{batch}k...->bi...", G, velocity)
+        dG = np.einsum(f"bik...,{batch}kj...->bij...", G, shear)
+        if source:
+            dD, dG = velocity + dD, shear + dG
         rows = velocity.reshape((-1, n, 1, 1) + grid.shape)
         for k, symbol in enumerate(symbols):
             dG += rows[:, k] * _irfftn(coefficients * symbol, grid.shape, axes)
         return np.concatenate([dD, dG.reshape((-1, n * n) + grid.shape)], axis=1)
+
+    return rate
+
+
+def _flow_factor(grid, field, times, steps: int, starts=0.0) -> np.ndarray:
+    """D and G of the factors phi = id + D, one per entry of ``times``, each
+    flowing its field from its start (``starts``, one for all or one per
+    entry) over its time, stacked as (len(times), n + n^2) + grid.shape (G
+    row by row): `steps` RK4 substeps of `_grid_rate` on one batched state.
+    ``field(s)`` gives X and DX at the grid points at the stage times s,
+    (len(times), 1) + (1,) * n: (n,) + grid.shape and (n, n) + grid.shape
+    for every entry (an autonomous field), or one per entry."""
+    n = grid.dim
+    grid_rate = _grid_rate(grid)
+
+    def rate(s, state):
+        return grid_rate(state[:, n:].reshape((-1, n, n) + grid.shape), *field(s))
 
     # one step size and start per batch entry, broadcast over its state
     shape = (-1,) + (1,) * (n + 1)
@@ -454,7 +453,8 @@ def transported_density(omega: VolumeDensity, inverse) -> VolumeDensity:
                            f"spectral tail/peak {tail:.1e}: the grid may under-resolve the "
                            "density (raise N)", tail)
     # the tail is resolved, so what is left to name is the flow itself
-    flowed = f"after a flow of |t| = {abs(inverse_eval.time):g} in {inverse_eval.steps} steps"
+    flowed = (f"after a flow of |t| = {abs(inverse_eval.time):g} in {inverse_eval.steps} steps "
+              "(Taylor steps of a flow map, one per factor; RK4 substeps of a Moser map)")
     mass_defect = abs(float(values.mean()) - 1.0)
     if mass_defect > 1e-8:
         raise QualityError(f"transported density lost mass: |mean - 1| = {mass_defect:.3e} "

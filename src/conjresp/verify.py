@@ -35,7 +35,8 @@ class ConvergenceReport:
     """Per-t errors of a central-difference check and the fitted order.
 
     fitted_order is None when fewer than two errors sit above the noise
-    floor.  constant is the measured e(t_min) / t_min^2.
+    floor, and order_stderr, the standard error of its least-squares slope,
+    when fewer than three do.  constant is the measured e(t_min) / t_min^2.
     """
 
     t_values: tuple
@@ -43,12 +44,14 @@ class ConvergenceReport:
     fitted_order: float | None
     constant: float
     passed: bool
+    order_stderr: float | None = None
 
     def to_json(self) -> dict:
         return {
             "t": list(self.t_values),
             "error": list(self.errors),
             "fitted_order": self.fitted_order,
+            "order_stderr": self.order_stderr,
             "constant": self.constant,
             "passed": bool(self.passed),
         }
@@ -66,49 +69,52 @@ def _fit_report(t_values, errors) -> ConvergenceReport:
         # a single error above round-off: no order can be fitted
         passed = bool(eu[0] <= 1e-9)
         return ConvergenceReport(tuple(t), tuple(e), None, constant, passed)
-    slope = float(np.polyfit(np.log(tu), np.log(eu), 1)[0])
+    x, y = np.log(tu), np.log(eu)
+    slope, intercept = (float(c) for c in np.polyfit(x, y, 1))
+    stderr = None
+    if x.size > 2:
+        residuals = y - (intercept + slope * x)
+        stderr = float(np.sqrt(np.sum(residuals**2) / (x.size - 2)
+                               / np.sum((x - x.mean()) ** 2)))
     passed = ORDER_RANGE[0] <= slope <= ORDER_RANGE[1]
-    return ConvergenceReport(tuple(t), tuple(e), slope, constant, passed)
+    return ConvergenceReport(tuple(t), tuple(e), slope, constant, passed, stderr)
 
 
-def pushforward_density(omega: VolumeDensity, X: VectorFieldT, t: float,
-                        steps: int | None = None) -> VolumeDensity:
+def pushforward_density(omega: VolumeDensity, X: VectorFieldT, t: float) -> VolumeDensity:
     """Density of phi^t_* omega on the grid:
     eta_t(y) = eta(phi^{-t}(y)) det D phi^{-t}(y), with phi^{-t} = id + D
-    read off the grid (`flow_map`), so eta is sampled once.  ``steps`` is a
-    lower bound on the flow map's RK4 substeps."""
-    return transported_density(omega, flow_map(X, -t, steps=steps))
+    read off the grid (`flow_map`), so eta is sampled once."""
+    return transported_density(omega, flow_map(X, -t))
 
 
 def response_check(omega: VolumeDensity, rho: ScalarField, X: VectorFieldT,
-                   t_values, steps: int | None = None) -> ConvergenceReport:
+                   t_values) -> ConvergenceReport:
     """Check that the pushforward density moves at rate rho * eta:
     e(t) = max |(eta_t - eta_{-t}) / (2 t) - rho eta| should shrink like t^2.
     One `flow_maps` call builds every phi^{+-t} that the pushforwards read."""
     t_values = checked_t_values(t_values)
-    flow_maps(X, t_values, steps)
+    flow_maps(X, t_values)
 
     def eta(t):
-        return pushforward_density(omega, X, t, steps=steps).eta.values
+        return pushforward_density(omega, X, t).eta.values
 
     return _central_difference_check(t_values, lambda t: eta(t) - eta(-t),
                                      (rho * omega.eta).values)
 
 
-def derivative_check(T: TorusMap, X: VectorFieldT, t_values,
-                     steps: int | None = None) -> ConvergenceReport:
+def derivative_check(T: TorusMap, X: VectorFieldT, t_values) -> ConvergenceReport:
     """Check -DT(X) + X o T against central differences of the deformed map
     T_t = phi^t o T o phi^{-t}, using shortest-lift differencing on the
     torus.  T_t and T_{-t} share the flow maps of X at t and -t.  One
     `flow_maps` call builds every pair not built yet, and pairs are kept
-    per (X, |t|, steps), so after a `response_check` of X at the same t
-    values and steps this builds none."""
+    per (X, |t|), so after a `response_check` of X at the same t values
+    this builds none."""
     t_values = checked_t_values(t_values)
-    flow_maps(X, t_values, steps)
+    flow_maps(X, t_values)
     pts = T.grid.points()
 
     def change(t):
-        forward, inverse = flow_maps(X, (t, -t), steps)
+        forward, inverse = flow_maps(X, (t, -t))
         return ConjugatedMap(T, forward, inverse)(pts) - ConjugatedMap(T, inverse, forward)(pts)
 
     return _central_difference_check(t_values, change,

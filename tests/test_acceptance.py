@@ -88,12 +88,12 @@ def response_scenarios(warped_map):
     rho_sin = ScalarField.from_modes(t1, [[2, 0.0, 1.0]])
     omega_w = warped_map.density
     return [
-        ("doubling", flat1, [rho_cos, rho_sin], 16),
+        ("doubling", flat1, [rho_cos, rho_sin]),
         ("warped-doubling", omega_w,
-         [remove_weighted_mean(rho_cos, omega_w), remove_weighted_mean(rho_sin, omega_w)], 16),
+         [remove_weighted_mean(rho_cos, omega_w), remove_weighted_mean(rho_sin, omega_w)]),
         ("cat-map", flat2,
          [ScalarField.from_modes(t2, [[1, 0, 1.0, 0.0]]),
-          ScalarField.from_modes(t2, [[1, 1, 0.0, 1.0]])], 10),
+          ScalarField.from_modes(t2, [[1, 1, 0.0, 1.0]])]),
     ]
 
 
@@ -144,10 +144,10 @@ def test_criterion_3_first_order_response(response_scenarios):
     start = time.perf_counter()
     summaries = []
     ok = True
-    for name, omega, rhos, steps in response_scenarios:
+    for name, omega, rhos in response_scenarios:
         for i, rho in enumerate(rhos):
             X = solve_for_field(rho, omega)
-            rep = response_check(omega, rho, X, T_SWEEP, steps=steps)
+            rep = response_check(omega, rho, X, T_SWEEP)
             ok = ok and rep.passed and rep.errors[-1] <= 1e-4
             summaries.append(f"{name}/{i}: order {rep.fitted_order:.2f} "
                              f"e(t_min) {rep.errors[-1]:.1e}")
@@ -159,12 +159,12 @@ def test_criterion_3_first_order_response(response_scenarios):
 def test_criterion_4_deformation_derivative(canonical_doubling):
     grid, omega, rho, X = canonical_doubling
     T = TorusMap(grid, [[2]])
-    rep = derivative_check(T, X, T_SWEEP, steps=16)
+    rep = derivative_check(T, X, T_SWEEP)
     t2 = TorusGrid((64, 64))
     rho2 = ScalarField.from_modes(t2, [[1, 0, 1.0, 0.0]])
     X2 = solve_for_field(rho2, VolumeDensity.lebesgue(t2))
     cat = TorusMap(t2, [[2, 1], [1, 1]])
-    rep2 = derivative_check(cat, X2, T_SWEEP, steps=10)
+    rep2 = derivative_check(cat, X2, T_SWEEP)
     identity = TorusMap(grid, [[1]])
     td_identity = deformation_derivative(identity, X)
     identity_sup = max(c.max_abs for c in td_identity.components)
@@ -178,15 +178,15 @@ def test_criterion_5_deformed_invariance(canonical_doubling, warped_map):
     grid, omega, rho, X = canonical_doubling
     T = TorusMap(grid, [[2]])
     t = 0.02
-    eta_t = pushforward_density(omega, X, t, steps=32)
-    r_doubling = transfer_check(ConjugatedMap(T, *flow_maps(X, (t, -t), 32)), eta_t, 512)
+    eta_t = pushforward_density(omega, X, t)
+    r_doubling = transfer_check(ConjugatedMap(T, *flow_maps(X, (t, -t))), eta_t, 512)
     r_doubling_0 = transfer_check(T, omega, 512)
 
     omega_w = warped_map.density
     rho_w = remove_weighted_mean(rho, omega_w)
     X_w = solve_for_field(rho_w, omega_w)
-    eta_w_t = pushforward_density(omega_w, X_w, t, steps=32)
-    warped_t = ConjugatedMap(warped_map, *flow_maps(X_w, (t, -t), 32))
+    eta_w_t = pushforward_density(omega_w, X_w, t)
+    warped_t = ConjugatedMap(warped_map, *flow_maps(X_w, (t, -t)))
     r_warped = transfer_check(warped_t, eta_w_t, 512)
     r_warped_0 = transfer_check(warped_map, omega_w, 512)
 
@@ -210,8 +210,8 @@ def test_criterion_6_solution_multiplicity(canonical_doubling):
     td_diff = deformation_derivative(T, X_custom) - deformation_derivative(T, X)
     td_diff_sup = max(comp.max_abs for comp in td_diff.components)
 
-    rep_can = response_check(omega, rho, X, T_SWEEP, steps=16)
-    rep_cus = response_check(omega, rho, X_custom, T_SWEEP, steps=16)
+    rep_can = response_check(omega, rho, X, T_SWEEP)
+    rep_cus = response_check(omega, rho, X_custom, T_SWEEP)
 
     # 2-torus: adding d(alpha) changes X but not the measured response.  The
     # d(alpha) field is ~40x larger in sup norm, so its quadratic
@@ -226,12 +226,12 @@ def test_criterion_6_solution_multiplicity(canonical_doubling):
     X2_alpha = solve_for_field(rho2, omega2, SolutionStrategy.custom((0.0, 0.0), alpha))
     change = max((a - b).max_abs for a, b in zip(X2_alpha.components, X2.components))
     alpha_sweep = (2e-3, 1e-3, 5e-4)
-    rep_alpha = response_check(omega2, rho2, X2_alpha, alpha_sweep, steps=10)
+    rep_alpha = response_check(omega2, rho2, X2_alpha, alpha_sweep)
     t_small = alpha_sweep[-1]
 
     def measured_response(field):
-        plus = pushforward_density(omega2, field, t_small, steps=10).eta.values
-        minus = pushforward_density(omega2, field, -t_small, steps=10).eta.values
+        plus = pushforward_density(omega2, field, t_small).eta.values
+        minus = pushforward_density(omega2, field, -t_small).eta.values
         return (plus - minus) / (2.0 * t_small)
 
     response_shift = float(np.max(np.abs(
@@ -264,7 +264,7 @@ def test_criterion_7_weighted_poisson(warped_map):
     X = solve_for_field(rho, omega, SolutionStrategy.gradient())
     target = rho * omega.eta
     residual = (lie_derivative_density(X, omega) + target).max_abs / target.max_abs
-    rep = response_check(omega, rho, X, T_SWEEP, steps=16)
+    rep = response_check(omega, rho, X, T_SWEEP)
 
     ok = u_err <= 1e-8 and residual <= 1e-8 and rep.passed and rep.errors[-1] <= 1e-4
     report(7, "weighted Poisson solver", ok,

@@ -160,6 +160,15 @@ class TestSolve:
 
 
 class TestVerify:
+    def test_flow_map_past_its_term_cap_exits_3_naming_t(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(flow, "SERIES_TERMS", 3)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", write_config(tmp_path, doubling_config()),
+                     "--out", str(out), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("convergence error: the flow map at t = 0.0025 did not converge")
+        assert "after 3 terms" in err and not any(out.iterdir())
+
     def test_doubling_scenario_passes(self, tmp_path):
         cfg = write_config(tmp_path, doubling_config())
         out = tmp_path / "out"
@@ -428,11 +437,11 @@ def _warped_config():
                            strategy="gradient")
 
 
-# (command, config, {grid resolution: (flow maps built, integrations)}): two
+# (command, config, {grid resolution: (flow maps built, series runs)}): two
 # maps per distinct t (3 t_values and transfer_t on the circle, 2 t_values
 # on the torus, the 3 t_values of a sweep at each resolution), however many
-# checks use them, and one integration for all of them, since they share a
-# substep count; a warped doubling map's construction adds its own pair
+# checks use them, and one run of series terms per field for all of them; a
+# warped doubling map's construction adds its own pair, of its own field
 FLOW_MAP_BUILDS = [
     ("verify", lambda: doubling_config(grid={"resolution": [64]}), {(64,): (8, 1)}),
     ("verify", _cat_config, {(32, 16): (4, 1)}),
@@ -444,25 +453,30 @@ FLOW_MAP_BUILDS = [
 @pytest.mark.parametrize("command, config, builds", FLOW_MAP_BUILDS,
                          ids=["circle-verify", "torus-verify", "sweep", "warped-verify"])
 def test_each_flow_map_is_built_once_per_run(tmp_path, monkeypatch, command, config, builds):
-    built, integrated = Counter(), Counter()
-    build = flow._flow_factor
+    built, runs = Counter(), Counter()
+    build, terms = flow._build_flow_maps, flow._series_terms
 
-    def counting(grid, field, times, steps):
-        built[grid.resolution] += len(times)
-        integrated[grid.resolution] += 1
-        return build(grid, field, times, steps)
+    def building(X, times):
+        maps = build(X, times)
+        built[X.grid.resolution] += len(maps)
+        return maps
 
-    monkeypatch.setattr(flow, "_flow_factor", counting)
+    def running(grid, velocity, shear):
+        runs[grid.resolution] += 1
+        return terms(grid, velocity, shear)
+
+    monkeypatch.setattr(flow, "_build_flow_maps", building)
+    monkeypatch.setattr(flow, "_series_terms", running)
     path = write_config(tmp_path, config())
     assert main([command, "--config", path, "--out", str(tmp_path / "o"), "--quiet"]) == 0
     assert built == {resolution: maps for resolution, (maps, _) in builds.items()}
-    assert integrated == {resolution: count for resolution, (_, count) in builds.items()}
+    assert runs == {resolution: count for resolution, (_, count) in builds.items()}
     gc.collect()
     assert not flow._FLOW_MAPS  # the maps die with the run's fields
 
 
-# (command, config) runs whose flow maps share one integration per grid,
-# the warped doubling map adding one for its own generator
+# (command, config) runs whose flow maps share one run of series terms per
+# field, the warped doubling map adding one for its own generator
 BATCHED_RUNS = [
     ("verify", doubling_config(grid={"resolution": [64]})),
     ("verify", _cat_config()),
@@ -475,19 +489,17 @@ BATCHED_RUNS = [
                          ids=["circle-verify", "torus-verify", "warped-verify", "sweep"])
 def test_batched_builds_write_the_files_of_pairwise_builds(tmp_path, monkeypatch, command,
                                                           config):
-    # the oracle integrates one +-t pair at a time, as each pair was built
-    # before the maps of all t were batched
-    build = flow._flow_factor
+    # the oracle builds one +-t pair at a time, each from its own series run
+    build = flow._build_flow_maps
 
-    def pairwise(grid, field, times, steps):
-        return np.concatenate([build(grid, field, times[i:i + 2], steps)
-                               for i in range(0, len(times), 2)])
+    def pairwise(X, times):
+        return [phi for t in times for phi in build(X, [t])]
 
     path = write_config(tmp_path, config)
     outputs = []
     for name in ("batched", "pairwise"):
         if name == "pairwise":
-            monkeypatch.setattr(flow, "_flow_factor", pairwise)
+            monkeypatch.setattr(flow, "_build_flow_maps", pairwise)
         out = tmp_path / name
         assert main([command, "--config", path, "--out", str(out), "--quiet"]) == 0
         outputs.append({p.name: p.read_bytes() for p in out.iterdir()})

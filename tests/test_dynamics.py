@@ -34,10 +34,11 @@ from conjresp import (
     VolumeDensity,
     flow_map,
 )
-from conjresp.dynamics import (EXPANSION_MARGIN, NEWTON_ITERATIONS, WARP_CONSTRUCTION_STEPS,
-                               WARP_FACTORS, _branch_newton, _warp_conjugacy)
+from conjresp import flow
+from conjresp.dynamics import (EXPANSION_MARGIN, NEWTON_ITERATIONS, WARP_FACTORS,
+                               _branch_newton, _warp_conjugacy)
 from conjresp.fields import mod1
-from conjresp.flow import flow_maps, transported_density
+from conjresp.flow import FlowMap, flow_maps, transported_density
 
 
 def canonical_field(grid):
@@ -97,8 +98,7 @@ def hand_warped_doubling(generator):
     grid = generator.grid
 
     def h(sign, points):
-        phi = flow_map(generator, sign / WARP_FACTORS,
-                       steps=WARP_CONSTRUCTION_STEPS // WARP_FACTORS)
+        phi = flow_map(generator, sign / WARP_FACTORS)
         jacobian = np.ones(points.shape[0])
         for _ in range(WARP_FACTORS):
             step = phi(points)
@@ -108,6 +108,16 @@ def hand_warped_doubling(generator):
     backward, eta = h(-1.0, grid.points())
     g = h(1.0, 2.0 * backward)[0][:, 0] - 2.0 * grid.points()[:, 0]
     return g, eta / eta.mean()
+
+
+def rk4_conjugacy(generator, steps):
+    """[h, h^{-1}] of the warped doubling map as one factor each, by ``steps``
+    RK4 substeps of the flow maps' grid system (`flow._flow_factor`)."""
+    grid = generator.grid
+    velocity = np.stack([c.values for c in generator.components])
+    shear = np.stack([[c.derivative(0).values] for c in generator.components])
+    states = flow._flow_factor(grid, lambda s: (velocity, shear), (1.0, -1.0), steps)
+    return [FlowMap((flow._factor(grid, state),), t, steps) for state, t in zip(states, (1, -1))]
 
 
 def conjugated_doubling(forward, inverse):
@@ -208,18 +218,17 @@ class TestWarpedDoubling:
     @given(k=st.integers(1, 3), amplitude=st.floats(0.02, 0.05),
            phase=st.floats(0.0, 2 * np.pi))
     def test_factored_conjugacy_is_as_accurate_as_one_factor(self, k, amplitude, phase):
-        # against a 2048-step one-factor reference, the factored h is as
-        # accurate as a 128-step one-factor build: both take about the same
-        # step size, and over 100 such generators the factored error was
-        # the larger by at most 1.30x (g) and 1.05x (eta)
+        # against a 2048-step RK4 one-factor reference, the factored h is as
+        # accurate as a 128-step RK4 one-factor build
         generator = VectorFieldT([ScalarField.from_modes(
             TorusGrid(256), [[k, amplitude * np.cos(phase), amplitude * np.sin(phase)]])])
         forward, inverse = _warp_conjugacy(generator)
         assert (forward.time, inverse.time) == (1.0, -1.0)
-        assert forward.steps == inverse.steps >= WARP_CONSTRUCTION_STEPS
-        reference = conjugated_doubling(*flow_maps(generator, (1.0, -1.0), steps=2048))
-        one_factor = conjugated_doubling(
-            *flow_maps(generator, (1.0, -1.0), steps=WARP_CONSTRUCTION_STEPS))
+        eighth = flow_map(generator, 1.0 / WARP_FACTORS)
+        assert forward.submaps == inverse.submaps == WARP_FACTORS * eighth.submaps
+        assert forward.steps == inverse.steps == WARP_FACTORS * eighth.steps
+        reference = conjugated_doubling(*rk4_conjugacy(generator, 2048))
+        one_factor = conjugated_doubling(*rk4_conjugacy(generator, 128))
         for got, single, want in zip(conjugated_doubling(forward, inverse), one_factor,
                                      reference):
             assert np.max(np.abs(got - want)) <= 1.5 * np.max(np.abs(single - want))
@@ -317,7 +326,7 @@ class TestTorusMapJacobian:
 
 class TestDeformedMap:
     def test_name_is_a_stub_naming_the_replacement(self):
-        # T_t is ConjugatedMap(T, *flow_maps(X, (t, -t), steps)); the old name
+        # T_t is ConjugatedMap(T, *flow_maps(X, (t, -t))); the old name
         # keeps only the three methods the benchmark's tracer wraps
         from conjresp.dynamics import DeformedMap
         with pytest.raises(TypeError, match=r"ConjugatedMap\(T, \*flow_maps"):
@@ -350,8 +359,8 @@ class TestDeformedMap:
         td = deformation_derivative(T, X).values_matrix()
         pts = grid.points()
         t = 1e-3
-        plus = ConjugatedMap(T, *flow_maps(X, (t, -t), 16))(pts)
-        minus = ConjugatedMap(T, *flow_maps(X, (-t, t), 16))(pts)
+        plus = ConjugatedMap(T, *flow_maps(X, (t, -t)))(pts)
+        minus = ConjugatedMap(T, *flow_maps(X, (-t, t)))(pts)
         diff = wrap_difference(plus - minus) / (2 * t)
         assert np.max(np.abs(diff - td)) <= 1e-5
 
@@ -359,7 +368,7 @@ class TestDeformedMap:
         grid = TorusGrid(64)
         T = TorusMap(grid, [[2]])
         X = canonical_field(grid)
-        D = ConjugatedMap(T, *flow_maps(X, (0.05, -0.05), 64))
+        D = ConjugatedMap(T, *flow_maps(X, (0.05, -0.05)))
         ends = D.lift(np.array([[0.0], [1.0]]))
         assert abs((ends[1, 0] - ends[0, 0]) - 2.0) <= 1e-9
 
@@ -369,7 +378,7 @@ class TestDeformedMap:
         T = TorusMap(grid, [[2]])
         X = canonical_field(grid)
         t = 0.2
-        D = ConjugatedMap(T, *flow_maps(X, (t, -t), 64))
+        D = ConjugatedMap(T, *flow_maps(X, (t, -t)))
         rng = np.random.default_rng(6)
         pts = rng.random((30, 1))
         lhs = D(integrate_flow(X, t, pts, steps=64).points)
@@ -386,7 +395,7 @@ class TestDeformedMap:
         base = T(pts)
         errors = []
         for t in (4e-2, 2e-2, 1e-2, 5e-3):
-            fwd = ConjugatedMap(T, *flow_maps(X, (t, -t), 16))(pts)
+            fwd = ConjugatedMap(T, *flow_maps(X, (t, -t)))(pts)
             err = np.max(np.abs(wrap_difference(fwd - base) / t - td))
             errors.append(err)
         order = np.polyfit(np.log([4e-2, 2e-2, 1e-2, 5e-3]), np.log(errors), 1)[0]
@@ -394,7 +403,7 @@ class TestDeformedMap:
 
     def test_preimages_match_eval(self, warped):
         X = canonical_field(warped.grid)
-        D = ConjugatedMap(warped, *flow_maps(X, (0.02, -0.02), 32))
+        D = ConjugatedMap(warped, *flow_maps(X, (0.02, -0.02)))
         y = np.linspace(0.0, 1.0, 17, endpoint=False)
         pre, deriv = D.preimages_with_derivative(y)
         assert pre.shape == (2, 17)

@@ -4,15 +4,19 @@ Oracles: a closed-form solution of dx/dt = -sin(2 pi x)/(2 pi) (with its
 exact linearization), self-convergence against a very fine reference run,
 the classical h^4 convergence order, Liouville's formula, and composition
 identities (group law, inverse round trip).  The grid-resident flow maps are
-checked against the point integrator `integrate_flow`, batched builds
-against single builds and the stage transforms against numpy's n-d ones, bit
-for bit, and `integrate_flow` against the point RK4 with its own Jacobian
-recurrence, bit for bit.  The grid Moser maps are checked against that point
-RK4 of the Moser field, and each of their factors against the stretch bound.
+checked against the point integrator `integrate_flow` and against a fine RK4
+build of their grid system; batched builds against single builds and the
+stage transforms against numpy's n-d ones, bit for bit, and `integrate_flow`
+against the point RK4 with its own Jacobian recurrence, bit for bit.  The
+grid Moser maps are checked against that point RK4 of the Moser field, their
+batched factors against each factor built alone, bit for bit, and each
+factor against the stretch bound.
 """
 
 import functools
 import gc
+import itertools
+import json
 import math
 import weakref
 
@@ -22,13 +26,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conjresp import (
+    ConvergenceError,
     FlowEvaluation,
     QualityError,
     ScalarField,
     TorusGrid,
     VectorFieldT,
     VolumeDensity,
-    default_steps,
     divergence,
     flow_map,
     integrate_flow,
@@ -38,9 +42,10 @@ from conjresp import (
     transported_density,
     wrap_difference,
 )
-from conjresp import flow
+from conjresp import flow, response_check
+from conjresp.config import build_grid, build_map, build_rho, build_strategy, load_config
 from conjresp.fields import sample_coefficients
-from conjresp.flow import FieldStack
+from conjresp.flow import FieldStack, FlowMap
 
 
 def single_mode_field(grid):
@@ -96,7 +101,7 @@ class TestIntegrateFlow:
     def test_t_zero_is_exact_identity(self):
         grid = TorusGrid(32)
         pts = np.array([[0.123]])
-        ev = integrate_flow(single_mode_field(grid), 0.0, pts)
+        ev = integrate_flow(single_mode_field(grid), 0.0, pts, steps=16)
         assert ev.steps == 0
         assert np.array_equal(ev.points, pts)
         assert np.array_equal(ev.jacobians[0], np.eye(1))
@@ -136,13 +141,6 @@ class TestIntegrateFlow:
         for coarse, fine in zip(errors, errors[1:]):
             assert 8.0 <= coarse / fine <= 32.0
 
-    def test_default_steps_scales(self):
-        grid = TorusGrid(32)
-        X = single_mode_field(grid)
-        assert default_steps(X, 0.1) == 64
-        big = VectorFieldT([ScalarField.constant(grid, 4.0)])
-        assert default_steps(big, 1.0) == 256
-
     def test_full_jacobian_matrix_2d(self):
         grid = TorusGrid((32, 32))
         X = VectorFieldT([
@@ -176,6 +174,54 @@ def band_limited_field(grid, rng, kmax, amplitude):
         for _ in range(grid.dim)])
 
 
+def grid_values(X):
+    """X and its gradient DX at the grid points, (n,) + grid.shape and (n, n)
+    + grid.shape, entry (i, j) holding d X_i / d x_j."""
+    n = X.grid.dim
+    return (np.stack([c.values for c in X.components]),
+            np.stack([[c.derivative(j).values for j in range(n)] for c in X.components]))
+
+
+def series_alone(X, s):
+    """D and G (row by row) of the factor phi^s of X as one (n + n^2,) +
+    grid.shape array: the series of `flow_map` summed for s alone, the terms
+    of `flow._series_terms` weighted by the running product s^k / k!, up to
+    the first term within SERIES_TOL on D and on G."""
+    grid, n = X.grid, X.grid.dim
+    velocity, shear = grid_values(X)
+    bounds = flow.SERIES_TOL * np.array([np.abs(velocity).max(), np.abs(shear).max()])
+    weight, total = 1.0, 0.0
+    for k, term in enumerate(flow._series_terms(grid, velocity, shear), 1):
+        weight *= s / k
+        total = total + weight * term
+        sizes = np.array([np.abs(term[:n]).max(), np.abs(term[n:]).max()])
+        if np.all(abs(weight) * sizes <= abs(s) * bounds):
+            return total
+
+
+def assert_factor(factor, state):
+    """A factor's `FieldStack` holds the D and G of ``state``, bit for bit."""
+    n = factor.grid.dim
+    assert np.array_equal(factor.values, state[:n])
+    assert np.array_equal(factor.gradients, state[n:].reshape(factor.gradients.shape))
+
+
+def count_series_runs(monkeypatch):
+    """The grid resolution of each run of `flow._series_terms` from now on."""
+    runs, terms = [], flow._series_terms
+
+    def counting(grid, velocity, shear):
+        runs.append(grid.resolution)
+        return terms(grid, velocity, shear)
+
+    monkeypatch.setattr(flow, "_series_terms", counting)
+    return runs
+
+
+# the times of the bit-identity property, 0 and both signs of three |t|
+SIGNED_TIMES = [0.0, 0.05, -0.05, 0.3, -0.3, 1.0, -1.0]
+
+
 class TestFlowMap:
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(resolution=st.sampled_from(sorted(FLOW_MAP_GRIDS)),
@@ -185,7 +231,7 @@ class TestFlowMap:
         rng = np.random.default_rng(seed)
         kmax, reach = FLOW_MAP_GRIDS[resolution]
         X = band_limited_field(grid, rng, kmax, reach / abs(t))
-        phi = flow_map(X, t, steps=128)
+        phi = flow_map(X, t)
         on_grid = phi(grid.points())
         sampled_rows = rng.choice(grid.size, size=min(grid.size, 64), replace=False)
         scattered = rng.uniform(-1.0, 2.0, (32, grid.dim))
@@ -195,21 +241,83 @@ class TestFlowMap:
             assert np.max(np.abs(got.lifts[rows] - want.lifts)) <= 1e-9
             assert np.max(np.abs(wrap_difference(got.points[rows] - want.points))) <= 1e-9
             assert np.max(np.abs(got.jacobians[rows] - want.jacobians)) <= 1e-9
-        back = flow_map(X, -t, steps=128)(on_grid.lifts, jacobian=False)
+        back = flow_map(X, -t)(on_grid.lifts, jacobian=False)
         assert np.max(np.abs(back.lifts - grid.points())) <= 1e-9
 
-    def test_steps_are_a_lower_bound_raised_for_stability(self):
-        # h * pi * |X| * N = 4 at the default 64 steps: RK4 on the advection
-        # term is unstable there and the displacement blows up
+    @pytest.mark.parametrize("resolution, t", zip(sorted(FLOW_MAP_GRIDS), [1.0, -1.0] * 3))
+    def test_matches_the_rk4_build_of_its_grid_system(self, resolution, t):
+        # the series is the exact solution of the grid system that RK4 steps,
+        # so a 1024-substep RK4 build of the same factor agrees to rounding:
+        # over 6 seeds and t in {+-0.3, +-1} on each grid, D within 4.1e-16
+        # and G within 2.8e-15
+        grid, n = TorusGrid(resolution), len(resolution)
+        kmax, reach = FLOW_MAP_GRIDS[resolution]
+        X = band_limited_field(grid, np.random.default_rng(11), kmax, reach)
+        phi = flow_map(X, t)
+        velocity, shear = grid_values(X)
+        want = flow._flow_factor(grid, lambda s: (velocity, shear), (t / phi.submaps,), 1024)[0]
+        assert np.max(np.abs(phi.factors[0].values - want[:n])) <= 1e-15
+        assert np.max(np.abs(phi.factors[0].gradients.reshape(want[n:].shape)
+                             - want[n:])) <= 5e-15
+
+    def test_gradient_is_the_series_of_g_not_the_derivative_of_d(self, tmp_path):
+        # a torus-verify op (bench seed 2111, op 59) on which taking G as the
+        # spectral gradient of D, instead of summing G's own series, moves G
+        # by 4.3e-8; the series of (D, G) agrees with a 1024-substep RK4
+        # build of the grid system to 2.4e-17 (D) and 4.2e-16 (G), and so
+        # does the response error
+        cfg = {"grid": {"resolution": [64, 64]},
+               "map": {"kind": "custom", "A": [[2, 1], [1, 1]],
+                       "eta_modes": [[1, -2, 0.069919, 0.348905]]},
+               "rho": {"modes": [[1, 1, 0.242233, 0.163833], [-2, 2, -0.26912, 0.124886],
+                                 [3, -4, 0.041999, 0.254434]], "center": True},
+               "strategy": {"custom": {"alpha_modes": [[-3, 2, -0.010555, 0.010909],
+                                                       [3, 3, -0.010127, 0.012055]]}},
+               "verify": {"t_values": [0.01]}}
+        path = tmp_path / "op59.json"
+        path.write_text(json.dumps(cfg))
+        cfg = load_config(path)
+        grid = build_grid(cfg)
+        omega = build_map(cfg, grid).density
+        rho = build_rho(cfg, grid, omega)
+        X = solve_for_field(rho, omega, build_strategy(cfg, grid))
+        velocity, shear = grid_values(X)
+        rk4 = flow._flow_factor(grid, lambda s: (velocity, shear), (0.01, -0.01), 1024)
+        series = flow.flow_maps(X, (0.01, -0.01))
+        for phi, want in zip(series, rk4):
+            assert phi.submaps == 1
+            assert np.max(np.abs(phi.factors[0].values - want[:2])) <= 1e-16
+            assert np.max(np.abs(phi.factors[0].gradients.reshape(want[2:].shape)
+                                 - want[2:])) <= 1e-15
+        fine = [FlowMap((flow._factor(grid, state),), t, 1024) for state, t in zip(rk4, (1, -1))]
+        want = (transported_density(omega, fine[1]).eta.values
+                - transported_density(omega, fine[0]).eta.values) / 0.02
+        got = response_check(omega, rho, X, [0.01]).errors[0]
+        assert got == pytest.approx(np.max(np.abs(want - (rho * omega.eta).values)), rel=1e-12)
+
+    def test_factors_keep_each_series_within_its_reach(self):
+        # reach 0.5 pi sup|X| N = 256 in one factor, where the series diverges;
+        # its 22 factors reach 11.6 each, against a stretch rule of 4
         grid = TorusGrid(256)
         omega = VolumeDensity.lebesgue(grid)
         X = solve_for_field(ScalarField.from_modes(grid, [[1, 4.0, 0.0]]), omega)
-        assert default_steps(X, 0.5) == 64
-        got = flow_map(X, 0.5)(grid.points())
+        speed = math.pi * X.sup_norm * 256
+        assert speed * 0.5 / flow.SERIES_REACH > 21
+        phi = flow_map(X, 0.5)
+        assert (phi.submaps, phi.steps) == (22, 22)
+        got = phi(grid.points())
         want = integrate_flow(X, 0.5, grid.points(), steps=1024)
-        assert got.steps > 64
         assert np.max(np.abs(got.lifts - want.lifts)) <= 1e-8
         assert np.max(np.abs(got.jacobians - want.jacobians)) <= 1e-8
+
+    def test_a_series_past_its_term_cap_raises(self, monkeypatch):
+        X = single_mode_field(TorusGrid(32))
+        monkeypatch.setattr(flow, "SERIES_TERMS", 3)
+        with pytest.raises(ConvergenceError,
+                           match=r"t = 0\.1 did not converge: .* s = 0\.1, .* after 3 terms") as err:
+            flow_map(X, 0.1)
+        assert err.value.iterations == 3 and err.value.residual > flow.SERIES_TOL
+        assert not flow._FLOW_MAPS[X]  # nothing is kept of a failed build
 
     def test_t_zero_is_exact_identity(self):
         grid = TorusGrid((16, 16))
@@ -219,84 +327,79 @@ class TestFlowMap:
         assert np.array_equal(ev.lifts, pts)
         assert np.array_equal(ev.jacobians, np.tile(np.eye(2), (5, 1, 1)))
 
-    def test_rejects_nonpositive_steps(self):
-        with pytest.raises(ValueError, match="steps must be >= 1"):
-            flow_map(single_mode_field(TorusGrid(32)), 0.1, steps=0)
-
-    def test_built_once_per_field_t_and_steps_while_the_field_lives(self):
+    def test_built_once_per_field_and_t_while_the_field_lives(self, monkeypatch):
         grid = TorusGrid(32)
         X = single_mode_field(grid)
-        phi = flow_map(X, 0.1, steps=8)
-        assert flow_map(X, 0.1, steps=8) is phi
-        assert flow_map(X, np.float64(0.1), steps=8) is phi
-        assert flow_map(X, -0.1, steps=8) is not phi
-        assert flow_map(X, 0.1, steps=16) is not phi
-        assert flow_map(single_mode_field(grid), 0.1, steps=8) is not phi
+        runs = count_series_runs(monkeypatch)
+        phi = flow_map(X, 0.1)
+        assert flow_map(X, 0.1) is phi
+        assert flow_map(X, np.float64(0.1)) is phi
+        assert flow_map(X, -0.1) is not phi
+        assert runs == [(32,)]  # one run of series terms built both
+        assert flow_map(single_mode_field(grid), 0.1) is not phi
         field = weakref.ref(X)
         del X
         gc.collect()
         assert field() is None  # the memo holds no field alive, the map included
 
-    # (grid, t, steps, amplitude, submaps): amplitude 0.05 at |k_i| <= 2 and
-    # |t| = 1 stretches enough to split phi^t into several factors
-    PAIRED_BUILDS = [((256,), 0.3, 4, 0.02, 1), ((128,), -1.0, None, 0.05, 2),
-                     ((32, 16), 0.2, 4, 0.02, 1), ((24, 24), -1.0, 16, 0.05, 3)]
+    # (grid, t, amplitude, submaps): amplitude 0.05 at |k_i| <= 2 and |t| = 1
+    # stretches and reaches enough to split phi^t into several factors
+    PAIRED_BUILDS = [((256,), 0.3, 0.02, 1), ((128,), -1.0, 0.05, 3),
+                     ((32, 16), 0.2, 0.02, 1), ((24, 24), -1.0, 0.05, 3)]
 
-    @pytest.mark.parametrize("resolution, t, steps, amplitude, submaps", PAIRED_BUILDS)
+    @pytest.mark.parametrize("resolution, t, amplitude, submaps", PAIRED_BUILDS)
     def test_paired_build_is_the_two_single_builds_bit_for_bit(
-            self, resolution, t, steps, amplitude, submaps):
-        grid, n = TorusGrid(resolution), len(resolution)
+            self, resolution, t, amplitude, submaps):
+        grid = TorusGrid(resolution)
         X = band_limited_field(grid, np.random.default_rng(7), 2, amplitude)
-        phi, back = flow_map(X, t, steps), flow_map(X, -t, steps)
+        phi, back = flow_map(X, t), flow_map(X, -t)
         assert (phi.submaps, back.submaps) == (submaps, submaps)
-        assert phi.steps == back.steps
-        velocity = np.stack([c.values for c in X.components])
-        shear = np.stack([[c.derivative(j).values for j in range(n)] for c in X.components])
+        assert (phi.steps, back.steps) == (submaps, submaps)
         for m in (phi, back):
-            alone = flow._flow_factor(grid, lambda s: (velocity, shear), (m.time / m.submaps,),
-                                      m.steps // m.submaps)[0]
-            assert np.array_equal(m.factors[0].values, alone[:n])
-            assert np.array_equal(m.factors[0].gradients, alone[n:].reshape((n, n) + grid.shape))
+            assert len({id(factor) for factor in m.factors}) == 1
+            assert_factor(m.factors[0], series_alone(X, m.time / m.submaps))
 
-    # (grid, steps, times, sorted [(batch entries, substeps)] of the integrations):
-    # 0 and duplicates in any order and sign; 1-d |t| = 1 splits into 2
-    # factors at half the substeps, and 2-d |t| = 0.6 into 2 factors whose
-    # stability count equals that of |t| = 0.3 in one
+    # (grid, times): 0 and duplicates in any order and sign; |t| = 0.6 and 1
+    # split into 2 and 3 factors
     BATCHED_BUILDS = [
-        ((128,), 256, [0.6, -0.05, 0.0, 0.3, -0.6, 0.05, -0.0, 0.3, -1.0], [(2, 128), (6, 256)]),
-        ((24, 24), 16, [0.6, -0.05, 0.0, 0.3, -0.6, 0.05, -0.0, 0.3], [(2, 16), (4, 18)]),
+        ((128,), [0.6, -0.05, 0.0, 0.3, -0.6, 0.05, -0.0, 0.3, -1.0]),
+        ((24, 24), [0.6, -0.05, 0.0, 0.3, -0.6, 0.05, -0.0, 0.3]),
     ]
 
-    @pytest.mark.parametrize("resolution, steps, times, integrations", BATCHED_BUILDS)
-    def test_batched_build_is_each_single_build_bit_for_bit(
-            self, monkeypatch, resolution, steps, times, integrations):
-        grid, n = TorusGrid(resolution), len(resolution)
+    @pytest.mark.parametrize("resolution, times", BATCHED_BUILDS)
+    def test_batched_build_is_each_single_build_bit_for_bit(self, monkeypatch, resolution,
+                                                            times):
+        grid = TorusGrid(resolution)
         X = band_limited_field(grid, np.random.default_rng(7), 2, 0.05)
-        build, calls = flow._flow_factor, []
-
-        def counting(grid, field, factor_times, substeps):
-            calls.append((len(factor_times), substeps))
-            return build(grid, field, factor_times, substeps)
-
-        monkeypatch.setattr(flow, "_flow_factor", counting)
-        maps = flow.flow_maps(X, times, steps)
-        assert sorted(calls) == integrations
+        runs = count_series_runs(monkeypatch)
+        maps = flow.flow_maps(X, times)
+        assert len(runs) == 1  # one run of series terms serves every map
         assert [m.time for m in maps] == [abs(t) if t == 0.0 else t for t in times]
-        assert len({m.submaps for m in maps if m.time}) == 2
-        assert all(m is flow_map(X, t, steps) for m, t in zip(maps, times))
-        assert len(calls) == len(integrations)  # memoized: no build after the batch
-        monkeypatch.setattr(flow, "_flow_factor", build)
-        velocity = np.stack([c.values for c in X.components])
-        shear = np.stack([[c.derivative(j).values for j in range(n)] for c in X.components])
+        assert len({m.submaps for m in maps if m.time}) >= 2
+        assert all(m is flow_map(X, t) for m, t in zip(maps, times))
+        assert len(runs) == 1  # memoized: no build after the batch
         for m in maps:
             if m.time == 0.0:
                 assert (m.steps, m.submaps) == (0, 1)
                 assert not m.factors[0].values.any() and not m.factors[0].gradients.any()
                 continue
-            alone = flow._flow_factor(grid, lambda s: (velocity, shear), (m.time / m.submaps,),
-                                      m.steps // m.submaps)[0]
-            assert np.array_equal(m.factors[0].values, alone[:n])
-            assert np.array_equal(m.factors[0].gradients, alone[n:].reshape((n, n) + grid.shape))
+            assert_factor(m.factors[0], series_alone(X, m.time / m.submaps))
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(resolution=st.sampled_from([(64,), (16, 16)]),
+           times=st.lists(st.sampled_from(SIGNED_TIMES), min_size=1, max_size=5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_each_map_is_the_same_whatever_was_built_with_it(self, resolution, times, seed):
+        # one field as two objects with separate memos: every time at once,
+        # then the drawn times in the drawn order
+        grid = TorusGrid(resolution)
+        every = flow.flow_maps(band_limited_field(grid, np.random.default_rng(seed), 2, 0.05),
+                               SIGNED_TIMES)
+        X = band_limited_field(grid, np.random.default_rng(seed), 2, 0.05)
+        for got, want in zip(flow.flow_maps(X, times), [every[SIGNED_TIMES.index(t)] for t in times]):
+            assert (got.time, got.steps, got.submaps) == (want.time, want.steps, want.submaps)
+            assert np.array_equal(got.factors[0].values, want.factors[0].values)
+            assert np.array_equal(got.factors[0].gradients, want.factors[0].gradients)
 
     @pytest.mark.parametrize("resolution", [(64,), (16, 16), (32, 16)])
     def test_stage_transforms_are_numpys_n_d_transforms_bit_for_bit(self, monkeypatch,
@@ -310,28 +413,32 @@ class TestFlowMap:
         assert np.array_equal(flow._rfftn(G, axes), coefficients)
         assert np.array_equal(flow._irfftn(coefficients, grid.shape, axes),
                               np.fft.irfftn(coefficients, s=grid.shape, axes=axes))
-        X = band_limited_field(grid, np.random.default_rng(9), 2, 0.05)
-        velocity = np.stack([c.values for c in X.components])
-        shear = np.stack([[c.derivative(j).values for j in range(n)] for c in X.components])
+        velocity, shear = grid_values(band_limited_field(grid, np.random.default_rng(9), 2, 0.05))
         field = lambda s: (velocity, shear)  # noqa: E731
-        got = flow._flow_factor(grid, field, (0.2, -0.2, 0.05), 8)
+
+        def built():
+            return (flow._flow_factor(grid, field, (0.2, -0.2, 0.05), 8),
+                    *itertools.islice(flow._series_terms(grid, velocity, shear), 4))
+
+        got = built()
         monkeypatch.setattr(flow, "_rfftn", lambda a, axes: np.fft.rfftn(a, axes=axes))
         monkeypatch.setattr(flow, "_irfftn",
                             lambda a, shape, axes: np.fft.irfftn(a, s=shape, axes=axes))
-        assert np.array_equal(got, flow._flow_factor(grid, field, (0.2, -0.2, 0.05), 8))
+        for mine, numpys in zip(got, built()):
+            assert np.array_equal(mine, numpys)
 
     def test_the_opposite_time_is_built_with_the_map(self, monkeypatch):
         X = single_mode_field(TorusGrid(32))
-        phi = flow_map(X, 0.1, steps=8)
+        phi = flow_map(X, 0.1)
 
         def unbuilt(*args):
             raise AssertionError("phi^-t was built again")
 
-        monkeypatch.setattr(flow, "_flow_factor", unbuilt)
-        back = flow_map(X, -0.1, steps=8)
+        monkeypatch.setattr(flow, "_series_terms", unbuilt)
+        back = flow_map(X, -0.1)
         assert back.time == -0.1 and phi.time == 0.1
         assert back.steps == phi.steps and back.submaps == phi.submaps
-        assert flow_map(X, -0.1, steps=8) is back
+        assert flow_map(X, -0.1) is back
         assert np.max(np.abs(back(phi(TorusGrid(32).points()).lifts).lifts - TorusGrid(32).points())) <= 1e-12
 
     @pytest.mark.parametrize("t", [0.0, -0.0])
@@ -678,6 +785,28 @@ class TestMoserTransport:
             for factor in phi.factors:
                 stretch = np.abs(factor.gradients).sum(axis=1).max()
                 assert stretch <= math.expm1(flow.MOSER_SUBMAP_STRETCH)
+
+    def test_batched_factors_are_each_factor_alone_bit_for_bit(self):
+        # the factors of one direction take one batched `_flow_factor`
+        # integration, at their own starts and with X_s per batch entry
+        grid = TorusGrid((32, 16))
+        omega0, omega1 = (VolumeDensity.from_modes(grid, modes)
+                          for modes in TestSharedStepper.MOSER_DENSITIES[(32, 16)])
+        transport = moser_transport(omega0, omega1, steps=16)
+        m = transport.submaps
+        assert m > 1
+        ends = np.arange(m + 1) / m
+
+        def field(s):
+            velocity, shear = transport._grid_field(s)
+            return -velocity, -shear
+
+        # phi_{0->1} runs its factors from s = 0 up, phi_{1->0} from s = 1 down
+        for factors, time, starts in ((transport.forward.factors, 1.0, ends[1:]),
+                                      (transport.inverse.factors[::-1], -1.0, ends[:-1])):
+            for factor, start in zip(factors, starts):
+                assert_factor(factor, flow._flow_factor(grid, field, [-time / m],
+                                                        transport.substeps // m, start)[0])
 
     def test_steps_are_a_lower_bound_raised_for_stability(self):
         # 8 factors, each of at least 4 substeps (the stability floor)

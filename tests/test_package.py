@@ -17,7 +17,7 @@ PUBLIC = [
     "FlowEvaluation", "FlowMap", "MoserFlow", "NormalizationError", "PositivityError",
     "QualityError", "ScalarField", "SolutionStrategy", "TorusGrid", "TorusMap",
     "VectorFieldT", "VolumeDensity", "add_closed_form", "contract", "contract_inverse",
-    "default_steps", "deformation_derivative", "derivative_check", "divergence",
+    "deformation_derivative", "derivative_check", "divergence",
     "exact_primitive", "exterior_derivative", "field_from_json",
     "field_to_csv", "field_to_json", "flow_map", "gradient", "integrate_flow",
     "invariance_defect", "lie_derivative_density", "load_field",
@@ -31,8 +31,8 @@ PUBLIC = [
 MODULE_ONLY = {
     "fields": ["MIN_RESOLUTION", "as_points", "mod1", "sample_coefficients"],
     "exactness": ["MEAN_ZERO_TOL", "weighted_response"],
-    "flow": ["MOSER_STABILITY_LIMIT", "MOSER_SUBMAP_STRETCH", "RK4_STABILITY_LIMIT",
-             "SUBMAP_STRETCH", "TAIL_TOL", "flow_maps"],
+    "flow": ["MOSER_STABILITY_LIMIT", "MOSER_SUBMAP_STRETCH", "SERIES_REACH", "SERIES_TERMS",
+             "SERIES_TOL", "SUBMAP_STRETCH", "TAIL_TOL", "flow_maps"],
     "verify": ["NOISE_FLOOR", "ORDER_RANGE"],
 }
 

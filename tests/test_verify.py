@@ -46,7 +46,7 @@ class TestPushforward:
         psi = ScalarField.from_modes(grid, [[1, 1, 0.1, 0.0], [0, 1, 0.0, 0.05]])
         X = VectorFieldT([psi.derivative(1), -psi.derivative(0)])
         omega = VolumeDensity.lebesgue(grid)
-        eta = pushforward_density(omega, X, 0.5, steps=128)
+        eta = pushforward_density(omega, X, 0.5)
         assert np.max(np.abs(eta.eta.values - 1.0)) <= 1e-8
 
     def test_first_order_model(self):
@@ -54,14 +54,14 @@ class TestPushforward:
         grid, omega, rho, X = canonical_setup()
         x = grid.axis_points(0)
         for t in (1e-2, 5e-3):
-            eta = pushforward_density(omega, X, t, steps=32)
+            eta = pushforward_density(omega, X, t)
             deviation = np.max(np.abs(eta.eta.values - (1.0 + t * np.cos(2 * np.pi * x))))
             assert deviation <= 5 * t**2
 
     def test_mass_and_positivity(self):
         grid, omega, _, X = canonical_setup()
         for t in (0.1, -0.1, 0.5):
-            eta = pushforward_density(omega, X, t, steps=64)
+            eta = pushforward_density(omega, X, t)
             assert abs(eta.eta.mean - 1.0) <= 1e-8
             assert eta.eta.values.min() > 0.0
 
@@ -77,7 +77,7 @@ class TestResponseCheck:
 
     def test_doubling_cosine_order_two(self):
         grid, omega, rho, X = canonical_setup()
-        report = response_check(omega, rho, X, [1e-2, 5e-3, 2.5e-3], steps=16)
+        report = response_check(omega, rho, X, [1e-2, 5e-3, 2.5e-3])
         assert report.fitted_order == pytest.approx(2.0, abs=0.3)
         assert report.passed
         assert report.errors[-1] <= report.constant * (2.5e-3) ** 2 * 1.0000001
@@ -87,7 +87,7 @@ class TestResponseCheck:
         for strategy in (SolutionStrategy.canonical(), SolutionStrategy.gradient(),
                          SolutionStrategy.custom((0.1,))):
             X = solve_for_field(rho, omega, strategy)
-            report = response_check(omega, rho, X, [1e-2, 5e-3, 2.5e-3], steps=16)
+            report = response_check(omega, rho, X, [1e-2, 5e-3, 2.5e-3])
             assert report.passed, strategy.kind
 
     def test_response_profile_is_strategy_invariant(self):
@@ -98,7 +98,7 @@ class TestResponseCheck:
         for t in (2e-2, 1e-2):
             profiles = []
             for X in (xc, xg):
-                eta_t = pushforward_density(omega, X, t, steps=32)
+                eta_t = pushforward_density(omega, X, t)
                 profiles.append((eta_t.eta.values - omega.eta.values) / t)
             assert np.max(np.abs(profiles[0] - profiles[1])) <= 2.0 * t
 
@@ -113,11 +113,26 @@ class TestResponseCheck:
 
     def test_report_serialization(self):
         grid, omega, rho, X = canonical_setup(64)
-        report = response_check(omega, rho, X, [1e-2, 5e-3, 2.5e-3], steps=16)
+        report = response_check(omega, rho, X, [1e-2, 5e-3, 2.5e-3])
         obj = report.to_json()
-        assert set(obj) == {"t", "error", "fitted_order", "constant", "passed"}
+        assert set(obj) == {"t", "error", "fitted_order", "order_stderr", "constant", "passed"}
         assert obj["passed"] is True
         assert len(obj["t"]) == len(obj["error"]) == 3
+
+    def test_order_stderr_is_the_least_squares_standard_error(self):
+        # oracle: s^2 (A^T A)^-1 of the design matrix A = [log t, 1], with s^2
+        # the residual variance on len(t) - 2 degrees of freedom
+        grid, omega, rho, X = canonical_setup(64)
+        t_values = [2e-2, 1e-2, 5e-3, 2.5e-3]
+        report = response_check(omega, rho, X, t_values)
+        A = np.stack([np.log(t_values), np.ones(4)], axis=1)
+        y = np.log(report.errors)
+        coefficients, residual = np.linalg.lstsq(A, y, rcond=None)[:2]
+        variance = residual[0] / 2 * np.linalg.inv(A.T @ A)[0, 0]
+        assert report.fitted_order == pytest.approx(coefficients[0], rel=1e-12)
+        assert 0.0 < report.order_stderr == pytest.approx(np.sqrt(variance), rel=1e-6)
+        # two points fit exactly, with no residual to estimate the error from
+        assert response_check(omega, rho, X, t_values[:2]).order_stderr is None
 
 
 class TestDerivativeCheck:
@@ -130,21 +145,21 @@ class TestDerivativeCheck:
     def test_doubling_order_two(self):
         grid, omega, rho, X = canonical_setup()
         T = TorusMap(grid, [[2]])
-        report = derivative_check(T, X, [1e-2, 5e-3, 2.5e-3], steps=16)
+        report = derivative_check(T, X, [1e-2, 5e-3, 2.5e-3])
         assert report.fitted_order == pytest.approx(2.0, abs=0.3)
         assert report.passed
 
     def test_identity_map(self):
         grid, omega, rho, X = canonical_setup(64)
         T = TorusMap(grid, [[1]])
-        report = derivative_check(T, X, [1e-2, 5e-3], steps=16)
+        report = derivative_check(T, X, [1e-2, 5e-3])
         assert report.passed
         assert max(report.errors) <= 1e-10
 
     def test_single_large_t_flagged(self):
         grid, omega, rho, X = canonical_setup(64)
         T = TorusMap(grid, [[2]])
-        report = derivative_check(T, X, [0.5], steps=64)
+        report = derivative_check(T, X, [0.5])
         assert report.fitted_order is None
         assert not report.passed
 
@@ -169,8 +184,8 @@ class TestTransferCheck:
         grid, omega, rho, X = canonical_setup(256)
         T = TorusMap(grid, [[2]])
         t = 0.02
-        eta_t = pushforward_density(omega, X, t, steps=32)
-        residual = transfer_check(ConjugatedMap(T, *flow_maps(X, (t, -t), 32)), eta_t, 512)
+        eta_t = pushforward_density(omega, X, t)
+        residual = transfer_check(ConjugatedMap(T, *flow_maps(X, (t, -t))), eta_t, 512)
         assert residual <= 1e-4
 
     def test_wrong_density_is_detected(self):
