@@ -227,12 +227,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Construct and verify conjugacy deformations of "
                     "measure-preserving torus maps.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in _COMMANDS.items():
-        p = sub.add_parser(name, help=fn.__doc__)
-        p.add_argument("--config", required=True, help="path to the JSON run config")
-        p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--quiet", action="store_true", help="suppress progress prints")
+    parser.add_argument("command", choices=_COMMANDS, help="the pipeline to run")
+    parser.add_argument("--config", required=True, help="path to the JSON run config")
+    parser.add_argument("--out", required=True, help="output directory")
+    parser.add_argument("--quiet", action="store_true", help="suppress progress prints")
     return parser
 
 

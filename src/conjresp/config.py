@@ -136,7 +136,11 @@ def _strategy(raw):
             raise ConfigError(f"unknown strategy {raw!r}")
         return raw
     if isinstance(raw, dict) and set(raw) == {"custom"}:
-        return {"custom": _typed(raw["custom"], CUSTOM_STRATEGY_KEYS, "strategy.custom")}
+        custom = _typed(raw["custom"], CUSTOM_STRATEGY_KEYS, "strategy.custom")
+        if custom["harmonic"] is not None:
+            custom["harmonic"] = [_value(c, float, "strategy.custom.harmonic")
+                                  for c in custom["harmonic"]]
+        return {"custom": custom}
     raise ConfigError('strategy must be "canonical", "gradient" or {"custom": {...}}')
 
 

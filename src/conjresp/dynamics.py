@@ -29,7 +29,7 @@ from .fields import (
     as_points,
     mod1,
 )
-from .flow import FieldStack, FlowMap, flow_maps, transported_density
+from .flow import FieldStack, flow_maps, transported_density
 
 NEWTON_ITERATIONS = 60  # cap on a preimage solve: bisection's 2^-60 worst case
 NEWTON_TOL = 4 * np.finfo(float).eps  # largest last step of a finished preimage solve
@@ -37,9 +37,6 @@ EXPANSION_MARGIN = 0.01
 CERTIFICATE_RESOLUTION = 256
 CERTIFICATE_TOL = 1e-6
 EXPANSION_SAMPLES = 4096  # points at which the expansion margin samples F'
-# h^{+-1} is this power of the flow map at time +-1/WARP_FACTORS, which is
-# all that is built: each factor stretches and reaches little, so its series is short
-WARP_FACTORS = 8
 
 __all__ = [
     "TorusMap",
@@ -237,7 +234,8 @@ def transfer_check(T_t, eta_t: VolumeDensity, resolution: int) -> float:
 
 def make_warped_doubling(generator: VectorFieldT) -> TorusMap:
     """Doubling map D conjugated by the time-one flow h of the generator:
-    T = h o D o h^{-1} (`ConjugatedMap`, with h^{+-1} from `_warp_conjugacy`),
+    T = h o D o h^{-1} (`ConjugatedMap`, with h^{+-1} the generator's
+    `flow_maps` at times 1 and -1, factored by the rule of every flow map),
     whose invariant density is the pushforward of Lebesgue by h
     (`transported_density`, so an under-resolved one raises QualityError).
     The map carries the invariance certificate.  The program built that
@@ -248,7 +246,7 @@ def make_warped_doubling(generator: VectorFieldT) -> TorusMap:
     grid = generator.grid
     if grid.dim != 1:
         raise ValueError("warped doubling is a circle-map construction")
-    forward, inverse = _warp_conjugacy(generator)
+    forward, inverse = flow_maps(generator, (1.0, -1.0))
     density = transported_density(VolumeDensity.lebesgue(grid), inverse)
     x = grid.points()
     g_values = ConjugatedMap(TorusMap(grid, [[2]]), forward, inverse).lift(x) - 2.0 * x
@@ -261,15 +259,6 @@ def make_warped_doubling(generator: VectorFieldT) -> TorusMap:
             f"residual {exc.residual:.3e} exceeds {CERTIFICATE_TOL:.0e}; raise N",
             exc.residual,
         ) from exc
-
-
-def _warp_conjugacy(generator: VectorFieldT) -> list:
-    """[h, h^{-1}] of the warped doubling map: the flow maps of the generator
-    at times 1 and -1, each the WARP_FACTORS-th power of its flow map at
-    time +-1 / WARP_FACTORS, that pair one `flow_maps` build."""
-    return [FlowMap(phi.factors * WARP_FACTORS, WARP_FACTORS * phi.time,
-                    WARP_FACTORS * phi.steps)
-            for phi in flow_maps(generator, (1.0 / WARP_FACTORS, -1.0 / WARP_FACTORS))]
 
 
 class ConjugatedMap:

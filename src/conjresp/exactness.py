@@ -94,12 +94,13 @@ class SolutionStrategy:
             return
         if self.harmonic and len(self.harmonic) != grid.dim:
             raise ValueError(
-                f"custom strategy needs {grid.dim} harmonic coefficients, "
-                f"got {len(self.harmonic)}"
+                f"strategy.custom.harmonic: a custom strategy needs {grid.dim} harmonic "
+                f"coefficients, got {len(self.harmonic)}"
             )
         if self.alpha is not None:
             if grid.dim != 2:
-                raise ValueError("an alpha potential only exists on the 2-torus")
+                raise ValueError("strategy.custom.alpha_modes: an alpha potential only "
+                                 "exists on the 2-torus")
             if self.alpha.grid != grid:
                 raise ValueError("alpha potential lives on a different grid")
 

@@ -12,11 +12,10 @@
   field lives.  A Moser map's field depends on time, so its distinct factors
   take one RK4 integration (`_rk4`, fixed uniform substeps, each stage
   passed its time) of the same grid system per direction.
-* `integrate_flow` moves points (Lagrangian) by RK4: the state is the points
-  and their Jacobians, (M, n + n^2), and each stage samples the field and its
-  gradient at the moving points, so Jacobians ride along by the variational
-  equation J' = DX(phi) J on the same stages.  It is the independent check
-  of `flow_map`.
+* `integrate_flow`, outside the package namespace, moves points
+  (Lagrangian) by RK4, Jacobians riding along by the variational equation
+  J' = DX(phi) J on the same stages.  No flow map uses it: it is the tests'
+  independent check of `flow_map`.
 
 Either way a field and its gradient are sampled through `FieldStack`, as
 torus maps do (read off the grid at exactly the grid points, interpolated
@@ -84,7 +83,6 @@ __all__ = [
     "FlowEvaluation",
     "FlowMap",
     "flow_map",
-    "integrate_flow",
     "transported_density",
     "MoserFlow",
     "moser_transport",

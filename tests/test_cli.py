@@ -683,6 +683,14 @@ MALFORMED_ELEMENTS = [
      "grid.resolution"),
     ("verify.resolutions-fractional", "sweep", _set(["verify", "resolutions"], [64.7]),
      "verify.resolutions"),
+    *[(f"strategy.custom.harmonic-{name}", "verify",
+       _set(["strategy"], {"custom": {"harmonic": harmonic}}), "strategy.custom.harmonic")
+      for name, harmonic in [("list-entry", [[1]]), ("string-entry", ["x"]),
+                             ("numeric-string-entry", ["0.5"]), ("bool-entry", [True]),
+                             ("count", [0.1, 0.2])]],
+    ("strategy.custom.alpha_modes-1d", "verify",
+     _set(["strategy"], {"custom": {"alpha_modes": [[1, 0.1, 0.0]]}}),
+     "strategy.custom.alpha_modes"),
 ]
 
 

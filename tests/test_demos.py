@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from conjresp import cli
 from conjresp.config import CUSTOM_STRATEGY_KEYS, KEYS, load_config
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -49,3 +50,13 @@ def test_readme_config_table_is_the_schema():
             *(f"strategy.custom.{key}" for key in CUSTOM_STRATEGY_KEYS),
             *(f"{name}.{key}" for name, table in KEYS.items() for key in table)]
     assert sorted(rows) == sorted(keys)
+
+
+@pytest.mark.parametrize("where", ["README.md", "cli module docstring"])
+def test_documented_usage_line_is_the_parser(where):
+    text = readme_block("## Command line", "") if where == "README.md" else cli.__doc__
+    line = next(line for line in text.splitlines() if line.strip().startswith("conjresp <"))
+    flags = {option for action in cli._build_parser()._actions
+             for option in action.option_strings if option not in ("-h", "--help")}
+    assert re.search(r"<([^>]*)>", line)[1].split("|") == list(cli._COMMANDS)
+    assert set(re.findall(r"--[\w-]+", line)) == flags

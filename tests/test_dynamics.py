@@ -24,7 +24,6 @@ from conjresp import (
     TorusGrid,
     VectorFieldT,
     deformation_derivative,
-    integrate_flow,
     invariance_defect,
     make_warped_doubling,
     solve_for_field,
@@ -35,10 +34,9 @@ from conjresp import (
     flow_map,
 )
 from conjresp import flow
-from conjresp.dynamics import (EXPANSION_MARGIN, NEWTON_ITERATIONS, WARP_FACTORS,
-                               _branch_newton, _warp_conjugacy)
+from conjresp.dynamics import EXPANSION_MARGIN, NEWTON_ITERATIONS, _branch_newton
 from conjresp.fields import mod1
-from conjresp.flow import FlowMap, flow_maps, transported_density
+from conjresp.flow import FlowMap, flow_maps, integrate_flow, transported_density
 
 
 def canonical_field(grid):
@@ -93,17 +91,13 @@ class TestMakeLinear:
 def hand_warped_doubling(generator):
     """Oracle: the warped doubling map's conjugation written out by hand.
     g = h(2 h^{-1}(x)) - 2x and eta = Dh^{-1}(x) / mean, at the grid points x,
-    with h^{+-1} applied as WARP_FACTORS successive calls of the flow map of
-    the generator at time +-1 / WARP_FACTORS, Jacobians multiplied in turn."""
+    with h^{+-1} applied as one call of the flow map of the generator at time
+    +-1, the Jacobian taken from that call."""
     grid = generator.grid
 
     def h(sign, points):
-        phi = flow_map(generator, sign / WARP_FACTORS)
-        jacobian = np.ones(points.shape[0])
-        for _ in range(WARP_FACTORS):
-            step = phi(points)
-            points, jacobian = step.lifts, step.jacobians[:, 0, 0] * jacobian
-        return points, jacobian
+        step = flow_map(generator, sign)(points)
+        return step.lifts, step.jacobians[:, 0, 0]
 
     backward, eta = h(-1.0, grid.points())
     g = h(1.0, 2.0 * backward)[0][:, 0] - 2.0 * grid.points()[:, 0]
@@ -195,8 +189,9 @@ class TestWarpedDoubling:
            phase=st.floats(0.0, 2 * np.pi))
     def test_one_factor_generators_match_the_hand_construction(self, resolution, amplitude,
                                                                phase):
-        # |grad X| <= 2 pi 0.05 < SUBMAP_STRETCH: h and h^{-1} are one factor
-        # each, and the conjugated map's lift is the hand construction's
+        # |grad X| <= 2 pi 0.05 < SUBMAP_STRETCH, so the reach alone sets the
+        # factors of h and h^{-1} (1 to 4 each), and the conjugated map's lift
+        # is the hand construction's
         generator = VectorFieldT([ScalarField.from_modes(
             TorusGrid(resolution), [[1, amplitude * np.cos(phase), amplitude * np.sin(phase)]])])
         T = make_warped_doubling(generator)
@@ -207,7 +202,8 @@ class TestWarpedDoubling:
     @pytest.mark.parametrize("resolution", [128, 256])
     @pytest.mark.parametrize("mode", [[1, 0.0, 0.1], [2, 0.03, 0.02]])
     def test_stretching_generators_match_the_hand_construction(self, resolution, mode):
-        # [1, 0, 0.1] flows in two factors, evaluated without Jacobians here
+        # [1, 0, 0.1] stretches past SUBMAP_STRETCH (4 and 7 factors here);
+        # the map reads its factors without Jacobians, the oracle with them
         generator = VectorFieldT([ScalarField.from_modes(TorusGrid(resolution), [mode])])
         T = make_warped_doubling(generator)
         g, eta = hand_warped_doubling(generator)
@@ -217,21 +213,30 @@ class TestWarpedDoubling:
     @settings(max_examples=8, deadline=None, derandomize=True, database=None)
     @given(k=st.integers(1, 3), amplitude=st.floats(0.02, 0.05),
            phase=st.floats(0.0, 2 * np.pi))
-    def test_factored_conjugacy_is_as_accurate_as_one_factor(self, k, amplitude, phase):
-        # against a 2048-step RK4 one-factor reference, the factored h is as
+    def test_conjugacy_is_as_accurate_as_one_rk4_factor(self, k, amplitude, phase):
+        # against a 2048-step RK4 one-factor reference, the flow maps' h is as
         # accurate as a 128-step RK4 one-factor build
         generator = VectorFieldT([ScalarField.from_modes(
             TorusGrid(256), [[k, amplitude * np.cos(phase), amplitude * np.sin(phase)]])])
-        forward, inverse = _warp_conjugacy(generator)
-        assert (forward.time, inverse.time) == (1.0, -1.0)
-        eighth = flow_map(generator, 1.0 / WARP_FACTORS)
-        assert forward.submaps == inverse.submaps == WARP_FACTORS * eighth.submaps
-        assert forward.steps == inverse.steps == WARP_FACTORS * eighth.steps
+        forward, inverse = flow_maps(generator, (1.0, -1.0))
         reference = conjugated_doubling(*rk4_conjugacy(generator, 2048))
         one_factor = conjugated_doubling(*rk4_conjugacy(generator, 128))
         for got, single, want in zip(conjugated_doubling(forward, inverse), one_factor,
                                      reference):
             assert np.max(np.abs(got - want)) <= 1.5 * np.max(np.abs(single - want))
+
+    def test_the_conjugacy_is_the_generators_time_one_flow_maps(self, monkeypatch):
+        # h^{+-1} are flow_maps(generator, (1, -1)), kept while the generator
+        # lives: asking for them after the construction builds nothing
+        generator = VectorFieldT([ScalarField.from_modes(TorusGrid(256), [[1, 0.0, 0.05]])])
+        make_warped_doubling(generator)
+
+        def series_terms(*args):
+            raise AssertionError("the warp's flow maps were built again")
+
+        monkeypatch.setattr(flow, "_series_terms", series_terms)
+        forward, inverse = flow.flow_maps(generator, (1.0, -1.0))
+        assert (forward.time, inverse.time) == (1.0, -1.0)
 
     @pytest.mark.parametrize("resolution, tail", [(64, "4.7e-02"), (128, "2.2e-03")])
     def test_under_resolved_density_is_refused_naming_its_tail(self, resolution, tail):

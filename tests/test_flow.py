@@ -35,7 +35,6 @@ from conjresp import (
     VolumeDensity,
     divergence,
     flow_map,
-    integrate_flow,
     moser_transport,
     pushforward_density,
     solve_for_field,
@@ -45,7 +44,7 @@ from conjresp import (
 from conjresp import flow, response_check
 from conjresp.config import build_grid, build_map, build_rho, build_strategy, load_config
 from conjresp.fields import sample_coefficients
-from conjresp.flow import FieldStack, FlowMap
+from conjresp.flow import FieldStack, FlowMap, integrate_flow
 
 
 def single_mode_field(grid):

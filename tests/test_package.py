@@ -19,7 +19,7 @@ PUBLIC = [
     "VectorFieldT", "VolumeDensity", "add_closed_form", "contract", "contract_inverse",
     "deformation_derivative", "derivative_check", "divergence",
     "exact_primitive", "exterior_derivative", "field_from_json",
-    "field_to_csv", "field_to_json", "flow_map", "gradient", "integrate_flow",
+    "field_to_csv", "field_to_json", "flow_map", "gradient",
     "invariance_defect", "lie_derivative_density", "load_field",
     "make_warped_doubling", "moser_transport",
     "pushforward_density", "remove_weighted_mean", "response_check", "save_field",
@@ -32,7 +32,7 @@ MODULE_ONLY = {
     "fields": ["MIN_RESOLUTION", "as_points", "mod1", "sample_coefficients"],
     "exactness": ["MEAN_ZERO_TOL", "weighted_response"],
     "flow": ["MOSER_STABILITY_LIMIT", "MOSER_SUBMAP_STRETCH", "SERIES_REACH", "SERIES_TERMS",
-             "SERIES_TOL", "SUBMAP_STRETCH", "TAIL_TOL", "flow_maps"],
+             "SERIES_TOL", "SUBMAP_STRETCH", "TAIL_TOL", "flow_maps", "integrate_flow"],
     "verify": ["NOISE_FLOOR", "ORDER_RANGE"],
 }
 
