@@ -201,17 +201,18 @@ def cmd_sweep(cfg: dict, out: Path, quiet: bool) -> int:
     rows = []
     for grid in grids:
         response, derivative, transfers = _checks(cfg, grid, cfg["verify"]["t_values"])
-        fitted = response.fitted_order if response.fitted_order is not None else float("nan")
+        fit = [value if value is not None else float("nan")
+               for value in (response.fitted_order, response.order_stderr)]
         residuals = ([record["residual"] for record in transfers] if transfers is not None
                      else [float("nan")] * len(response.t_values))
         for t, re_, de, tr in zip(response.t_values, response.errors, derivative.errors,
                                   residuals):
             rows.append([cfg["scenario_id"], grid.resolution[0],
-                         *(f"{value:.17g}" for value in (t, re_, de, tr, fitted))])
+                         *(f"{value:.17g}" for value in (t, re_, de, tr, *fit))])
     with open(out / "sweep.csv", "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")  # quotes only the cells that need it
         writer.writerow(["scenario_id", "N", "t", "response_error", "derivative_error",
-                         "transfer_residual", "fitted_order"])
+                         "transfer_residual", "fitted_order", "order_stderr"])
         writer.writerows(rows)
     _say(quiet, f"wrote {len(rows)} sweep rows to {out / 'sweep.csv'}")
     return EXIT_OK

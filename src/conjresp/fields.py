@@ -142,10 +142,10 @@ def as_points(points, dim: int) -> np.ndarray:
     return pts
 
 
-def _half_phases(coords: np.ndarray, n: int):
+def _half_phases(coords: np.ndarray, n: int) -> np.ndarray:
     """Phases e(k x) = exp(2 pi i k x) for k = 0..n/2 of an even n, as an
     (M, n/2 + 1) array with the Nyquist column k = n/2 replaced by its real
-    part cos(pi n x); also returns sin(pi n x).
+    part cos(pi n x).
 
     One exponential per point; every further block of wavenumbers is the
     filled block times e(filled * x), and that power is squared per block,
@@ -163,53 +163,107 @@ def _half_phases(coords: np.ndarray, n: int):
         np.multiply(out[:count], power, out=out[filled:filled + count])
         filled += count
         power = power * power
-    nyquist_sin = out[half].imag.copy()
     out[half] = out[half].real
-    return out.T, nyquist_sin
+    return out.T
+
+
+def _cos_sin(coords: np.ndarray, n: int) -> np.ndarray:
+    """cos(2 pi k x) in rows k = 0..n/2 and sin(2 pi k x) in rows
+    n/2 + 1 + k of one real (n + 2, M) table, for an even n.
+
+    `_half_phases`' recurrence in real arithmetic: one cosine and one sine
+    per point, then each block of wavenumbers is the filled block rotated
+    by the angle 2 pi filled x, which is doubled per block.
+    """
+    half = n // 2
+    out = np.empty((2, half + 1, coords.shape[0]))
+    cos, sin = out
+    cos[0], sin[0] = 1.0, 0.0
+    angle = (2.0 * np.pi) * coords
+    c, s = np.cos(angle), np.sin(angle)
+    filled = 1
+    while filled <= half:
+        count = min(filled, half + 1 - filled)
+        new_cos, new_sin = cos[filled:filled + count], sin[filled:filled + count]
+        np.multiply(cos[:count], c, out=new_cos)
+        new_cos -= sin[:count] * s
+        np.multiply(sin[:count], c, out=new_sin)
+        new_sin += cos[:count] * s
+        filled += count
+        c, s = c * c - s * s, 2.0 * c * s
+    return out.reshape(n + 2, -1)
 
 
 def sample_coefficients(grid: TorusGrid, stack: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Trigonometric interpolation of several real fields at once.
 
-    ``stack`` has shape (F,) + grid.shape and must hold the coefficients of
-    real fields, c_{-k} = conj(c_k) with indices mod N (as `ScalarField`
-    coefficients and their spectral derivatives do); ``points`` is (M, dim).
-    Returns the (M, F) real array Re sum_k c_k e(k . x) over the FFT-ordered
-    wavenumbers, so a Nyquist mode enters with wavenumber -N/2.
+    ``stack`` has shape (F,) + grid.shape and holds Fourier coefficients in
+    FFT order; ``points`` is (M, dim).  Returns the (M, F) real array
+    Re sum_k c_k e(k . x) over the FFT-ordered wavenumbers, so a Nyquist
+    mode enters with wavenumber -N/2.  Sharing the phase tables across the
+    F fields is what keeps flow integration cheap.
 
-    By the symmetry only the rows k0 = 0..N0/2 are summed, rows 0 and N0/2
-    once and every other row twice, with the Nyquist phase cos(pi N x) on
-    each axis.  In 2-d the term -c_{N0/2,N1/2} sin(pi N0 x0) sin(pi N1 x1)
-    restores the corner mode's cos(pi (N0 x0 + N1 x1)).  The 1-d sum is one
-    real GEMM of the rows' real and imaginary parts, stacked, with the float
-    view of the phase table: Re(c e) = Re c Re e - Im c Im e.  A complex
-    GEMM would give the same sum, but with bits that depend on the BLAS
-    thread count, and the view copies nothing, as `_half_phases` fills the
-    table wavenumber-major.  The 2-d sum is one GEMM over the half rows,
-    then one batched matrix-vector product with the full axis-1 phases.
-    Sharing the phase tables across the F fields is what keeps flow
-    integration cheap.
+    1-d: the coefficients must be those of real fields, c_{-k} = conj(c_k)
+    with indices mod N (as `ScalarField` coefficients and their spectral
+    derivatives are).  By the symmetry only k = 0..N/2 are summed, 0 and
+    N/2 once and every other wavenumber twice, with the Nyquist phase
+    cos(pi N x).  The sum is one real GEMM of the rows' real and imaginary
+    parts, stacked, with the float view of the `_half_phases` table:
+    Re(c e) = Re c Re e - Im c Im e.  The view copies nothing, as the table
+    is filled wavenumber-major.  A complex GEMM gives the same sum with
+    bits that depend on the BLAS thread count.
+
+    2-d: the real separable form.  On each axis e(k x) = C_|k| + i sgn(k)
+    S_|k|, with C_j = cos(2 pi j x) and S_j = sin(2 pi j x) for j = 0..N/2,
+    so the sum is sum W[f, a, b] t0[a] t1[b] over the real `_cos_sin`
+    tables t0, t1 of the two axes.  The fold W = Re(E0^T c E1), with
+    E[k, C_|k|] = 1 and E[k, S_|k|] = i sgn(k), is made once per call in
+    O(F N0 N1); it takes the negative wavenumbers, the Nyquist rows and the
+    corner mode into the cos.cos, cos.sin, sin.cos and sin.sin weights of
+    wavenumbers 0..N/2 (the corner's cos(pi (N0 x0 + N1 x1)) as
+    +c C C - c S S), and needs no symmetry of c.  Then one real GEMM,
+    (F (N0 + 2), N1 + 2) @ (N1 + 2, M), and a per-point contraction with
+    t0, about N0 N1 multiply-adds per point and field: half those of the
+    complex half-row GEMM.  The GEMM keeps the weights as its left operand
+    and the points on its columns: with the table on the left instead, its
+    bits depended on the BLAS thread count on 32 of the 75 shapes of the
+    2-d thread test (32 x 16 to 256 x 256), and the complex half-row GEMM's
+    on all 15 at 256 x 256.  The contraction is an einsum, which calls no
+    BLAS.
     """
     pts = as_points(points, grid.dim) % 1.0
-    n0 = grid.resolution[0]
-    h0 = n0 // 2
-    phases0, sin0 = _half_phases(pts[:, 0], n0)
-    weights = np.full((h0 + 1,) + (1,) * (grid.dim - 1), 2.0)
-    weights[[0, h0]] = 1.0
-    rows = stack[:, : h0 + 1] * weights
     count = stack.shape[0]
     if grid.dim == 1:
+        n = grid.resolution[0]
+        half = n // 2
+        weights = np.full(half + 1, 2.0)
+        weights[[0, half]] = 1.0
+        rows = stack[:, : half + 1] * weights
         # (2F, 2M): columns alternate Re e, Im e
-        out = np.concatenate([rows.real, rows.imag]) @ phases0.T.view(float)
+        out = np.concatenate([rows.real, rows.imag]) @ _half_phases(pts[:, 0], n).T.view(float)
         return out[:count, 0::2].T - out[count:, 1::2].T
-    n1 = grid.resolution[1]
-    h1 = n1 // 2
-    half1, sin1 = _half_phases(pts[:, 1], n1)
-    phases1 = np.concatenate([half1, half1[:, h1 - 1:0:-1].conj()], axis=1)
-    partial = phases0 @ rows.transpose(1, 0, 2).reshape(h0 + 1, count * n1)
-    out = (partial.reshape(-1, count, n1) @ phases1[:, :, None])[:, :, 0].real
-    out -= np.outer(sin0 * sin1, stack[:, h0, h1].real)
-    return out
+    n0, n1 = grid.resolution
+    h0, h1 = n0 // 2, n1 // 2
+    # axis 0: the weight of C_j is c_0, c_j + c_-j or c_-N/2, that of S_j is
+    # 0, i (c_j - c_-j) or -i c_-N/2, for j = 0, 0 < j < N/2 or j = N/2
+    pos, neg = stack[:, 1:h0], stack[:, :h0:-1]
+    fold0 = np.empty((count, 2, h0 + 1, n1), dtype=complex)
+    on_cos, on_sin = fold0[:, 0], fold0[:, 1]
+    on_cos[:, 0], on_cos[:, h0] = stack[:, 0], stack[:, h0]
+    np.add(pos, neg, out=on_cos[:, 1:h0])
+    on_sin[:, 0], on_sin[:, h0] = 0.0, -1j * stack[:, h0]
+    np.subtract(pos, neg, out=on_sin[:, 1:h0])
+    on_sin[:, 1:h0] *= 1j
+    # axis 1 likewise, keeping the real part: Re(i (z_j - z_-j)) = Im z_-j - Im z_j
+    re, im = (part.reshape(count, n0 + 2, n1) for part in (fold0.real, fold0.imag))
+    fold = np.empty((count, n0 + 2, 2, h1 + 1))
+    on_cos, on_sin = fold[..., 0, :], fold[..., 1, :]
+    on_cos[..., 0], on_cos[..., h1] = re[..., 0], re[..., h1]
+    np.add(re[..., 1:h1], re[..., :h1:-1], out=on_cos[..., 1:h1])
+    on_sin[..., 0], on_sin[..., h1] = 0.0, im[..., h1]
+    np.subtract(im[..., :h1:-1], im[..., 1:h1], out=on_sin[..., 1:h1])
+    partial = fold.reshape(-1, n1 + 2) @ _cos_sin(pts[:, 1], n1)
+    return np.einsum("fam,am->mf", partial.reshape(count, n0 + 2, -1), _cos_sin(pts[:, 0], n0))
 
 
 class ScalarField:

@@ -343,7 +343,8 @@ class TestSweep:
         out = tmp_path / "out"
         assert main(["sweep", "--config", path, "--out", str(out), "--quiet"]) == 0
         lines = (out / "sweep.csv").read_text().strip().split("\n")
-        assert lines[0].startswith("scenario_id,N,t,")
+        assert lines[0] == ("scenario_id,N,t,response_error,derivative_error,"
+                            "transfer_residual,fitted_order,order_stderr")
         assert len(lines) == 4  # header + 3 t rows
 
     def test_resolution_sweep_is_stable(self, tmp_path):
@@ -355,6 +356,8 @@ class TestSweep:
         assert main(["sweep", "--config", path, "--out", str(out), "--quiet"]) == 0
         lines = (out / "sweep.csv").read_text().strip().split("\n")[1:]
         assert len(lines) == 9
+        # three t values per grid: each grid's fit has a standard error
+        assert all(float(line.split(",")[7]) >= 0.0 for line in lines)
         smallest_t = {}
         for line in lines:
             cells = line.split(",")
@@ -382,6 +385,10 @@ class TestSweep:
         assert [int(row[1]) for row in rows] == [32, 32]
         assert [float(row[3]) for row in rows] == report["response"]["error"]
         assert [float(row[4]) for row in rows] == report["derivative"]["error"]
+        # two t values: a fitted order, and no standard error (null in the report)
+        assert [float(row[6]) for row in rows] == [report["response"]["fitted_order"]] * 2
+        assert report["response"]["order_stderr"] is None
+        assert [row[7] for row in rows] == ["nan", "nan"]
 
     def test_empty_t_list_exits_2(self, tmp_path):
         cfg = doubling_config()

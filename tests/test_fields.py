@@ -60,15 +60,37 @@ def sample_complex_gemm(grid, stack, points):
     `sample_coefficients` makes, but with bits that depend on the BLAS
     thread count."""
     half = grid.resolution[0] // 2
-    phases, _ = fields._half_phases(points[:, 0] % 1.0, grid.resolution[0])
+    phases = fields._half_phases(points[:, 0] % 1.0, grid.resolution[0])
     weights = np.full(half + 1, 2.0)
     weights[[0, half]] = 1.0
     return (phases @ (stack[:, : half + 1] * weights).T).real
 
 
-# 1-d sample sizes of the thread-count test: 90 shapes
+def sample_complex_half_sum(grid, stack, points):
+    """The 2-d half sum of real fields in complex arithmetic: one GEMM over
+    the rows k0 = 0..N0/2 (0 and N0/2 once, the others twice), a batched
+    matrix-vector product with the full axis-1 phases, and the term
+    -c_{N0/2,N1/2} sin(pi N0 x0) sin(pi N1 x1) that restores the corner
+    mode.  Its bits depend on the BLAS thread count at 256 x 256."""
+    pts = points % 1.0
+    (n0, n1), count = grid.resolution, stack.shape[0]
+    h0, h1 = n0 // 2, n1 // 2
+    weights = np.full((h0 + 1, 1), 2.0)
+    weights[[0, h0]] = 1.0
+    rows = stack[:, : h0 + 1] * weights
+    half1 = fields._half_phases(pts[:, 1], n1)
+    phases1 = np.concatenate([half1, half1[:, h1 - 1:0:-1].conj()], axis=1)
+    partial = fields._half_phases(pts[:, 0], n0) @ rows.transpose(1, 0, 2).reshape(h0 + 1, -1)
+    out = (partial.reshape(-1, count, n1) @ phases1[:, :, None])[:, :, 0].real
+    corner = np.sin(np.pi * n0 * pts[:, 0]) * np.sin(np.pi * n1 * pts[:, 1])
+    return out - np.outer(corner, stack[:, h0, h1].real)
+
+
+# sample sizes of the thread-count tests: 90 1-d and 75 2-d shapes
 THREAD_SHAPES = {"resolution": [128, 256, 512], "count": [1, 2, 6],
                  "m": [64, 100, 256, 300, 512, 1000, 1024, 2048, 3000, 4096]}
+THREAD_SHAPES_2D = {"resolution": [[256, 256], [128, 128], [64, 64], [48, 48], [32, 16]],
+                    "count": [1, 2, 6], "m": [57, 256, 1000, 2304, 4096]}
 SAMPLE_ALL = """
 import hashlib, itertools, json, sys
 import numpy as np
@@ -76,14 +98,35 @@ from conjresp import ScalarField, TorusGrid
 from conjresp.fields import sample_coefficients
 digests = {}
 for n, count, m in itertools.product(*json.loads(sys.argv[1]).values()):
-    grid, rng = TorusGrid(n), np.random.default_rng(n + count)
-    stack = np.stack([ScalarField(grid, rng.standard_normal(n)).coefficients
+    grid = TorusGrid(n)
+    rng = np.random.default_rng(sum(grid.shape) + count)
+    stack = np.stack([ScalarField(grid, rng.standard_normal(grid.shape)).coefficients
                       for _ in range(count)])
-    points = np.random.default_rng(m).uniform(-1.0, 2.0, (m, 1))
+    points = np.random.default_rng(m).uniform(-1.0, 2.0, (m, grid.dim))
     got = np.ascontiguousarray(sample_coefficients(grid, stack, points))
     digests[f"{n}/{count}/{m}"] = hashlib.sha256(got.tobytes()).hexdigest()
 print(json.dumps(digests))
 """
+
+
+def thread_dependent_shapes(shapes):
+    """The shapes whose `sample_coefficients` bytes differ between one and
+    two OpenBLAS threads, each run in its own process, and the shape count."""
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(fields.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", SAMPLE_ALL, json.dumps(shapes)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        digests.append(json.loads(done.stdout))
+    return [shape for shape in digests[0] if digests[0][shape] != digests[1][shape]], len(digests[0])
+
+
+def white_noise_stack(grid, count, seed):
+    rng = np.random.default_rng(seed)
+    return np.stack([ScalarField(grid, rng.standard_normal(grid.shape)).coefficients
+                     for _ in range(count)])
 
 
 def random_band_limited(grid, seed, max_mode=5, amplitude=1.0):
@@ -306,16 +349,37 @@ class TestInterpolation:
     def test_one_d_sum_does_not_depend_on_the_blas_thread_count(self):
         # a complex GEMM gives different bits at 1 and 2 OpenBLAS threads on
         # many of these shapes; the real GEMM of the float view on none
-        digests = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=str(Path(fields.__file__).parents[1]))
-            done = subprocess.run([sys.executable, "-c", SAMPLE_ALL, json.dumps(THREAD_SHAPES)],
-                                  env=env, capture_output=True, text=True, timeout=300)
-            assert done.returncode == 0, done.stderr
-            digests.append(json.loads(done.stdout))
-        assert len(digests[0]) == 90
-        assert [shape for shape in digests[0] if digests[0][shape] != digests[1][shape]] == []
+        assert thread_dependent_shapes(THREAD_SHAPES) == ([], 90)
+
+    def test_two_d_sum_does_not_depend_on_the_blas_thread_count(self):
+        # the complex half-row GEMM gave different bits at 1 and 2 OpenBLAS
+        # threads on every 256 x 256 shape, and the real GEMM with the table
+        # as its left operand on 32 of these shapes, 32 x 16 to 256 x 256
+        assert thread_dependent_shapes(THREAD_SHAPES_2D) == ([], 75)
+
+    @pytest.mark.parametrize("resolution", [(64, 64), (48, 48), (256, 256)])
+    @pytest.mark.parametrize("count", [1, 2, 6])
+    def test_two_d_sum_matches_the_complex_half_sum_at_many_points(self, resolution, count):
+        # 4096 points run the GEMM's blocked paths, which the direct-sum
+        # oracle cannot reach (its table would take 268 MB at 64 x 64)
+        grid = TorusGrid(resolution)
+        stack = white_noise_stack(grid, count, sum(resolution) + count)
+        points = np.random.default_rng(count).uniform(-1.0, 2.0, (4096, 2))
+        got = sample_coefficients(grid, stack, points)
+        scale = np.abs(stack).reshape(count, -1).sum(axis=1)
+        assert got.shape == (4096, count)
+        assert np.all(np.abs(got - sample_complex_half_sum(grid, stack, points)) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("resolution", [(8, 8), (32, 16), (16, 32)])
+    def test_two_d_sum_needs_no_symmetry_of_the_coefficients(self, resolution):
+        # the real fold takes Re sum_k c_k e(k . x) of any coefficients, as the
+        # direct sum does; a real field's half sum would not
+        grid, rng = TorusGrid(resolution), np.random.default_rng(11)
+        stack = rng.standard_normal((3,) + resolution) + 1j * rng.standard_normal((3,) + resolution)
+        points = rng.uniform(-1.0, 2.0, (57, 2))
+        got = sample_coefficients(grid, stack, points)
+        scale = np.abs(stack).reshape(3, -1).sum(axis=1)
+        assert np.all(np.abs(got - sample_direct(grid, stack, points)) <= 1e-13 * scale)
 
 
 class TestArithmetic:
