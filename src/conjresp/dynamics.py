@@ -18,6 +18,8 @@ the map from conjugating fields to deformation derivatives.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .errors import ConstructionError, ExpansionError
@@ -122,6 +124,24 @@ class TorusMap:
         if self._stack is None:
             return np.tile(self.matrix.astype(float), (pts.shape[0], 1, 1))
         return self.matrix + self._stack(pts, values=False)[1]
+
+    @cached_property
+    def grid_image(self) -> np.ndarray | None:
+        """Row-major flat indices of T(x) for the grid points x, when T maps
+        the grid into itself; else None.  It does when g = 0 and A keeps
+        the grid lattice, every A_ij N_i / N_j an integer: then T(k / N)_i
+        = ((sum_j A_ij (N_i / N_j) k_j) mod N_i) / N_i, in integer
+        arithmetic.  Always so on square grids; the cat map on 32 x 16 is
+        not."""
+        if self._stack is not None:
+            return None
+        sizes = np.array(self.grid.resolution)
+        scaled = self.matrix * sizes[:, None]  # A_ij N_i
+        if np.any(scaled % sizes[None, :]):
+            return None
+        indices = np.indices(self.grid.shape).reshape(self.dim, -1)
+        image = (scaled // sizes[None, :]) @ indices % sizes[:, None]
+        return np.ravel_multi_index(tuple(image), self.grid.shape)
 
     def expansion_margin(self) -> float:
         """min |F'| - 1 over a fine sample of the lift derivative F' of a
@@ -315,13 +335,17 @@ class DeformedMap(ConjugatedMap):
 
 def deformation_derivative(T: TorusMap, X: VectorFieldT) -> VectorFieldT:
     """The t-derivative at 0 of phi^t o T o phi^{-t}: -DT(X) + X o T,
-    returned as a vector-valued function of the source point."""
+    returned as a vector-valued function of the source point.  X o T is
+    gathered from X's grid values when T permutes the grid
+    (`TorusMap.grid_image`) and interpolated at T(grid points) otherwise."""
     if T.grid != X.grid:
         raise ValueError("map and field live on different grids")
     grid = T.grid
     pts = grid.points()
-    pushed = -np.einsum("mij,mj->mi", T.jacobian(pts), X.values_matrix())
-    pulled = X.sample(T(pts))
+    values = X.values_matrix()
+    pushed = -np.einsum("mij,mj->mi", T.jacobian(pts), values)
+    image = T.grid_image
+    pulled = X.sample(T(pts)) if image is None else values[image]
     vals = pushed + pulled
     return VectorFieldT.from_arrays(
         grid, [vals[:, i].reshape(grid.shape) for i in range(grid.dim)]

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field as dataclass_field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -99,6 +99,11 @@ class FlowEvaluation:
     steps     -- the steps taken: RK4 substeps, or Taylor steps of a flow
                  map (see `FlowMap`)
     points    -- the lifts reduced into [0, 1)
+
+    The determinants of the Jacobians are taken in closed form, as grids
+    are 1-d or 2-d: the entry, or J00 J11 - J01 J10, within a few ulp of
+    |J00 J11| + |J01 J10| of an LU determinant.  A non-positive one raises
+    QualityError naming the smallest.
     """
 
     lifts: np.ndarray
@@ -111,7 +116,9 @@ class FlowEvaluation:
         self.points = mod1(self.lifts)
         self._determinants = None
         if self.jacobians is not None:
-            self._determinants = np.linalg.det(self.jacobians)
+            J = self.jacobians
+            self._determinants = (J[:, 0, 0].copy() if J.shape[1] == 1
+                                  else J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0])
             worst = float(self._determinants.min())
             if worst <= 0.0:
                 raise QualityError(
@@ -133,20 +140,26 @@ class FieldStack:
     vector field's component gradients read off as its Jacobian.  At exactly
     the grid points they are read off the grid; anywhere else one
     `sample_coefficients` call on the stacked coefficients (values, then
-    gradients row by row; by default the FFT of the arrays) serves all
-    points, on the value rows alone without ``gradients`` and on the
-    gradient rows alone without ``values``.  Its arrays are
-    read-only, since maps share one stack among callers.
+    gradients row by row) serves all points, on the value rows alone
+    without ``gradients`` and on the gradient rows alone without
+    ``values``.  The coefficients are two blocks of one array, the F value
+    rows and the F * n gradient rows, each the FFT of its arrays made on
+    the first call that reads it (a flow-map factor evaluated without
+    Jacobians never transforms its gradients); the FFT of a row does not
+    depend on the rows transformed with it.  Its arrays, and the
+    coefficient rows a call reads, are read-only, since maps share one
+    stack among callers.
     """
 
     def __init__(self, grid, values: np.ndarray, gradients: np.ndarray, coefficients=None):
-        for array in (values, gradients, coefficients):
-            if array is not None:
-                array.setflags(write=False)
+        for array in (values, gradients):
+            array.setflags(write=False)
         self.grid = grid
         self.values = values
         self.gradients = gradients
+        # the value rows, then the gradient rows; callers get read-only views
         self._coefficients = coefficients
+        self._transformed = [coefficients is not None] * 2
 
     @classmethod
     def of(cls, fields) -> "FieldStack":
@@ -159,15 +172,28 @@ class FieldStack:
                    gradients.reshape((len(fields), n) + grid.shape),
                    np.stack([f.coefficients for f in list(fields) + derivatives]))
 
+    def _rows(self, values: bool, gradients: bool) -> np.ndarray:
+        """The coefficient rows of the values, of the gradients, or of both,
+        transforming each block into its rows on first use."""
+        grid, count = self.grid, self.values.shape[0]
+        if self._coefficients is None:
+            self._coefficients = np.empty((count * (1 + grid.dim),) + grid.shape, dtype=complex)
+        blocks = ((slice(None, count), self.values), (slice(count, None), self.gradients))
+        for index, wanted in enumerate((values, gradients)):
+            if wanted and not self._transformed[index]:
+                rows, fields = blocks[index]
+                transform = np.fft.fftn(fields.reshape((-1,) + grid.shape),
+                                        axes=tuple(range(1, grid.dim + 1)))
+                np.divide(transform, grid.size, out=self._coefficients[rows])
+                self._transformed[index] = True
+        view = self._coefficients[0 if values else count:None if gradients else count]
+        view.setflags(write=False)
+        return view
+
     @property
     def coefficients(self) -> np.ndarray:
-        if self._coefficients is None:
-            fields = np.concatenate([self.values, self.gradients.reshape((-1,) + self.grid.shape)])
-            axes = tuple(range(1, self.grid.dim + 1))
-            coefficients = np.fft.fftn(fields, axes=axes) / self.grid.size
-            coefficients.setflags(write=False)
-            self._coefficients = coefficients
-        return self._coefficients
+        """All coefficient rows: the values', then the gradients' row by row."""
+        return self._rows(True, True)
 
     def __call__(self, points, gradients: bool = True, values: bool = True):
         """(M, F) values and (M, F, n) gradients, each None when not asked for."""
@@ -177,9 +203,7 @@ class FieldStack:
             vals = self.values.reshape(count, -1).T
             grads = self.gradients.reshape(count, n, -1).transpose(2, 0, 1)
         else:
-            # only the rows asked for, of the F value rows and F * n gradient rows
-            rows = slice(0 if values else count, None if gradients else count)
-            out = sample_coefficients(grid, self.coefficients[rows], pts)
+            out = sample_coefficients(grid, self._rows(values, gradients), pts)
             vals = out[:, :count]
             grads = out[:, -count * n:].reshape(-1, count, n) if gradients else None
         return (vals if values else None), (grads if gradients else None)
@@ -263,12 +287,13 @@ class FlowMap:
     def __call__(self, points, jacobian: bool = True) -> FlowEvaluation:
         n = self.grid.dim
         lifts = as_points(points, n)
-        jac = np.tile(np.eye(n), (lifts.shape[0], 1, 1)) if jacobian else None
+        jac = None
         for factor in self.factors:
             values, grads = factor(lifts, jacobian)
             lifts = lifts + values
             if jacobian:
-                jac = (np.eye(n) + grads) @ jac
+                step = np.eye(n) + grads
+                jac = step if jac is None else step @ jac
         return FlowEvaluation(lifts, jac, self.time, self.steps)
 
 
@@ -467,12 +492,19 @@ def transported_density(omega: VolumeDensity, inverse) -> VolumeDensity:
 def _spectral_tail(field: ScalarField) -> float:
     """The spectral tail/peak of a field: its largest |c_k| with |k| >= N/4
     on some axis over its largest |c_k|."""
-    grid = field.grid
+    magnitudes = np.abs(field.coefficients)
+    return float(magnitudes[_high_modes(field.grid)].max() / magnitudes.max())
+
+
+@lru_cache(maxsize=None)
+def _high_modes(grid) -> np.ndarray:
+    """The mask of the wavenumbers k of a grid with |k| >= N/4 on some axis,
+    made once per resolution."""
     high = np.logical_or.reduce(np.meshgrid(
         *[np.abs(grid.wavenumbers(axis)) >= n / 4 for axis, n in enumerate(grid.resolution)],
         indexing="ij"))
-    magnitudes = np.abs(field.coefficients)
-    return float(magnitudes[high].max() / magnitudes.max())
+    high.setflags(write=False)
+    return high
 
 
 class MoserFlow:

@@ -33,9 +33,9 @@ from conjresp import (
     VolumeDensity,
     flow_map,
 )
-from conjresp import flow
+from conjresp import fields, flow
 from conjresp.dynamics import EXPANSION_MARGIN, NEWTON_ITERATIONS, _branch_newton
-from conjresp.fields import mod1
+from conjresp.fields import mod1, sample_coefficients
 from conjresp.flow import FlowMap, flow_maps, integrate_flow, transported_density
 
 
@@ -261,6 +261,14 @@ class TestReductionIntoUnitInterval:
     def test_lands_in_the_unit_interval(self, x):
         assert 0.0 <= mod1(np.array([x]))[0] < 1.0
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(x=st.lists(st.one_of(st.floats(-4.0, 4.0), st.integers(-4, 4).map(float),
+                                st.sampled_from([1e-17, -1e-17])), min_size=1, max_size=64))
+    def test_floor_reduction_is_the_remainder_bit_for_bit(self, x):
+        # x - floor(x) against x % 1.0, up to the sign of a zero (== ignores it)
+        x = np.array(x)
+        assert np.array_equal(mod1(x), np.where((r := x % 1.0) == 1.0, 0.0, r))
+
     def test_maps_and_transports_reduce_into_the_unit_interval(self):
         # x % 1.0 alone rounds -1e-17 up to 1.0
         grid = TorusGrid(64)
@@ -311,6 +319,67 @@ class TestDeformationDerivative:
         A = np.array([[2.0, 1.0], [1.0, 1.0]])
         expected = -X.sample(pts) @ A.T + X.sample((pts @ A.T) % 1.0)
         assert np.max(np.abs(td.values_matrix()[idx] - expected)) <= 1e-11
+
+
+def counting_samples(monkeypatch):
+    """A list that grows by one entry per `sample_coefficients` call."""
+    calls = []
+
+    def counting(grid, stack, points):
+        calls.append(stack.shape[0])
+        return sample_coefficients(grid, stack, points)
+
+    monkeypatch.setattr(fields, "sample_coefficients", counting)
+    monkeypatch.setattr(flow, "sample_coefficients", counting)
+    return calls
+
+
+def low_mode_field(grid, rng):
+    """Three random modes per component, with |k_i| <= 4."""
+    return VectorFieldT([ScalarField.from_modes(
+        grid, [[*rng.integers(-4, 5, size=grid.dim), *rng.uniform(-1.0, 1.0, 2)]
+               for _ in range(3)]) for _ in range(grid.dim)])
+
+
+class TestGridImage:
+    # maps whose linear part keeps the grid lattice: every A_ij N_i / N_j an integer
+    PERMUTING = [((256,), [[2]]), ((64, 64), [[2, 1], [1, 1]]), ((64, 64), [[1, 1], [1, 2]]),
+                 ((48, 48), [[2, 1], [1, 1]]), ((48, 48), [[1, 1], [1, 2]]),
+                 ((32, 16), [[1, 2], [0, 1]])]
+
+    @pytest.mark.parametrize("resolution, matrix", PERMUTING)
+    def test_x_o_t_is_gathered_off_the_grid_without_sampling(self, monkeypatch, resolution,
+                                                             matrix):
+        grid = TorusGrid(resolution)
+        X = low_mode_field(grid, np.random.default_rng(11))
+        T = TorusMap(grid, matrix)
+        pts = grid.points()
+        want = -X.values_matrix() @ np.array(matrix, dtype=float).T + X.sample(T(pts))
+        calls = counting_samples(monkeypatch)
+        got = deformation_derivative(T, X).values_matrix()
+        assert calls == []
+        assert np.max(np.abs(got - want)) <= 1e-13 * X.sup_norm
+
+    def test_the_image_is_the_maps_value_at_the_grid_points(self):
+        for resolution, matrix in self.PERMUTING:
+            grid = TorusGrid(resolution)
+            T = TorusMap(grid, matrix)
+            assert np.max(np.abs(wrap_difference(grid.points()[T.grid_image]
+                                                 - T(grid.points())))) <= 1e-15
+
+    def test_maps_off_the_lattice_or_displaced_still_sample(self, monkeypatch):
+        grid = TorusGrid((32, 16))
+        cat = TorusMap(grid, [[2, 1], [1, 1]])  # A_10 N_1 / N_0 = 1/2
+        displaced = TorusMap(TorusGrid((16, 16)), [[2, 1], [1, 1]], VectorFieldT(
+            [ScalarField.from_modes(TorusGrid((16, 16)), [[1, 0, 0.01, 0.0]])] * 2))
+        for T in (cat, displaced):
+            assert T.grid_image is None
+            X = low_mode_field(T.grid, np.random.default_rng(12))
+            want = (-np.einsum("mij,mj->mi", T.jacobian(T.grid.points()), X.values_matrix())
+                    + X.sample(T(T.grid.points())))
+            calls = counting_samples(monkeypatch)
+            got = deformation_derivative(T, X).values_matrix()
+            assert len(calls) == 1 and np.array_equal(got, want)
 
 
 class TestTorusMapJacobian:

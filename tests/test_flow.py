@@ -157,6 +157,34 @@ class TestIntegrateFlow:
             FlowEvaluation(np.array([[0.0]]), np.array([[[-1.0]]]), 1.0, 4)
 
 
+class TestDeterminants:
+    def test_closed_form_matches_lu_to_rounding(self):
+        rng = np.random.default_rng(21)
+        near_identity = np.eye(2) + 0.1 * rng.standard_normal((500, 2, 2))
+        shear = np.tile(np.eye(2), (500, 1, 1))
+        shear[:, 0, 1] = rng.uniform(-20.0, 20.0, 500)
+        J = np.concatenate([near_identity,
+                            (np.eye(2) + 0.1 * rng.standard_normal((500, 2, 2))) @ shear])
+        got = FlowEvaluation(np.zeros((1000, 2)), J, 1.0, 1).determinants()
+        scale = np.abs(J[:, 0, 0] * J[:, 1, 1]) + np.abs(J[:, 0, 1] * J[:, 1, 0])
+        assert np.all(np.abs(got - np.linalg.det(J)) <= 4 * np.finfo(float).eps * scale)
+
+    def test_one_d_determinant_is_the_entry(self):
+        J = np.random.default_rng(22).uniform(0.1, 3.0, (100, 1, 1))
+        got = FlowEvaluation(np.zeros((100, 1)), J, 1.0, 1).determinants()
+        assert np.array_equal(got, J[:, 0, 0])
+
+    @pytest.mark.parametrize("J, smallest", [
+        ([[[1.0, 0.0], [0.0, 1.0]], [[1.0, 2.0], [0.75, 1.0]]], "-0.5"),
+        ([[[2.0, 4.0], [1.0, 2.0]]], "0"),
+        ([[[1.5]], [[-0.25]]], "-0.25")])
+    def test_non_positive_determinant_is_refused_naming_the_smallest(self, J, smallest):
+        J = np.array(J)
+        with pytest.raises(QualityError, match=f"smallest determinant {smallest}$") as raised:
+            FlowEvaluation(np.zeros(J.shape[:2]), J, 1.0, 1)
+        assert raised.value.defect == float(smallest)
+
+
 # grid -> (largest |k_i| of a field mode, largest |t| * mode amplitude): the
 # flow map must be resolved on the grid for the 1e-9 comparison to hold
 FLOW_MAP_GRIDS = {(64,): (2, 0.02), (256,): (4, 0.02), (16, 16): (1, 0.005),
@@ -504,6 +532,34 @@ class TestFieldStack:
             stack(pts, **kwargs)
         n = grid.dim
         assert rows == [n + n * n, n, n * n]
+
+    @pytest.mark.parametrize("resolution", [32, (16, 8)])
+    def test_a_call_transforms_only_the_rows_it_reads(self, monkeypatch, resolution):
+        grid = TorusGrid(resolution)
+        n = grid.dim
+        X = band_limited_field(grid, np.random.default_rng(8), 2, 0.3)
+        factor = flow_map(X, 0.2).factors[0]
+        pts = np.random.default_rng(9).uniform(-1.0, 2.0, (7, n))
+        rows = np.concatenate([factor.values, factor.gradients.reshape((-1,) + grid.shape)])
+        whole = np.fft.fftn(rows, axes=tuple(range(1, n + 1))) / grid.size
+        full = sample_coefficients(grid, whole, pts)
+        fftn, transformed = np.fft.fftn, []
+
+        def recording(a, *args, **kwargs):
+            transformed.append(a.shape[0])
+            return fftn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fftn", recording)
+        values, none = factor(pts, gradients=False)
+        assert transformed == [n] and none is None
+        both = factor(pts)
+        assert transformed == [n, n * n]
+        factor(pts)
+        factor(pts, values=False)
+        assert transformed == [n, n * n]
+        assert np.array_equal(values, full[:, :n]) and np.array_equal(both[0], full[:, :n])
+        assert np.array_equal(both[1], full[:, n:].reshape(-1, n, n))
+        assert np.array_equal(factor.coefficients, whole)
 
 
 def reference_point_flow(evaluator, s0, s1, points, steps, with_jacobian):
