@@ -15,6 +15,7 @@ import csv
 import json
 import shutil
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -159,6 +160,8 @@ def cmd_moser(cfg: dict, out: Path, quiet: bool) -> int:
             )
 
     transport = moser_transport(omega0, omega1, steps=steps)
+    if torus_map is not None:  # the conjugated check reads both directions: one build
+        transport.maps((1.0, -1.0))
     pushed = transported_density(omega0, transport.inverse_transport)
     residual = float(np.max(np.abs(pushed.eta.values - omega1.eta.values)))
     _say(quiet, f"pushforward residual max|psi_* eta0 - eta1| = {residual:.3e}")
@@ -222,6 +225,7 @@ _COMMANDS = {"solve": cmd_solve, "verify": cmd_verify, "moser": cmd_moser,
              "sweep": cmd_sweep}
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="conjresp",

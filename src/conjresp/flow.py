@@ -10,8 +10,9 @@
   series, whose terms do not depend on time: phi^t and phi^-t of every t of
   a build sum one run of terms, and are kept, read-only, for as long as the
   field lives.  A Moser map's field depends on time, so its distinct factors
-  take one RK4 integration (`_rk4`, fixed uniform substeps, each stage
-  passed its time) of the same grid system per direction.
+  take one RK4 integration (`_rk4`, fixed uniform substeps, the field
+  evaluated once per distinct stage time) of the same grid system, both
+  directions' at once when both are asked for.
 * `integrate_flow`, outside the package namespace, moves points
   (Lagrangian) by RK4, Jacobians riding along by the variational equation
   J' = DX(phi) J on the same stages.  No flow map uses it: it is the tests'
@@ -34,7 +35,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field as dataclass_field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -209,17 +210,19 @@ class FieldStack:
         return (vals if values else None), (grads if gradients else None)
 
 
-def _rk4(rate, state: np.ndarray, s0, h, steps: int) -> np.ndarray:
-    """``steps`` classical RK4 substeps of dy/ds = rate(s, y) from y(s0) =
-    ``state``.  Arrays ``s0`` and ``h`` hold one start and step per batch
-    entry and broadcast over its state, and over the stage times passed to
-    ``rate``."""
+def _rk4(stage, state: np.ndarray, s0, h, steps: int) -> np.ndarray:
+    """``steps`` classical RK4 substeps of dy/ds = f(s, y) from y(s0) =
+    ``state``, ``stage(s)`` being y -> f(s, y), called once per distinct
+    stage time: a step's start, midpoint (both middle stages) and end.
+    Arrays ``s0`` and ``h`` hold one start and step per batch entry and
+    broadcast over its state, and over the stage times."""
     for i in range(steps):
         s = s0 + i * h
-        k1 = rate(s, state)
-        k2 = rate(s + 0.5 * h, state + 0.5 * h * k1)
-        k3 = rate(s + 0.5 * h, state + 0.5 * h * k2)
-        k4 = rate(s + h, state + h * k3)
+        k1 = stage(s)(state)
+        middle = stage(s + 0.5 * h)
+        k2 = middle(state + 0.5 * h * k1)
+        k3 = middle(state + 0.5 * h * k2)
+        k4 = stage(s + h)(state + h * k3)
         state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return state
 
@@ -242,15 +245,15 @@ def integrate_flow(X: VectorFieldT, t: float, points, steps: int,
     m, n = pts.shape
     identity = np.tile(np.eye(n).ravel(), (m, 1)) if jacobian else np.empty((m, 0))
 
-    def rate(s, state):
+    def rate(state):
         velocity, dX = stack(state[:, :n], jacobian)
         if dX is None:
             return velocity
         return np.concatenate([velocity, (dX @ state[:, n:].reshape(m, n, n)).reshape(m, -1)],
                               axis=1)
 
-    state = _rk4(rate, np.concatenate([pts, identity], axis=1), 0.0, float(t) / max(steps, 1),
-                 steps)
+    state = _rk4(lambda s: rate, np.concatenate([pts, identity], axis=1), 0.0,
+                 float(t) / max(steps, 1), steps)
     return FlowEvaluation(state[:, :n], state[:, n:].reshape(m, n, n) if jacobian else None,
                           float(t), steps)
 
@@ -398,23 +401,22 @@ def _grid_rate(grid):
     grid.shape, the rates X + G X and DX + G DX + (X . grad) G of `flow_map`'s
     grid system, without ``source`` G X and G DX + (X . grad) G, as (B, n +
     n^2) + grid.shape.  X and DX are one for all entries or one per entry;
-    one set of transforms serves the batch, each entry computed as alone."""
+    one set of transforms serves the batch, each entry computed as alone.
+    d G / d x_j is a real FFT along axis j alone and back, its symbol cut to
+    0..N_j/2 (Nyquist zeroed): 2n one-axis passes, not n + n^2 n-d ones."""
     n = grid.dim
-    # real-to-complex transforms keep the last axis' wavenumbers 0..N/2
-    symbols = [grid.derivative_symbol(j)[..., : grid.resolution[-1] // 2 + 1]
-               for j in range(n)]
-    axes = tuple(range(3, n + 3))
+    symbols = [grid.derivative_symbol(j)[(slice(None),) * j + (slice(size // 2 + 1),)]
+               for j, size in enumerate(grid.resolution)]
 
     def rate(G, velocity, shear, source=True):
         batch = "b" if velocity.ndim > n + 1 else ""
-        coefficients = _rfftn(G, axes)
         dD = np.einsum(f"bik...,{batch}k...->bi...", G, velocity)
         dG = np.einsum(f"bik...,{batch}kj...->bij...", G, shear)
         if source:
             dD, dG = velocity + dD, shear + dG
         rows = velocity.reshape((-1, n, 1, 1) + grid.shape)
-        for k, symbol in enumerate(symbols):
-            dG += rows[:, k] * _irfftn(coefficients * symbol, grid.shape, axes)
+        for j, (symbol, size) in enumerate(zip(symbols, grid.resolution)):
+            dG += rows[:, j] * np.fft.irfft(np.fft.rfft(G, axis=j + 3) * symbol, size, axis=j + 3)
         return np.concatenate([dD, dG.reshape((-1, n * n) + grid.shape)], axis=1)
 
     return rate
@@ -427,36 +429,20 @@ def _flow_factor(grid, field, times, steps: int, starts=0.0) -> np.ndarray:
     row by row): `steps` RK4 substeps of `_grid_rate` on one batched state.
     ``field(s)`` gives X and DX at the grid points at the stage times s,
     (len(times), 1) + (1,) * n: (n,) + grid.shape and (n, n) + grid.shape
-    for every entry (an autonomous field), or one per entry."""
+    for every entry (an autonomous field), or one per entry.  It is called
+    once per distinct stage time, 3 times a substep (see `_rk4`)."""
     n = grid.dim
     grid_rate = _grid_rate(grid)
 
-    def rate(s, state):
-        return grid_rate(state[:, n:].reshape((-1, n, n) + grid.shape), *field(s))
+    def stage(s):
+        X = field(s)
+        return lambda state: grid_rate(state[:, n:].reshape((-1, n, n) + grid.shape), *X)
 
     # one step size and start per batch entry, broadcast over its state
     shape = (-1,) + (1,) * (n + 1)
     h = (np.asarray(times, dtype=float) / steps).reshape(shape)
     s0 = np.asarray(starts, dtype=float).reshape(shape)
-    return _rk4(rate, np.zeros((h.shape[0], n + n * n) + grid.shape), s0, h, steps)
-
-
-def _rfftn(a: np.ndarray, axes) -> np.ndarray:
-    """np.fft.rfftn(a, axes=axes), by the transforms numpy itself runs for it
-    (rfft on the last axis, then fft on the others, last to first), without
-    its per-call argument handling."""
-    a = np.fft.rfft(a, axis=axes[-1])
-    for axis in reversed(axes[:-1]):
-        a = np.fft.fft(a, axis=axis)
-    return a
-
-
-def _irfftn(a: np.ndarray, shape, axes) -> np.ndarray:
-    """np.fft.irfftn(a, s=shape, axes=axes), the same way: ifft on all axes
-    but the last, first to last, then irfft on the last."""
-    for axis in axes[:-1]:
-        a = np.fft.ifft(a, axis=axis)
-    return np.fft.irfft(a, shape[-1], axis=axes[-1])
+    return _rk4(stage, np.zeros((h.shape[0], n + n * n) + grid.shape), s0, h, steps)
 
 
 def transported_density(omega: VolumeDensity, inverse) -> VolumeDensity:
@@ -513,17 +499,18 @@ class MoserFlow:
     and eta_s = (1 - s) eta0 + s eta1.
 
     Both directions are `FlowMap`s on the grid, each built on first use
-    (`forward`, `inverse`).  [0, 1] splits into ``submaps`` equal factors,
-    the fewest for which max_s max_x ||grad X_s(x)||_inf / submaps <=
-    MOSER_SUBMAP_STRETCH, and each factor is a reference map
-    (`_flow_factor` with X_s at every stage's time): Phi = phi_{s -> s_a}
-    solves dPhi/ds = -DPhi X_s from Phi = id at s = s_a, so integrated
-    from a factor's start to its end it gives the factor of the inverse,
-    and from its end to its start the factor of the forward map.  All
-    factors of one direction take one batched integration of ``substeps`` /
-    ``submaps`` substeps each: ``steps`` of them over [0, 1] at least, and
-    at least the substeps that keep h * pi * max_s max_x sum_i |X_s,i(x)| N_i
-    within MOSER_STABILITY_LIMIT.
+    (`forward`, `inverse`) unless `maps` builds them together first.  [0, 1]
+    splits into ``submaps`` equal factors, the fewest for which max_s max_x
+    ||grad X_s(x)||_inf / submaps <= MOSER_SUBMAP_STRETCH, and each factor
+    is a reference map (`_flow_factor` with X_s at every stage's time):
+    Phi = phi_{s -> s_a} solves dPhi/ds = -DPhi X_s from Phi = id at
+    s = s_a, so integrated from a factor's start to its end it gives the
+    factor of the inverse, and from its end to its start the factor of the
+    forward map.  All factors of the directions built together take one
+    batched integration (2 ``submaps`` entries for both, each bit for bit
+    its build alone) of ``substeps`` / ``submaps`` substeps each: ``steps``
+    of them over [0, 1] at least, and at least the substeps that keep
+    h * pi * max_s max_x sum_i |X_s,i(x)| N_i within MOSER_STABILITY_LIMIT.
 
     Calling the object (or `transport`) evaluates phi_{0->1} at points and
     `inverse_transport` phi_{1->0}, so `transported_density(omega0,
@@ -556,6 +543,7 @@ class MoserFlow:
         self.submaps = max(1, math.ceil(stretch / MOSER_SUBMAP_STRETCH))
         stable = math.ceil(math.pi * speed / (self.submaps * MOSER_STABILITY_LIMIT))
         self.substeps = self.submaps * max(math.ceil(self.steps / self.submaps), stable, 1)
+        self._maps = {1.0: None, -1.0: None}  # phi_{0->1} and phi_{1->0}, once built
 
     @property
     def grid(self):
@@ -572,30 +560,37 @@ class MoserFlow:
         velocity = self._values[:n] / es
         return velocity, (self._gradients[:n] - velocity[:, :, None] * des[:, None]) / es[:, None]
 
-    def _build(self, time: float) -> FlowMap:
-        """phi_{0->1} (``time`` 1) or phi_{1->0} (``time`` -1)."""
-        m = self.submaps
-        ends = np.arange(m + 1) / m
-        starts = ends[1:] if time > 0 else ends[:-1]
+    def maps(self, times) -> list:
+        """[phi_{0->1} if t == 1 else phi_{1->0} for t in times], t = 1 or
+        -1 (else KeyError), with every direction not built yet built in one
+        batched `_flow_factor` integration of its factors and the other's."""
+        missing = [t for t in dict.fromkeys(times) if self._maps[t] is None]
+        if missing:
+            m = self.submaps
+            ends = np.arange(m + 1) / m
+            starts = np.concatenate([ends[1:] if t > 0 else ends[:-1] for t in missing])
 
-        def field(s):
-            velocity, shear = self._grid_field(s)
-            return -velocity, -shear
+            def field(s):
+                velocity, shear = self._grid_field(s)
+                return -velocity, -shear
 
-        states = _flow_factor(self.grid, field, [-time / m] * m, self.substeps // m, starts)
-        factors = [_factor(self.grid, state) for state in states]
-        # phi_{0->1} runs the factors from s = 0 up, phi_{1->0} from s = 1 down
-        return FlowMap(factors if time > 0 else factors[::-1], time, self.substeps)
+            states = _flow_factor(self.grid, field, [-t / m for t in missing for _ in range(m)],
+                                  self.substeps // m, starts)
+            for t, batch in zip(missing, np.split(states, len(missing))):
+                factors = [_factor(self.grid, state) for state in batch]
+                # phi_{0->1} runs the factors from s = 0 up, phi_{1->0} from s = 1 down
+                self._maps[t] = FlowMap(factors if t > 0 else factors[::-1], t, self.substeps)
+        return [self._maps[t] for t in times]
 
-    @cached_property
+    @property
     def forward(self) -> FlowMap:
         """phi_{0->1}, built on first use."""
-        return self._build(1.0)
+        return self.maps((1.0,))[0]
 
-    @cached_property
+    @property
     def inverse(self) -> FlowMap:
         """phi_{1->0}, built on first use."""
-        return self._build(-1.0)
+        return self.maps((-1.0,))[0]
 
     def transport(self, points, jacobian: bool = True) -> FlowEvaluation:
         return self.forward(points, jacobian)

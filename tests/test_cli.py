@@ -14,6 +14,7 @@ import pytest
 
 import conjresp
 from conjresp import CoVectorForm, contract_inverse, flow, gradient, load_field, solve_for_field
+from conjresp import cli
 from conjresp.cli import main
 from conjresp.config import build_grid, build_map, build_rho, build_strategy, load_config
 
@@ -150,6 +151,12 @@ class TestSolve:
         assert exc.value.code == 2
         assert "--format" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_the_parser_is_built_once_per_process(self, tmp_path):
+        cfg = write_config(tmp_path, doubling_config())
+        parser = cli._build_parser()
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+        assert cli._build_parser() is parser
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = doubling_config()
@@ -295,6 +302,25 @@ class TestMoser:
         # steps is the configured lower bound; substeps and submaps what ran
         assert report["steps"] == cfg["moser"]["steps"] <= report["substeps"]
         assert report["submaps"] > 1 and report["substeps"] % report["submaps"] == 0
+
+    @pytest.mark.parametrize("cfg, signs", [
+        (RESOLVED_ONLY_BY_SHORT_FACTORS[1], [-1.0, 1.0]),
+        (RESOLVED_ONLY_BY_SHORT_FACTORS[0], [1.0]),
+    ], ids=["conjugated-check", "2-d"])
+    def test_one_build_of_the_directions_a_run_reads(self, tmp_path, monkeypatch, cfg, signs):
+        # the conjugated check reads both directions, built in one batch; a
+        # run without it builds only the inverse, whose factor times are
+        # positive (a forward factor integrates from its end to its start)
+        batches, build = [], flow._flow_factor
+
+        def counting(grid, field, times, steps, starts=0.0):
+            batches.append(sorted(set(np.sign(times))))
+            return build(grid, field, times, steps, starts)
+
+        monkeypatch.setattr(flow, "_flow_factor", counting)
+        path = write_config(tmp_path, cfg)
+        assert main(["moser", "--config", path, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+        assert batches == [signs]
 
     def test_conjugated_check_rejects_non_invariant_eta0(self, tmp_path, capsys):
         cfg = {

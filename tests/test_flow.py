@@ -5,12 +5,14 @@ exact linearization), self-convergence against a very fine reference run,
 the classical h^4 convergence order, Liouville's formula, and composition
 identities (group law, inverse round trip).  The grid-resident flow maps are
 checked against the point integrator `integrate_flow` and against a fine RK4
-build of their grid system; batched builds against single builds and the
-stage transforms against numpy's n-d ones, bit for bit, and `integrate_flow`
-against the point RK4 with its own Jacobian recurrence, bit for bit.  The
-grid Moser maps are checked against that point RK4 of the Moser field, their
-batched factors against each factor built alone, bit for bit, and each
-factor against the stretch bound.
+build of their grid system; batched builds against single builds, bit for
+bit, the stage derivatives against numpy's n-d spectral derivatives, to
+rounding, and `integrate_flow` against the point RK4 with its own Jacobian
+recurrence, bit for bit.  The grid Moser maps are checked against that point
+RK4 of the Moser field; their batched factors (both directions in one batch)
+against each factor and each direction built alone, and against RK4 that
+evaluates the field at every stage, bit for bit; each factor against the
+stretch bound.
 """
 
 import functools
@@ -429,30 +431,33 @@ class TestFlowMap:
             assert np.array_equal(got.factors[0].gradients, want.factors[0].gradients)
 
     @pytest.mark.parametrize("resolution", [(64,), (16, 16), (32, 16)])
-    def test_stage_transforms_are_numpys_n_d_transforms_bit_for_bit(self, monkeypatch,
-                                                                     resolution):
-        # np.fft.rfftn / irfftn are the oracle: the same transforms with
-        # numpy's own argument handling, on a stage's (batch, n, n) + grid stack
+    def test_stage_derivatives_are_the_n_d_spectral_derivatives(self, resolution):
+        # with X = e_j and DX = 0 the rate of G is d G / d x_j alone; the
+        # oracle is np.fft.rfftn / irfftn with the derivative symbol cut to
+        # the last axis' wavenumbers 0..N/2.  The per-axis transforms differ
+        # from it by rounding: at most 4e-16 of max|dG| here, 1e-14 allowed
         grid, n = TorusGrid(resolution), len(resolution)
         axes = tuple(range(3, n + 3))
         G = np.random.default_rng(2).standard_normal((3, n, n) + grid.shape)
         coefficients = np.fft.rfftn(G, axes=axes)
-        assert np.array_equal(flow._rfftn(G, axes), coefficients)
-        assert np.array_equal(flow._irfftn(coefficients, grid.shape, axes),
-                              np.fft.irfftn(coefficients, s=grid.shape, axes=axes))
-        velocity, shear = grid_values(band_limited_field(grid, np.random.default_rng(9), 2, 0.05))
-        field = lambda s: (velocity, shear)  # noqa: E731
-
-        def built():
-            return (flow._flow_factor(grid, field, (0.2, -0.2, 0.05), 8),
-                    *itertools.islice(flow._series_terms(grid, velocity, shear), 4))
-
-        got = built()
-        monkeypatch.setattr(flow, "_rfftn", lambda a, axes: np.fft.rfftn(a, axes=axes))
-        monkeypatch.setattr(flow, "_irfftn",
-                            lambda a, shape, axes: np.fft.irfftn(a, s=shape, axes=axes))
-        for mine, numpys in zip(got, built()):
-            assert np.array_equal(mine, numpys)
+        cut = (..., slice(resolution[-1] // 2 + 1))
+        rate = flow._grid_rate(grid)
+        for j in range(n):
+            velocity = np.zeros((n,) + grid.shape)
+            velocity[j] = 1.0
+            got = rate(G, velocity, np.zeros((n, n) + grid.shape), False)[:, n:]
+            want = np.fft.irfftn(coefficients * grid.derivative_symbol(j)[cut], s=grid.shape,
+                                 axes=axes).reshape(got.shape)
+            bound = 1e-14 * np.abs(want).max()
+            assert np.max(np.abs(got - want)) <= bound
+            if j < n - 1:
+                # an n-d derivative that kept the Nyquist mode of a leading
+                # axis (there, unlike on a real transform's own axis, it
+                # does not drop out) is far outside the bound
+                kept = 2j * np.pi * np.fft.fftfreq(resolution[j], 1.0 / resolution[j])
+                kept = np.fft.irfftn(coefficients * kept.reshape((-1,) + (1,) * (n - j - 1))[cut],
+                                     s=grid.shape, axes=axes).reshape(got.shape)
+                assert np.max(np.abs(got - kept)) > 1e3 * bound
 
     def test_the_opposite_time_is_built_with_the_map(self, monkeypatch):
         X = single_mode_field(TorusGrid(32))
@@ -862,6 +867,84 @@ class TestMoserTransport:
             for factor, start in zip(factors, starts):
                 assert_factor(factor, flow._flow_factor(grid, field, [-time / m],
                                                         transport.substeps // m, start)[0])
+
+    # (resolution, eta0 modes or None for Lebesgue, eta1 modes, steps): Moser
+    # maps of several factors, at the moser-transport benchmark's step counts
+    SPLIT_TRANSPORTS = [
+        (128, None, [[3, -0.407072, 0.56784]], 128),
+        ((48, 48), [[1, 2, -0.280811, -0.04292]], [[-2, -2, -0.147534, 0.218544]], 16),
+        ((32, 16), *TestSharedStepper.MOSER_DENSITIES[(32, 16)], 16),
+    ]
+
+    @staticmethod
+    def split_transport(resolution, modes0, modes1, steps):
+        grid = TorusGrid(resolution)
+        omega0 = VolumeDensity.from_modes(grid, modes0) if modes0 else VolumeDensity.lebesgue(grid)
+        return moser_transport(omega0, VolumeDensity.from_modes(grid, modes1), steps=steps)
+
+    @pytest.mark.parametrize("case", SPLIT_TRANSPORTS, ids=["128", "48x48", "32x16"])
+    def test_both_directions_in_one_batch_are_each_direction_alone_bit_for_bit(
+            self, monkeypatch, case):
+        batches, build = [], flow._flow_factor
+
+        def counting(grid, field, times, steps, starts=0.0):
+            batches.append(len(times))
+            return build(grid, field, times, steps, starts)
+
+        monkeypatch.setattr(flow, "_flow_factor", counting)
+        transport = self.split_transport(*case)
+        m = transport.submaps
+        assert m > 1
+        forward, inverse = transport.maps((1.0, -1.0))
+        assert (forward.time, inverse.time) == (1.0, -1.0)
+        assert transport.forward is forward and transport.inverse is inverse
+        assert transport.maps((-1.0, 1.0)) == [inverse, forward]
+        assert batches == [2 * m]  # one integration, no build after it
+        for name, phi in (("forward", forward), ("inverse", inverse)):
+            alone = getattr(self.split_transport(*case), name)
+            assert (alone.steps, alone.submaps) == (phi.steps, phi.submaps)
+            for factor, single in zip(phi.factors, alone.factors):
+                assert np.array_equal(factor.values, single.values)
+                assert np.array_equal(factor.gradients, single.gradients)
+        assert batches == [2 * m, m, m]
+        with pytest.raises(KeyError):
+            transport.maps((0.5,))
+
+    @pytest.mark.parametrize("case", SPLIT_TRANSPORTS[::2], ids=["128", "32x16"])
+    def test_a_build_evaluates_its_field_once_per_stage_time(self, case):
+        transport = self.split_transport(*case)
+        grid, n, m = transport.grid, transport.grid.dim, transport.submaps
+        steps, grid_field, evaluations = transport.substeps // m, transport._grid_field, []
+
+        def counting(s):
+            evaluations.append(s)
+            return grid_field(s)
+
+        transport._grid_field = counting
+        forward, inverse = transport.maps((1.0, -1.0))
+        assert len(evaluations) == 3 * steps  # a step's start, midpoint and end
+        # the oracle: RK4 that evaluates the field anew at each of its four
+        # stages, both middle stages included
+        rate = flow._grid_rate(grid)
+        ends = np.arange(m + 1) / m
+
+        def four_stage_rate(s, state):
+            velocity, shear = grid_field(s)
+            return rate(state[:, n:].reshape((-1, n, n) + grid.shape), -velocity, -shear)
+
+        for phi, time, starts in ((forward, 1.0, ends[1:]), (inverse, -1.0, ends[:-1])):
+            shape = (-1,) + (1,) * (n + 1)
+            h = (np.array([-time / m] * m) / steps).reshape(shape)
+            s0, state = starts.reshape(shape), np.zeros((m, n + n * n) + grid.shape)
+            for i in range(steps):
+                s = s0 + i * h
+                k1 = four_stage_rate(s, state)
+                k2 = four_stage_rate(s + 0.5 * h, state + 0.5 * h * k1)
+                k3 = four_stage_rate(s + 0.5 * h, state + 0.5 * h * k2)
+                k4 = four_stage_rate(s + h, state + h * k3)
+                state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            for factor, want in zip(phi.factors if time > 0 else phi.factors[::-1], state):
+                assert_factor(factor, want)
 
     def test_steps_are_a_lower_bound_raised_for_stability(self):
         # 8 factors, each of at least 4 substeps (the stability floor)

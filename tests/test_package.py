@@ -101,3 +101,23 @@ def test_every_traced_name_is_in_its_owners_own_namespace():
         if owner is None or name not in vars(owner):
             missing.append(f"{module_name}.{qualname}")
     assert not missing
+
+
+def test_every_private_helper_has_a_caller_in_src():
+    # a module-level _name function that nothing else in src reads is dead
+    source = Path(conjresp.__file__).parent
+    helpers, read_elsewhere = set(), set()
+    for path in sorted(source.glob("*.py")):
+        for statement in ast.parse(path.read_text()).body:
+            own = (statement.name if isinstance(statement, ast.FunctionDef)
+                   and statement.name.startswith("_") and not statement.name.startswith("__")
+                   else None)
+            if own:
+                helpers.add(own)
+            for node in ast.walk(statement):
+                read = (node.id if isinstance(node, ast.Name)
+                        else node.attr if isinstance(node, ast.Attribute) else None)
+                if read is not None and read != own:
+                    read_elsewhere.add(read)
+    assert helpers
+    assert sorted(helpers - read_elsewhere) == []
