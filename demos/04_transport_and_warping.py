@@ -21,7 +21,6 @@ from conjresp import (
     make_warped_doubling,
     moser_transport,
     transfer_check,
-    transported_density,
 )
 
 grid = TorusGrid(128)
@@ -29,7 +28,7 @@ omega0 = VolumeDensity.lebesgue(grid)
 omega1 = VolumeDensity.from_modes(grid, [[1, 0.5, 0.0]])  # 1 + 0.5 cos(2 pi x)
 
 transport = moser_transport(omega0, omega1, steps=256)
-pushed = transported_density(omega0, transport.inverse_transport)
+pushed = transport.pushforward(omega0)
 print("transport from Lebesgue to 1 + 0.5 cos(2 pi x):")
 print(f"  max|psi_* eta0 - eta1| = {np.max(np.abs(pushed.eta.values - omega1.eta.values)):.2e}")
 

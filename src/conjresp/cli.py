@@ -26,7 +26,7 @@ from .dynamics import ConjugatedMap
 from .errors import ConfigError, ConstructionError, ConvergenceError, QualityError
 from .exactness import lie_derivative_density, solve_for_field, solve_potential
 from .fields import ScalarField, VolumeDensity, save_field
-from .flow import flow_maps, moser_transport, transported_density
+from .flow import flow_maps, moser_transport
 from .verify import derivative_check, pushforward_density, response_check, transfer_check
 
 EXIT_OK = 0
@@ -162,7 +162,7 @@ def cmd_moser(cfg: dict, out: Path, quiet: bool) -> int:
     transport = moser_transport(omega0, omega1, steps=steps)
     if torus_map is not None:  # the conjugated check reads both directions: one build
         transport.maps((1.0, -1.0))
-    pushed = transported_density(omega0, transport.inverse_transport)
+    pushed = transport.pushforward(omega0)
     residual = float(np.max(np.abs(pushed.eta.values - omega1.eta.values)))
     _say(quiet, f"pushforward residual max|psi_* eta0 - eta1| = {residual:.3e}")
 

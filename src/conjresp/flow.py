@@ -5,7 +5,9 @@
   equation dD/dtau = X + (X . grad) D and its gradient, with spectral
   derivatives, never sampling X off the grid; a map is the product of its
   factors, each stretching little enough to be resolved on the grid, so
-  Jacobians are products of I + G.  For an autonomous field that grid system
+  Jacobians are products of I + G.  Each d / d x_j in that system is one
+  product with the axis's spectral differentiation matrix (one cached
+  matrix per axis length), no FFT.  For an autonomous field that grid system
   is affine with constant coefficients, and a factor is its exact Taylor
   series, whose terms do not depend on time: phi^t and phi^-t of every t of
   a build sum one run of terms, and are kept, read-only, for as long as the
@@ -27,7 +29,10 @@ degree and composition arguments.
 `moser_transport` builds the time-dependent field whose time-one flow pushes
 one density to another along the straight path eta_s = (1-s) eta0 + s eta1:
 the primitive theta with d theta = (eta0 - eta1) vol stays fixed while the
-contraction is inverted against the moving density.
+contraction is inverted against the moving density.  Its pushforward,
+`MoserFlow.pushforward`, pushes a density through the inverse's factors one
+at a time; `transported_density(omega, inverse)` pushes through any inverse
+transport at once, and serves the flow maps.
 """
 
 from __future__ import annotations
@@ -62,10 +67,13 @@ SERIES_REACH = 12.0
 SERIES_TOL = 1e-16
 SERIES_TERMS = 60
 # Largest max_s max_x ||grad X_s(x)||_inf / m of the m factors of a Moser map.
-# Its pushforward reads the first factor off the grid and interpolates the
-# others, so a factor that stretches more than this leaves it spatially
-# under-resolved: at 0.5 a 48^2 pushforward residual reached 1.4e-6 against
-# PUSHFORWARD_TOL = 1e-6 whatever the substeps, at 0.125 it stays below 1e-7.
+# Its pushforward reads each factor off the grid and interpolates the density
+# pushed so far at the factor's images of the grid points, and the
+# conjugated-map transfer check interpolates every factor, so a factor that
+# stretches more than this leaves them spatially under-resolved: at 0.5 a
+# 48^2 pushforward residual read 3.3e-7 (1.4e-6 when every factor after the
+# first was interpolated), at 0.125 1.1e-8; a 1-d conjugated-map transfer
+# residual reached 4.3e-5 at 0.5 against TRANSFER_TOL = 1e-4.
 MOSER_SUBMAP_STRETCH = 0.125
 # Largest h * pi * max_s max_x sum_i |X_s,i(x)| N_i of a Moser map's RK4
 # substeps, a floor for stability only (RK4 is stable up to 2 sqrt(2) on the
@@ -401,12 +409,12 @@ def _grid_rate(grid):
     grid.shape, the rates X + G X and DX + G DX + (X . grad) G of `flow_map`'s
     grid system, without ``source`` G X and G DX + (X . grad) G, as (B, n +
     n^2) + grid.shape.  X and DX are one for all entries or one per entry;
-    one set of transforms serves the batch, each entry computed as alone.
-    d G / d x_j is a real FFT along axis j alone and back, its symbol cut to
-    0..N_j/2 (Nyquist zeroed): 2n one-axis passes, not n + n^2 n-d ones."""
+    one product per axis serves the batch, each entry computed as alone.
+    d G / d x_j is the spectral derivative with the Nyquist mode zeroed as
+    one matrix product along axis j (`_derivative_matrix`): D G on the
+    leading axis of a 2-d grid, G D^T on the last."""
     n = grid.dim
-    symbols = [grid.derivative_symbol(j)[(slice(None),) * j + (slice(size // 2 + 1),)]
-               for j, size in enumerate(grid.resolution)]
+    matrices = [_derivative_matrix(size) for size in grid.resolution]
 
     def rate(G, velocity, shear, source=True):
         batch = "b" if velocity.ndim > n + 1 else ""
@@ -415,11 +423,30 @@ def _grid_rate(grid):
         if source:
             dD, dG = velocity + dD, shear + dG
         rows = velocity.reshape((-1, n, 1, 1) + grid.shape)
-        for j, (symbol, size) in enumerate(zip(symbols, grid.resolution)):
-            dG += rows[:, j] * np.fft.irfft(np.fft.rfft(G, axis=j + 3) * symbol, size, axis=j + 3)
+        for j, matrix in enumerate(matrices):
+            dG += rows[:, j] * (matrix @ G if j < n - 1 else G @ matrix.T)
         return np.concatenate([dD, dG.reshape((-1, n * n) + grid.shape)], axis=1)
 
     return rate
+
+
+@lru_cache(maxsize=None)
+def _derivative_matrix(size: int) -> np.ndarray:
+    """The (size, size) periodic spectral differentiation matrix of an axis
+    of ``size`` points on [0, 1), read-only and made once per size: entry
+    (i, k) is pi (-1)^(i-k) cot(pi (i-k) / size) off the diagonal and 0 on
+    it (Trefethen, Spectral Methods in MATLAB, ch. 3), the FFT derivative
+    with the Nyquist mode zeroed.  The cotangents are taken for
+    0 < i - k < size / 2 and mirrored (the matrix is antisymmetric), which
+    keeps every entry within 5e-16 max|D| of the FFT derivative's; cot near
+    pi would lose digits as the size grows."""
+    r = np.arange(1, size // 2)
+    half = np.pi * (1.0 - 2.0 * (r % 2)) / np.tan(np.pi * r / size)
+    column = np.concatenate([[0.0], half, [0.0], -half[::-1]])
+    index = np.arange(size)
+    matrix = column[(index[:, None] - index) % size]
+    matrix.setflags(write=False)
+    return matrix
 
 
 def _flow_factor(grid, field, times, steps: int, starts=0.0) -> np.ndarray:
@@ -455,6 +482,13 @@ def transported_density(omega: VolumeDensity, inverse) -> VolumeDensity:
     grid = omega.grid
     inverse_eval = inverse(grid.points(), jacobian=True)
     values = omega.eta.sample(inverse_eval.points) * inverse_eval.determinants()
+    return _gated_density(grid, values, inverse_eval.time, inverse_eval.steps)
+
+
+def _gated_density(grid, values: np.ndarray, time: float, steps: int) -> VolumeDensity:
+    """The transported density of grid values ``values`` (row-major), after
+    the gates of `transported_density`: its spectral tail, then its mass and
+    positivity, which name the flow of |``time``| in ``steps`` steps."""
     transported = ScalarField(grid, values.reshape(grid.shape))
     tail = _spectral_tail(transported)
     if tail > TAIL_TOL:
@@ -462,7 +496,7 @@ def transported_density(omega: VolumeDensity, inverse) -> VolumeDensity:
                            f"spectral tail/peak {tail:.1e}: the grid may under-resolve the "
                            "density (raise N)", tail)
     # the tail is resolved, so what is left to name is the flow itself
-    flowed = (f"after a flow of |t| = {abs(inverse_eval.time):g} in {inverse_eval.steps} steps "
+    flowed = (f"after a flow of |t| = {abs(time):g} in {steps} steps "
               "(Taylor steps of a flow map, one per factor; RK4 substeps of a Moser map)")
     mass_defect = abs(float(values.mean()) - 1.0)
     if mass_defect > 1e-8:
@@ -513,9 +547,9 @@ class MoserFlow:
     h * pi * max_s max_x sum_i |X_s,i(x)| N_i within MOSER_STABILITY_LIMIT.
 
     Calling the object (or `transport`) evaluates phi_{0->1} at points and
-    `inverse_transport` phi_{1->0}, so `transported_density(omega0,
-    flow.inverse_transport)` is the transported omega0 to compare against
-    omega1.
+    `inverse_transport` phi_{1->0}, and `pushforward(omega0)` is the
+    transported omega0 to compare against omega1, built from `inverse`'s
+    factors one at a time.
 
     steps     -- the requested lower bound on the RK4 substeps over [0, 1]
     substeps  -- the RK4 substeps taken over [0, 1] by either direction
@@ -599,6 +633,28 @@ class MoserFlow:
 
     def inverse_transport(self, points, jacobian: bool = True) -> FlowEvaluation:
         return self.inverse(points, jacobian)
+
+    def pushforward(self, omega: VolumeDensity) -> VolumeDensity:
+        """psi_* omega, psi = phi_{0->1}, pushed through the factors f_k of
+        `inverse` one at a time, last-applied first: psi^{-1} = f_m o ... o
+        f_1, so psi_* is the pushforward by f_m^{-1}, then by f_(m-1)^{-1},
+        and so on.  Each is rho <- rho(y + D_k(y)) det(I + G_k(y)) at the
+        grid points y, with D_k and G_k read off the grid, so each step
+        interpolates one row, the density so far (a flat start, such as
+        Lebesgue, needs none).  ``transported_density(omega,
+        self.inverse_transport)`` gives the same density up to interpolation
+        error, but interpolates all n + n^2 rows of every factor after the
+        first.  The result takes `transported_density`'s gates, which name
+        the inverse's flow."""
+        grid = self.grid
+        if omega.grid != grid:
+            raise ValueError("the density and the transport live on different grids")
+        inverse, eta = self.inverse, omega.eta
+        for factor in reversed(inverse.factors):
+            step = FlowMap((factor,), inverse.time, inverse.steps)(grid.points())
+            values = eta.sample(step.points) * step.determinants()
+            eta = ScalarField(grid, values.reshape(grid.shape))
+        return _gated_density(grid, values, inverse.time, inverse.steps)
 
 
 def moser_transport(omega0: VolumeDensity, omega1: VolumeDensity,

@@ -31,7 +31,6 @@ from conjresp import (
     solve_for_field,
     solve_weighted_poisson,
     transfer_check,
-    transported_density,
     divergence,
     gradient,
     ConjugatedMap,
@@ -277,7 +276,7 @@ def test_criterion_8_moser_transport():
     omega0 = VolumeDensity.lebesgue(grid)
     omega1 = VolumeDensity.from_modes(grid, [[1, 0.5, 0.0]])
     transport = moser_transport(omega0, omega1, steps=256)
-    pushed = transported_density(omega0, transport.inverse_transport)
+    pushed = transport.pushforward(omega0)
     push_residual = float(np.max(np.abs(pushed.eta.values - omega1.eta.values)))
 
     doubling = TorusMap(grid, [[2]])

@@ -7,12 +7,13 @@ identities (group law, inverse round trip).  The grid-resident flow maps are
 checked against the point integrator `integrate_flow` and against a fine RK4
 build of their grid system; batched builds against single builds, bit for
 bit, the stage derivatives against numpy's n-d spectral derivatives, to
-rounding, and `integrate_flow` against the point RK4 with its own Jacobian
-recurrence, bit for bit.  The grid Moser maps are checked against that point
-RK4 of the Moser field; their batched factors (both directions in one batch)
-against each factor and each direction built alone, and against RK4 that
-evaluates the field at every stage, bit for bit; each factor against the
-stretch bound.
+rounding, their differentiation matrices against the FFT derivative, and
+`integrate_flow` against the point RK4 with its own Jacobian recurrence, bit
+for bit.  The grid Moser maps are checked against that point RK4 of the
+Moser field; their batched factors (both directions in one batch) against
+each factor and each direction built alone, and against RK4 that evaluates
+the field at every stage, bit for bit; each factor against the stretch
+bound; their factor-by-factor pushforward against the composed one.
 """
 
 import functools
@@ -20,7 +21,11 @@ import gc
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +52,7 @@ from conjresp import flow, response_check
 from conjresp.config import build_grid, build_map, build_rho, build_strategy, load_config
 from conjresp.fields import sample_coefficients
 from conjresp.flow import FieldStack, FlowMap, integrate_flow
+from test_dynamics import counting_samples
 
 
 def single_mode_field(grid):
@@ -245,6 +251,24 @@ def count_series_runs(monkeypatch):
 
     monkeypatch.setattr(flow, "_series_terms", counting)
     return runs
+
+
+# prints the digest of `_grid_rate`'s bits on a random batch of each grid
+RATE_ALL = """
+import hashlib, json, sys
+import numpy as np
+from conjresp import TorusGrid, flow
+digests = {}
+for resolution in json.loads(sys.argv[1]):
+    grid = TorusGrid(resolution)
+    n = grid.dim
+    rng = np.random.default_rng(sum(grid.shape))
+    G, velocity, shear = (rng.standard_normal((3,) + shape + grid.shape)
+                          for shape in ((n, n), (n,), (n, n)))
+    got = np.ascontiguousarray(flow._grid_rate(grid)(G, velocity, shear))
+    digests[str(resolution)] = hashlib.sha256(got.tobytes()).hexdigest()
+print(json.dumps(digests))
+"""
 
 
 # the times of the bit-identity property, 0 and both signs of three |t|
@@ -458,6 +482,45 @@ class TestFlowMap:
                 kept = np.fft.irfftn(coefficients * kept.reshape((-1,) + (1,) * (n - j - 1))[cut],
                                      s=grid.shape, axes=axes).reshape(got.shape)
                 assert np.max(np.abs(got - kept)) > 1e3 * bound
+
+    @pytest.mark.parametrize("size", [8, 16, 48, 64, 256, 512])
+    def test_derivative_matrix_is_the_fft_derivative_of_the_identity(self, size):
+        # column k is the derivative of the k-th unit vector by a real FFT
+        # and its inverse, the Nyquist mode zeroed: at most 4.5e-16 of
+        # max|D| over these sizes, 1e-15 allowed
+        symbol = TorusGrid(size).derivative_symbol(0)[:size // 2 + 1, None]
+        want = np.fft.irfft(np.fft.rfft(np.eye(size), axis=0) * symbol, size, axis=0)
+        got = flow._derivative_matrix(size)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.abs(want).max()
+        assert np.array_equal(got, -got.T) and not got.diagonal().any()
+
+    def test_derivative_matrix_is_read_only_and_shared_by_equal_axes(self, monkeypatch):
+        made, matrix = [], flow._derivative_matrix
+
+        def recording(size):
+            made.append(matrix(size))
+            return made[-1]
+
+        monkeypatch.setattr(flow, "_derivative_matrix", recording)
+        flow._grid_rate(TorusGrid((48, 48)))
+        flow._grid_rate(TorusGrid((48, 16)))
+        assert [m.shape[0] for m in made] == [48, 48, 48, 16]
+        assert made[0] is made[1] is made[2]
+        with pytest.raises(ValueError, match="read-only"):
+            made[0][0, 1] = 0.0
+
+    def test_stage_derivative_bits_do_not_depend_on_the_blas_thread_count(self):
+        shapes = [[48, 48], [64, 64], [128, 128], [256, 128]]
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=str(Path(flow.__file__).parents[1]))
+            done = subprocess.run([sys.executable, "-c", RATE_ALL, json.dumps(shapes)], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            digests.append(json.loads(done.stdout))
+        assert sorted(digests[0]) == sorted(map(str, shapes))
+        assert digests[0] == digests[1]
 
     def test_the_opposite_time_is_built_with_the_map(self, monkeypatch):
         X = single_mode_field(TorusGrid(32))
@@ -800,7 +863,7 @@ class TestMoserTransport:
         omega0 = VolumeDensity.lebesgue(grid)
         omega1 = VolumeDensity.from_modes(grid, [[1, 0.5, 0.0]])
         transport = moser_transport(omega0, omega1, steps=256)
-        pushed = transported_density(omega0, transport.inverse_transport)
+        pushed = transport.pushforward(omega0)
         assert np.max(np.abs(pushed.eta.values - omega1.eta.values)) <= 1e-6
 
     def test_transport_round_trip(self):
@@ -954,7 +1017,7 @@ class TestMoserTransport:
         for steps, substeps in ((1, 32), (4, 32), (64, 64)):
             transport = moser_transport(omega0, omega1, steps=steps)
             assert (transport.steps, transport.substeps, transport.submaps) == (steps, substeps, 8)
-            pushed = transported_density(omega0, transport.inverse_transport)
+            pushed = transport.pushforward(omega0)
             assert transport.inverse.steps == substeps
             assert np.max(np.abs(pushed.eta.values - omega1.eta.values)) <= 1e-8
 
@@ -970,7 +1033,7 @@ class TestMoserTransport:
         omega0 = VolumeDensity.lebesgue(grid)
         omega1 = VolumeDensity.from_modes(grid, [[1, 0, 0.3, 0.0], [0, 1, 0.0, 0.2]])
         transport = moser_transport(omega0, omega1, steps=128)
-        pushed = transported_density(omega0, transport.inverse_transport)
+        pushed = transport.pushforward(omega0)
         assert np.max(np.abs(pushed.eta.values - omega1.eta.values)) <= 1e-6
 
     def test_two_torus_full_jacobian_matrix(self):
@@ -982,3 +1045,64 @@ class TestMoserTransport:
         reference = central_difference_jacobian(
             lambda p: transport.transport(p, jacobian=False).lifts, pts)
         assert_full_jacobian(transport.transport(pts).jacobians, reference)
+
+
+class TestMoserPushforward:
+    """`MoserFlow.pushforward` pushes a density through the inverse's factors
+    one at a time, last-applied first, against the composed pushforward
+    `transported_density(omega0, psi.inverse_transport)` as its oracle."""
+
+    CASES = TestMoserTransport.SPLIT_TRANSPORTS
+
+    @pytest.mark.parametrize("case", CASES, ids=["128", "48x48", "32x16"])
+    def test_agrees_with_the_composed_pushforward_and_reaches_the_target(self, case):
+        # against the oracle at most 4.5e-11 (128), 2.1e-8 (48x48) and
+        # 2.3e-8 (32x16), 1e-7 allowed: both interpolate, at other points
+        transport = TestMoserTransport.split_transport(*case)
+        assert transport.submaps >= 4
+        pushed = transport.pushforward(transport.omega0).eta.values
+        oracle = transported_density(transport.omega0, transport.inverse_transport).eta.values
+        assert np.max(np.abs(pushed - oracle)) <= 1e-7
+        assert np.max(np.abs(pushed - transport.omega1.eta.values)) <= 1e-6
+
+    @pytest.mark.parametrize("case", CASES, ids=["128", "48x48", "32x16"])
+    def test_interpolates_one_row_per_factor(self, monkeypatch, case):
+        transport = TestMoserTransport.split_transport(*case)
+        calls = counting_samples(monkeypatch)
+        transport.pushforward(transport.omega0)
+        assert calls and len(calls) <= transport.submaps and set(calls) == {1}
+
+    @pytest.mark.parametrize("case", CASES, ids=["128", "48x48", "32x16"])
+    def test_the_factors_first_applied_first_miss_the_target(self, case):
+        # the factors do not commute: in the wrong order the pushforward
+        # misses eta1 by 9.5e-3 to 8.9e-2
+        transport = TestMoserTransport.split_transport(*case)
+        inverse = transport.inverse
+        transport._maps[-1.0] = FlowMap(inverse.factors[::-1], inverse.time, inverse.steps)
+        pushed = transport.pushforward(transport.omega0).eta.values
+        assert np.max(np.abs(pushed - transport.omega1.eta.values)) > 1e-3
+
+    def test_under_resolved_density_names_the_tail(self):
+        grid = TorusGrid(32)
+        transport = moser_transport(VolumeDensity.lebesgue(grid),
+                                    VolumeDensity.from_modes(grid, [[8, 0.3, 0.0]]), steps=16)
+        with pytest.raises(QualityError, match=r"is under-resolved .*spectral tail/peak 1\.5e-01"
+                                               r".*under-resolve.*raise N"):
+            transport.pushforward(transport.omega0)
+
+    def test_mass_loss_names_the_flow(self):
+        # the grid system keeps the mass to rounding, so the inverse's
+        # Jacobians are put 0.1% off their displacements' gradients
+        transport = TestMoserTransport.split_transport(*self.CASES[1])
+        inverse = transport.inverse
+        skewed = [FieldStack(f.grid, f.values, 1.001 * f.gradients) for f in inverse.factors]
+        transport._maps[-1.0] = FlowMap(skewed, inverse.time, inverse.steps)
+        with pytest.raises(QualityError, match=rf"lost mass.*\|t\| = 1 in {inverse.steps} steps"
+                           ) as raised:
+            transport.pushforward(transport.omega0)
+        assert "raise N" not in str(raised.value)
+
+    def test_rejects_a_density_on_another_grid(self):
+        transport = TestMoserTransport.split_transport(*self.CASES[2])
+        with pytest.raises(ValueError, match="different grids"):
+            transport.pushforward(VolumeDensity.lebesgue(TorusGrid(32)))

@@ -1,13 +1,16 @@
 """The package namespace: the public names, built from the module lists,
-the layering of the modules, and the library names the benchmark's tracer
-wraps."""
+the layering of the modules, the library names the benchmark's tracer
+wraps, and the read-only results of the cached functions."""
 
 import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import conjresp
+from conjresp import TorusGrid
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -121,3 +124,40 @@ def test_every_private_helper_has_a_caller_in_src():
                     read_elsewhere.add(read)
     assert helpers
     assert sorted(helpers - read_elsewhere) == []
+
+
+# the arguments of one call of each functools.lru_cache'd function in src
+CACHED_CALLS = {
+    "cli._build_parser": (),
+    "flow._derivative_matrix": (48,),
+    "flow._high_modes": (TorusGrid((16, 8)),),
+}
+
+
+def _cached_functions():
+    """Every function in src decorated by ``lru_cache`` or ``cache``, bare,
+    called or as ``functools.`` attributes, as "module.name"."""
+    source = Path(conjresp.__file__).parent
+    found = set()
+    for path in sorted(source.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                for decorator in node.decorator_list:
+                    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                    if getattr(target, "attr", getattr(target, "id", None)) in ("cache",
+                                                                                "lru_cache"):
+                        found.add(f"{path.stem}.{node.name}")
+    return found
+
+
+def test_every_cached_function_returns_read_only_arrays():
+    # a cached result is shared by every caller, so no caller may write it
+    assert _cached_functions() == set(CACHED_CALLS)
+    writable = []
+    for qualname, args in CACHED_CALLS.items():
+        module_name, name = qualname.split(".")
+        result = getattr(importlib.import_module(f"conjresp.{module_name}"), name)(*args)
+        arrays = [r for r in (result if isinstance(result, tuple) else (result,))
+                  if isinstance(r, np.ndarray)]
+        writable += [qualname for array in arrays if array.flags.writeable]
+    assert not writable
