@@ -11,14 +11,16 @@
   is affine with constant coefficients, and a factor is its exact Taylor
   series, whose terms do not depend on time: phi^t and phi^-t of every t of
   a build sum one run of terms, and are kept, read-only, for as long as the
-  field lives.  A Moser map's field depends on time, so its distinct factors
-  take one RK4 integration (`_rk4`, fixed uniform substeps, the field
-  evaluated once per distinct stage time) of the same grid system, both
-  directions' at once when both are asked for.
+  field lives.  A Moser map's field X_s = flux / eta_s depends on time, but
+  only through its density, which is affine in s, so multiplied through by
+  eta_s and eta_s^2 the grid system has polynomial coefficients and each
+  distinct factor is again its exact Taylor series (`_moser_factors`), all
+  factors of both directions in one batched run when both are asked for.
+  No map takes an RK4 step.
 * `integrate_flow`, outside the package namespace, moves points
-  (Lagrangian) by RK4, Jacobians riding along by the variational equation
-  J' = DX(phi) J on the same stages.  No flow map uses it: it is the tests'
-  independent check of `flow_map`.
+  (Lagrangian) by RK4 (`_rk4`), Jacobians riding along by the variational
+  equation J' = DX(phi) J on the same stages.  No map uses it: it is the
+  tests' independent check of `flow_map` and the Moser maps.
 
 Either way a field and its gradient are sampled through `FieldStack`, as
 torus maps do (read off the grid at exactly the grid points, interpolated
@@ -75,10 +77,6 @@ SERIES_TERMS = 60
 # first was interpolated), at 0.125 1.1e-8; a 1-d conjugated-map transfer
 # residual reached 4.3e-5 at 0.5 against TRANSFER_TOL = 1e-4.
 MOSER_SUBMAP_STRETCH = 0.125
-# Largest h * pi * max_s max_x sum_i |X_s,i(x)| N_i of a Moser map's RK4
-# substeps, a floor for stability only (RK4 is stable up to 2 sqrt(2) on the
-# imaginary axis); the requested steps set the accuracy.
-MOSER_STABILITY_LIMIT = 0.6
 # Largest spectral tail/peak (see `_spectral_tail`) a transported density may
 # have: resolved verification densities sit near 1e-4 and below, the
 # under-resolved ones near 1e-2.
@@ -105,8 +103,8 @@ class FlowEvaluation:
     lifts     -- (M, n) unreduced endpoints on the universal cover
     jacobians -- (M, n, n) Jacobian matrices, or None if not requested
     time      -- total flow time
-    steps     -- the steps taken: RK4 substeps, or Taylor steps of a flow
-                 map (see `FlowMap`)
+    steps     -- the steps taken: RK4 substeps of `integrate_flow`, or
+                 Taylor steps of a `FlowMap`, one per factor
     points    -- the lifts reduced into [0, 1)
 
     The determinants of the Jacobians are taken in closed form, as grids
@@ -220,7 +218,8 @@ class FieldStack:
 
 def _rk4(stage, state: np.ndarray, s0, h, steps: int) -> np.ndarray:
     """``steps`` classical RK4 substeps of dy/ds = f(s, y) from y(s0) =
-    ``state``, ``stage(s)`` being y -> f(s, y), called once per distinct
+    ``state`` (`integrate_flow`'s stepper; no map steps its grid system),
+    ``stage(s)`` being y -> f(s, y), called once per distinct
     stage time: a step's start, midpoint (both middle stages) and end.
     Arrays ``s0`` and ``h`` hold one start and step per batch entry and
     broadcast over its state, and over the stage times."""
@@ -280,8 +279,8 @@ class FlowMap:
     grid     -- the field's grid
     factors  -- `FieldStack`s of each factor's D and G = grad D, in order
     time     -- t
-    steps    -- a Moser map's RK4 substeps over [0, t]; a field's flow map
-                takes one Taylor step per factor, so there it is ``submaps``
+    steps    -- the Taylor steps taken, one per factor, so ``submaps`` (0
+                for the identity phi^0)
     submaps  -- number of factors
     """
 
@@ -449,27 +448,122 @@ def _derivative_matrix(size: int) -> np.ndarray:
     return matrix
 
 
-def _flow_factor(grid, field, times, steps: int, starts=0.0) -> np.ndarray:
-    """D and G of the factors phi = id + D, one per entry of ``times``, each
-    flowing its field from its start (``starts``, one for all or one per
-    entry) over its time, stacked as (len(times), n + n^2) + grid.shape (G
-    row by row): `steps` RK4 substeps of `_grid_rate` on one batched state.
-    ``field(s)`` gives X and DX at the grid points at the stage times s,
-    (len(times), 1) + (1,) * n: (n,) + grid.shape and (n, n) + grid.shape
-    for every entry (an autonomous field), or one per entry.  It is called
-    once per distinct stage time, 3 times a substep (see `_rk4`)."""
+def _moser_factors(grid, values, gradients, starts, times) -> np.ndarray:
+    """D and G of the Moser factors phi = id + D, one per entry of
+    ``starts`` and ``times``, stacked as (B, n + n^2) + grid.shape (G row by
+    row): each solves `flow_map`'s grid system for the field V = c / e,
+    c = -flux, e = eta_s, from its start s0 over its time tau, as the exact
+    Taylor series in sigma = s - s0.  ``values`` are the grid values of the
+    flux's n components, eta0 and eta1, and ``gradients`` their gradients.
+
+    With Delta = eta1 - eta0 and e0 = eta_s0, e = e0 + sigma Delta and
+    e^2 DV = P0 + sigma P1, P0 = e0 Dc - c (x) grad e0, P1 = Delta Dc -
+    c (x) grad Delta, so e D' = c + G c and e^2 G' = (I + G)(P0 + sigma P1)
+    + e (c . grad) G have polynomial coefficients, and D = sum_k sigma^k D_k,
+    G = sum_k sigma^k G_k from D_0 = G_0 = 0:
+
+        D_(k+1) = ([k=0] c + G_k c - k Delta D_k) / ((k+1) e0)
+        G_(k+1) = ([k=0] P0 + [k=1] P1 + G_k P0 + G_(k-1) P1
+                   + e0 (c . grad) G_k + Delta (c . grad) G_(k-1)
+                   - 2k e0 Delta G_k - (k-1) Delta^2 G_(k-1)) / ((k+1) e0^2)
+
+    The run keeps the terms at sigma = tau, a_k = tau^k D_k and b_k =
+    tau^k G_k, so with r = tau Delta / e0
+
+        a_(k+1) = (b_k a_1 - k r a_k) / (k+1)
+        b_(k+1) = (b_k Q0 + A_k + b_(k-1) Q1 + r A_(k-1)) / (k+1),
+
+    b_0 = I in the Q1 product only, where A_k = (tau c / e0 . grad) b_k is
+    taken once per term and reused by the next, and Q0 = tau (P0 - 2k e0
+    Delta I) / e0^2 and Q1 = tau^2 (P1 - (k-1) Delta^2 I) / e0^2 step their
+    diagonals by -2r and -r^2 a term.  The products follow `_grid_rate`, one
+    `einsum` each over the batch.  All entries take one batched run, each
+    ending at its first term within SERIES_TOL of its first (|tau| max|V_s0|
+    and |tau| max|DV_s0|), so each is bit for bit its build alone; an entry
+    past SERIES_TERMS terms raises ConvergenceError naming its map and
+    factor."""
     n = grid.dim
-    grid_rate = _grid_rate(grid)
+    # d / d x_j as D G on the leading axis of a 2-d grid and G D^T on the
+    # last, D^T made contiguous for the product
+    matrices = [_derivative_matrix(size) for size in grid.resolution]
+    matrices[-1] = np.ascontiguousarray(matrices[-1].T)
+    scalar = (-1,) + (1,) * n
+    s0 = np.asarray(starts, dtype=float).reshape(scalar)
+    tau = np.asarray(times, dtype=float).reshape(scalar)
+    c, dc = -values[:n], -gradients[:n]
+    delta = values[n + 1] - values[n]
+    e0 = (1.0 - s0) * values[n] + s0 * values[n + 1]
+    de0 = (1.0 - s0[:, None]) * gradients[n] + s0[:, None] * gradients[n + 1]
+    # per entry: Q0 and Q1 carry tau / e0^2 and tau^2 / e0^2, the advecting
+    # velocity is tau c / e0 and r = tau Delta / e0; a_1 = tau c / e0 and
+    # b_1 = Q0 before the first step of its diagonal
+    w = tau / e0
+    w2 = w / e0
+    ratio = w * delta
+    q0 = (e0[:, None, None] * dc - c[:, None] * de0[:, None]) * w2[:, None, None]
+    q1 = (delta * dc - c[:, None] * (gradients[n + 1] - gradients[n])) * (tau * w2)[:, None, None]
+    advecting = (w[:, None] * c)[:, :, None, None]
+    a, b = c * w[:, None], q0.copy()
+    first, step0, step1 = a, 2.0 * ratio, ratio * ratio
+    bounds = SERIES_TOL * np.stack([_entry_max(a), _entry_max(b)], axis=1)
+    sum_a, sum_b = a.copy(), b.copy()
+    entries = np.arange(len(s0))
+    out = np.empty((len(s0), n + n * n) + grid.shape)
+    b_last = advected_last = None
+    for k in range(1, SERIES_TERMS + 1):
+        if k > 1:
+            sum_a += a
+            sum_b += b
+        sizes = np.stack([_entry_max(a), _entry_max(b)], axis=1)
+        done = np.all(sizes <= bounds, axis=1)
+        if done.any():
+            out[entries[done], :n] = sum_a[done]
+            out[entries[done], n:] = sum_b[done].reshape((-1, n * n) + grid.shape)
+            if done.all():
+                return out
+            keep = ~done
+            entries, advecting, ratio, step0, step1, first, q0, q1, bounds, a, b, sum_a, sum_b = (
+                x[keep] for x in (entries, advecting, ratio, step0, step1, first, q0, q1, bounds,
+                                  a, b, sum_a, sum_b))
+            if b_last is not None:
+                b_last, advected_last = b_last[keep], advected_last[keep]
+        if k == SERIES_TERMS:
+            break
+        advected = b @ matrices[-1]
+        advected *= advecting[:, -1]
+        for j in range(n - 1):
+            derivative = matrices[j] @ b
+            derivative *= advecting[:, j]
+            advected += derivative
+        for i in range(n):
+            q0[:, i, i] -= step0
+        rate = np.einsum("bik...,bkj...->bij...", b, q0)
+        rate += advected
+        if k == 1:
+            rate += q1
+        else:
+            for i in range(n):
+                q1[:, i, i] -= step1
+            rate += np.einsum("bik...,bkj...->bij...", b_last, q1)
+            advected_last *= ratio[:, None, None]
+            rate += advected_last
+        rate *= 1.0 / (k + 1)
+        a_next = np.einsum("bik...,bk...->bi...", b, first)
+        a_next -= (k * ratio)[:, None] * a
+        a_next *= 1.0 / (k + 1)
+        b_last, advected_last, a, b = b, advected, a_next, rate
+    i = int(entries[0])
+    t, start, time = -math.copysign(1.0, times[i]), float(starts[i]), float(times[i])
+    raise ConvergenceError(
+        f"the Moser map at t = {t:g} did not converge: the series of its factor from "
+        f"s = {start:g} to s = {start + time:g} still had a term of size {sizes[0, 0]:.3e} (D) "
+        f"and {sizes[0, 1]:.3e} (G) after {k} terms", float(sizes[0].max()), k)
 
-    def stage(s):
-        X = field(s)
-        return lambda state: grid_rate(state[:, n:].reshape((-1, n, n) + grid.shape), *X)
 
-    # one step size and start per batch entry, broadcast over its state
-    shape = (-1,) + (1,) * (n + 1)
-    h = (np.asarray(times, dtype=float) / steps).reshape(shape)
-    s0 = np.asarray(starts, dtype=float).reshape(shape)
-    return _rk4(stage, np.zeros((h.shape[0], n + n * n) + grid.shape), s0, h, steps)
+def _entry_max(terms: np.ndarray) -> np.ndarray:
+    """The largest |entry| of each batch entry of ``terms``."""
+    flat = terms.reshape(len(terms), -1)
+    return np.maximum(flat.max(axis=1), -flat.min(axis=1))
 
 
 def transported_density(omega: VolumeDensity, inverse) -> VolumeDensity:
@@ -496,8 +590,7 @@ def _gated_density(grid, values: np.ndarray, time: float, steps: int) -> VolumeD
                            f"spectral tail/peak {tail:.1e}: the grid may under-resolve the "
                            "density (raise N)", tail)
     # the tail is resolved, so what is left to name is the flow itself
-    flowed = (f"after a flow of |t| = {abs(time):g} in {steps} steps "
-              "(Taylor steps of a flow map, one per factor; RK4 substeps of a Moser map)")
+    flowed = f"after a flow of |t| = {abs(time):g} in {steps} steps (Taylor steps, one per factor)"
     mass_defect = abs(float(values.mean()) - 1.0)
     if mass_defect > 1e-8:
         raise QualityError(f"transported density lost mass: |mean - 1| = {mass_defect:.3e} "
@@ -535,24 +628,26 @@ class MoserFlow:
     Both directions are `FlowMap`s on the grid, each built on first use
     (`forward`, `inverse`) unless `maps` builds them together first.  [0, 1]
     splits into ``submaps`` equal factors, the fewest for which max_s max_x
-    ||grad X_s(x)||_inf / submaps <= MOSER_SUBMAP_STRETCH, and each factor
-    is a reference map (`_flow_factor` with X_s at every stage's time):
-    Phi = phi_{s -> s_a} solves dPhi/ds = -DPhi X_s from Phi = id at
-    s = s_a, so integrated from a factor's start to its end it gives the
-    factor of the inverse, and from its end to its start the factor of the
-    forward map.  All factors of the directions built together take one
-    batched integration (2 ``submaps`` entries for both, each bit for bit
-    its build alone) of ``substeps`` / ``submaps`` substeps each: ``steps``
-    of them over [0, 1] at least, and at least the substeps that keep
-    h * pi * max_s max_x sum_i |X_s,i(x)| N_i within MOSER_STABILITY_LIMIT.
+    ||grad X_s(x)||_inf / submaps <= MOSER_SUBMAP_STRETCH (s sampled at
+    0, 1/16, ..., 1) and pi max_s max_x sum_i |X_s,i(x)| N_i / submaps <=
+    SERIES_REACH (|X_s(x)| is largest at s = 0 or 1).  Each factor is a
+    reference map: Phi = phi_{s -> s_a} solves dPhi/ds = -DPhi X_s from
+    Phi = id at s = s_a, so flowed from a factor's start to its end it
+    gives the factor of the inverse, and from its end to its start the
+    factor of the forward map.  It is the exact Taylor series in s of
+    `flow_map`'s grid system for that field (`_moser_factors`), and all
+    factors of the directions built together take one batched run of terms
+    (2 ``submaps`` entries for both, each bit for bit its build alone).
 
     Calling the object (or `transport`) evaluates phi_{0->1} at points and
     `inverse_transport` phi_{1->0}, and `pushforward(omega0)` is the
     transported omega0 to compare against omega1, built from `inverse`'s
     factors one at a time.
 
-    steps     -- the requested lower bound on the RK4 substeps over [0, 1]
-    substeps  -- the RK4 substeps taken over [0, 1] by either direction
+    steps     -- the requested steps, accepted (>= 1) and unread: the series
+                 sets the accuracy
+    substeps  -- the Taylor steps taken over [0, 1] by either direction,
+                 one per factor, so ``submaps``
     submaps   -- number of factors of either direction
     """
 
@@ -568,48 +663,41 @@ class MoserFlow:
         fields = list(theta.flux().components) + [omega0.eta, omega1.eta]
         self._values = np.stack([f.values for f in fields])
         self._gradients = np.stack([[f.derivative(j).values for j in range(n)] for f in fields])
-        # |X_s(x)| is largest at s = 0 or 1, as eta_s(x) is linear in s; the
-        # stretch is sampled at s = 0, 1/16, ..., 1
-        velocity, shear = self._grid_field(np.linspace(0.0, 1.0, 17).reshape((-1, 1) + (1,) * n))
-        stretch = float(np.abs(shear).sum(axis=2).max())
-        speed = float(sum(np.abs(velocity[:, i]) * size
-                          for i, size in enumerate(grid.resolution)).max())
-        self.submaps = max(1, math.ceil(stretch / MOSER_SUBMAP_STRETCH))
-        stable = math.ceil(math.pi * speed / (self.submaps * MOSER_STABILITY_LIMIT))
-        self.substeps = self.submaps * max(math.ceil(self.steps / self.submaps), stable, 1)
+        flux, gradients = self._values[:n], self._gradients[:n]
+        # the stretch max_x ||grad X_s(x)||_inf, sampled at s = 0, 1/16, ...,
+        # 1, by the quotient rule: only the density eta_s moves
+        stretch = 0.0
+        for s in np.linspace(0.0, 1.0, 17):
+            es = (1.0 - s) * self._values[n] + s * self._values[n + 1]
+            des = (1.0 - s) * self._gradients[n] + s * self._gradients[n + 1]
+            shear = (gradients - (flux / es)[:, None] * des[None]) / es
+            stretch = max(stretch, float(np.abs(shear).sum(axis=1).max()))
+        # |X_s(x)| is largest at s = 0 or 1, as eta_s(x) is linear in s
+        speed = max(float(sum(np.abs(v) * size
+                              for v, size in zip(flux / eta, grid.resolution)).max())
+                    for eta in self._values[n:])
+        self.submaps = max(1, math.ceil(stretch / MOSER_SUBMAP_STRETCH),
+                           math.ceil(math.pi * speed / SERIES_REACH))
+        self.substeps = self.submaps
         self._maps = {1.0: None, -1.0: None}  # phi_{0->1} and phi_{1->0}, once built
 
     @property
     def grid(self):
         return self.theta.grid
 
-    def _grid_field(self, s: np.ndarray):
-        """X_s and its gradient at the grid points, (B, n) + grid.shape and
-        (B, n, n) + grid.shape, at the times s of shape (B, 1) + (1,) * n.
-        The numerators (the flux of theta) are fixed; only the density
-        eta_s moves, so the gradient follows by the quotient rule."""
-        n = self.grid.dim
-        es = (1.0 - s) * self._values[n] + s * self._values[n + 1]
-        des = (1.0 - s) * self._gradients[n] + s * self._gradients[n + 1]
-        velocity = self._values[:n] / es
-        return velocity, (self._gradients[:n] - velocity[:, :, None] * des[:, None]) / es[:, None]
-
     def maps(self, times) -> list:
         """[phi_{0->1} if t == 1 else phi_{1->0} for t in times], t = 1 or
         -1 (else KeyError), with every direction not built yet built in one
-        batched `_flow_factor` integration of its factors and the other's."""
+        batched `_moser_factors` run of its factors and the other's; a
+        series that does not converge raises ConvergenceError and keeps
+        nothing of the build."""
         missing = [t for t in dict.fromkeys(times) if self._maps[t] is None]
         if missing:
             m = self.submaps
             ends = np.arange(m + 1) / m
             starts = np.concatenate([ends[1:] if t > 0 else ends[:-1] for t in missing])
-
-            def field(s):
-                velocity, shear = self._grid_field(s)
-                return -velocity, -shear
-
-            states = _flow_factor(self.grid, field, [-t / m for t in missing for _ in range(m)],
-                                  self.substeps // m, starts)
+            states = _moser_factors(self.grid, self._values, self._gradients, starts,
+                                    [-t / m for t in missing for _ in range(m)])
             for t, batch in zip(missing, np.split(states, len(missing))):
                 factors = [_factor(self.grid, state) for state in batch]
                 # phi_{0->1} runs the factors from s = 0 up, phi_{1->0} from s = 1 down
@@ -664,9 +752,9 @@ def moser_transport(omega0: VolumeDensity, omega1: VolumeDensity,
     The fixed primitive theta solves d theta = (eta0 - eta1) vol; the tiny
     mass mismatch allowed by the density gates is projected out before the
     exactness solve.  The interpolated density stays positive automatically
-    (a convex combination of positive endpoints).  ``steps`` is a lower
-    bound on the RK4 substeps over [0, 1]; see `MoserFlow` for the count
-    taken and the maps' factors, which are built on first use.
+    (a convex combination of positive endpoints).  ``steps`` is accepted
+    (>= 1) and unread; see `MoserFlow` for the maps' factors, which are
+    built on first use, each the exact series of its grid system.
     """
     if omega0.grid != omega1.grid:
         raise ValueError("densities live on different grids")

@@ -299,9 +299,10 @@ class TestMoser:
         assert report["pushforward_residual"] <= 1e-7
         if "check_conjugated" in cfg["moser"]:
             assert report["transfer"]["residual"] <= 1e-5
-        # steps is the configured lower bound; substeps and submaps what ran
-        assert report["steps"] == cfg["moser"]["steps"] <= report["substeps"]
-        assert report["submaps"] > 1 and report["substeps"] % report["submaps"] == 0
+        # steps is the configured value, unread; substeps the Taylor steps
+        # taken, one per factor
+        assert report["steps"] == cfg["moser"]["steps"]
+        assert report["submaps"] > 1 and report["substeps"] == report["submaps"]
 
     @pytest.mark.parametrize("cfg, signs", [
         (RESOLVED_ONLY_BY_SHORT_FACTORS[1], [-1.0, 1.0]),
@@ -310,17 +311,28 @@ class TestMoser:
     def test_one_build_of_the_directions_a_run_reads(self, tmp_path, monkeypatch, cfg, signs):
         # the conjugated check reads both directions, built in one batch; a
         # run without it builds only the inverse, whose factor times are
-        # positive (a forward factor integrates from its end to its start)
-        batches, build = [], flow._flow_factor
+        # positive (a forward factor flows from its end to its start)
+        batches, build = [], flow._moser_factors
 
-        def counting(grid, field, times, steps, starts=0.0):
+        def counting(grid, values, gradients, starts, times):
             batches.append(sorted(set(np.sign(times))))
-            return build(grid, field, times, steps, starts)
+            return build(grid, values, gradients, starts, times)
 
-        monkeypatch.setattr(flow, "_flow_factor", counting)
+        monkeypatch.setattr(flow, "_moser_factors", counting)
         path = write_config(tmp_path, cfg)
         assert main(["moser", "--config", path, "--out", str(tmp_path / "o"), "--quiet"]) == 0
         assert batches == [signs]
+
+    def test_moser_map_past_its_term_cap_exits_3_naming_the_factor(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        monkeypatch.setattr(flow, "SERIES_TERMS", 3)
+        out = tmp_path / "out"
+        path = write_config(tmp_path, self.RESOLVED_ONLY_BY_SHORT_FACTORS[0])
+        assert main(["moser", "--config", path, "--out", str(out), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("convergence error: the Moser map at t = -1 did not converge: "
+                              "the series of its factor from s = 0 to s = ")
+        assert "after 3 terms" in err and not any(out.iterdir())
 
     def test_conjugated_check_rejects_non_invariant_eta0(self, tmp_path, capsys):
         cfg = {

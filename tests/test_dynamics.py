@@ -37,6 +37,7 @@ from conjresp import fields, flow
 from conjresp.dynamics import EXPANSION_MARGIN, NEWTON_ITERATIONS, _branch_newton
 from conjresp.fields import mod1, sample_coefficients
 from conjresp.flow import FlowMap, flow_maps, integrate_flow, transported_density
+from rk4_oracle import flow_factor
 
 
 def canonical_field(grid):
@@ -106,11 +107,11 @@ def hand_warped_doubling(generator):
 
 def rk4_conjugacy(generator, steps):
     """[h, h^{-1}] of the warped doubling map as one factor each, by ``steps``
-    RK4 substeps of the flow maps' grid system (`flow._flow_factor`)."""
+    RK4 substeps of the flow maps' grid system (`rk4_oracle.flow_factor`)."""
     grid = generator.grid
     velocity = np.stack([c.values for c in generator.components])
     shear = np.stack([[c.derivative(0).values] for c in generator.components])
-    states = flow._flow_factor(grid, lambda s: (velocity, shear), (1.0, -1.0), steps)
+    states = flow_factor(grid, lambda s: (velocity, shear), (1.0, -1.0), steps)
     return [FlowMap((flow._factor(grid, state),), t, steps) for state, t in zip(states, (1, -1))]
 
 

@@ -10,10 +10,11 @@ bit, the stage derivatives against numpy's n-d spectral derivatives, to
 rounding, their differentiation matrices against the FFT derivative, and
 `integrate_flow` against the point RK4 with its own Jacobian recurrence, bit
 for bit.  The grid Moser maps are checked against that point RK4 of the
-Moser field; their batched factors (both directions in one batch) against
-each factor and each direction built alone, and against RK4 that evaluates
-the field at every stage, bit for bit; each factor against the stretch
-bound; their factor-by-factor pushforward against the composed one.
+Moser field and each factor against a fine RK4 build of its grid system
+(`rk4_oracle`); their batched factors (both directions in one batch)
+against each factor and each direction built alone, bit for bit; each
+factor against the stretch bound; their factor-by-factor pushforward
+against the composed one.
 """
 
 import functools
@@ -52,6 +53,7 @@ from conjresp import flow, response_check
 from conjresp.config import build_grid, build_map, build_rho, build_strategy, load_config
 from conjresp.fields import sample_coefficients
 from conjresp.flow import FieldStack, FlowMap, integrate_flow
+from rk4_oracle import flow_factor, moser_factors
 from test_dynamics import counting_samples
 
 
@@ -308,7 +310,7 @@ class TestFlowMap:
         X = band_limited_field(grid, np.random.default_rng(11), kmax, reach)
         phi = flow_map(X, t)
         velocity, shear = grid_values(X)
-        want = flow._flow_factor(grid, lambda s: (velocity, shear), (t / phi.submaps,), 1024)[0]
+        want = flow_factor(grid, lambda s: (velocity, shear), (t / phi.submaps,), 1024)[0]
         assert np.max(np.abs(phi.factors[0].values - want[:n])) <= 1e-15
         assert np.max(np.abs(phi.factors[0].gradients.reshape(want[n:].shape)
                              - want[n:])) <= 5e-15
@@ -335,7 +337,7 @@ class TestFlowMap:
         rho = build_rho(cfg, grid, omega)
         X = solve_for_field(rho, omega, build_strategy(cfg, grid))
         velocity, shear = grid_values(X)
-        rk4 = flow._flow_factor(grid, lambda s: (velocity, shear), (0.01, -0.01), 1024)
+        rk4 = flow_factor(grid, lambda s: (velocity, shear), (0.01, -0.01), 1024)
         series = flow.flow_maps(X, (0.01, -0.01))
         for phi, want in zip(series, rk4):
             assert phi.submaps == 1
@@ -901,7 +903,7 @@ class TestMoserTransport:
         grid = TorusGrid(resolution)
         omega0 = VolumeDensity.from_modes(grid, modes0) if modes0 else VolumeDensity.lebesgue(grid)
         transport = moser_transport(omega0, VolumeDensity.from_modes(grid, modes1), steps=16)
-        assert transport.submaps > 1 and transport.substeps % transport.submaps == 0
+        assert transport.submaps > 1 and transport.substeps == transport.submaps
         for phi in (transport.forward, transport.inverse):
             assert (phi.submaps, phi.steps) == (transport.submaps, transport.substeps)
             assert len({id(factor) for factor in phi.factors}) == phi.submaps
@@ -910,8 +912,8 @@ class TestMoserTransport:
                 assert stretch <= math.expm1(flow.MOSER_SUBMAP_STRETCH)
 
     def test_batched_factors_are_each_factor_alone_bit_for_bit(self):
-        # the factors of one direction take one batched `_flow_factor`
-        # integration, at their own starts and with X_s per batch entry
+        # the factors of one direction take one batched `_moser_factors` run,
+        # each at its own start and ending on its own tolerance
         grid = TorusGrid((32, 16))
         omega0, omega1 = (VolumeDensity.from_modes(grid, modes)
                           for modes in TestSharedStepper.MOSER_DENSITIES[(32, 16)])
@@ -919,17 +921,13 @@ class TestMoserTransport:
         m = transport.submaps
         assert m > 1
         ends = np.arange(m + 1) / m
-
-        def field(s):
-            velocity, shear = transport._grid_field(s)
-            return -velocity, -shear
-
         # phi_{0->1} runs its factors from s = 0 up, phi_{1->0} from s = 1 down
         for factors, time, starts in ((transport.forward.factors, 1.0, ends[1:]),
                                       (transport.inverse.factors[::-1], -1.0, ends[:-1])):
             for factor, start in zip(factors, starts):
-                assert_factor(factor, flow._flow_factor(grid, field, [-time / m],
-                                                        transport.substeps // m, start)[0])
+                assert_factor(factor, flow._moser_factors(grid, transport._values,
+                                                          transport._gradients, [start],
+                                                          [-time / m])[0])
 
     # (resolution, eta0 modes or None for Lebesgue, eta1 modes, steps): Moser
     # maps of several factors, at the moser-transport benchmark's step counts
@@ -948,13 +946,13 @@ class TestMoserTransport:
     @pytest.mark.parametrize("case", SPLIT_TRANSPORTS, ids=["128", "48x48", "32x16"])
     def test_both_directions_in_one_batch_are_each_direction_alone_bit_for_bit(
             self, monkeypatch, case):
-        batches, build = [], flow._flow_factor
+        batches, build = [], flow._moser_factors
 
-        def counting(grid, field, times, steps, starts=0.0):
+        def counting(grid, values, gradients, starts, times):
             batches.append(len(times))
-            return build(grid, field, times, steps, starts)
+            return build(grid, values, gradients, starts, times)
 
-        monkeypatch.setattr(flow, "_flow_factor", counting)
+        monkeypatch.setattr(flow, "_moser_factors", counting)
         transport = self.split_transport(*case)
         m = transport.submaps
         assert m > 1
@@ -962,7 +960,7 @@ class TestMoserTransport:
         assert (forward.time, inverse.time) == (1.0, -1.0)
         assert transport.forward is forward and transport.inverse is inverse
         assert transport.maps((-1.0, 1.0)) == [inverse, forward]
-        assert batches == [2 * m]  # one integration, no build after it
+        assert batches == [2 * m]  # one run of terms, no build after it
         for name, phi in (("forward", forward), ("inverse", inverse)):
             alone = getattr(self.split_transport(*case), name)
             assert (alone.steps, alone.submaps) == (phi.steps, phi.submaps)
@@ -973,53 +971,58 @@ class TestMoserTransport:
         with pytest.raises(KeyError):
             transport.maps((0.5,))
 
-    @pytest.mark.parametrize("case", SPLIT_TRANSPORTS[::2], ids=["128", "32x16"])
-    def test_a_build_evaluates_its_field_once_per_stage_time(self, case):
+    # the factor indices checked per case, None for all: the oracle takes
+    # about 1.1 s per 48^2 factor and 0.2 s per 32x16 one, so the 2-d maps
+    # check the first factor of each direction, the ones ending at s = 0 and 1
+    @pytest.mark.parametrize("case, indices", zip(SPLIT_TRANSPORTS, [None, (0,), (0,)]),
+                             ids=["128", "48x48", "32x16"])
+    def test_every_factor_is_its_rk4_build(self, case, indices):
+        # the series is the exact solution of the grid system that RK4 steps,
+        # so 1024 substeps per factor agree to rounding: D within 4.6e-17 and
+        # G within 6.7e-16 on these maps
         transport = self.split_transport(*case)
-        grid, n, m = transport.grid, transport.grid.dim, transport.submaps
-        steps, grid_field, evaluations = transport.substeps // m, transport._grid_field, []
+        n = transport.grid.dim
+        want = moser_factors(transport, 1024, indices)
+        for t, phi in ((1.0, transport.forward), (-1.0, transport.inverse)):
+            factors = [phi.factors[i] for i in indices or range(phi.submaps)]
+            assert len(factors) == len(want[t])
+            for factor, state in zip(factors, want[t]):
+                assert np.max(np.abs(factor.values - state[:n])) <= 2e-16
+                assert np.max(np.abs(factor.gradients.reshape(state[n:].shape)
+                                     - state[n:])) <= 2e-15
 
-        def counting(s):
-            evaluations.append(s)
-            return grid_field(s)
+    def test_a_series_past_its_term_cap_raises(self, monkeypatch):
+        transport = self.split_transport(*self.SPLIT_TRANSPORTS[2])
+        m = transport.submaps
+        monkeypatch.setattr(flow, "SERIES_TERMS", 3)
+        # the inverse's factors come first in the batch, from s = 0 up
+        with pytest.raises(ConvergenceError, match=rf"the Moser map at t = -1 did not converge: "
+                           rf"the series of its factor from s = 0 to s = {1 / m:g} .* after 3 "
+                           "terms") as err:
+            transport.maps((-1.0, 1.0))
+        assert err.value.iterations == 3 and err.value.residual > flow.SERIES_TOL
+        assert transport._maps == {1.0: None, -1.0: None}  # nothing is kept of a failed build
 
-        transport._grid_field = counting
-        forward, inverse = transport.maps((1.0, -1.0))
-        assert len(evaluations) == 3 * steps  # a step's start, midpoint and end
-        # the oracle: RK4 that evaluates the field anew at each of its four
-        # stages, both middle stages included
-        rate = flow._grid_rate(grid)
-        ends = np.arange(m + 1) / m
-
-        def four_stage_rate(s, state):
-            velocity, shear = grid_field(s)
-            return rate(state[:, n:].reshape((-1, n, n) + grid.shape), -velocity, -shear)
-
-        for phi, time, starts in ((forward, 1.0, ends[1:]), (inverse, -1.0, ends[:-1])):
-            shape = (-1,) + (1,) * (n + 1)
-            h = (np.array([-time / m] * m) / steps).reshape(shape)
-            s0, state = starts.reshape(shape), np.zeros((m, n + n * n) + grid.shape)
-            for i in range(steps):
-                s = s0 + i * h
-                k1 = four_stage_rate(s, state)
-                k2 = four_stage_rate(s + 0.5 * h, state + 0.5 * h * k1)
-                k3 = four_stage_rate(s + 0.5 * h, state + 0.5 * h * k2)
-                k4 = four_stage_rate(s + h, state + h * k3)
-                state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            for factor, want in zip(phi.factors if time > 0 else phi.factors[::-1], state):
-                assert_factor(factor, want)
-
-    def test_steps_are_a_lower_bound_raised_for_stability(self):
-        # 8 factors, each of at least 4 substeps (the stability floor)
+    def test_steps_are_unread(self):
+        # the series sets the accuracy: 8 factors, one Taylor step each,
+        # bit for bit the same whatever the steps
         grid = TorusGrid(64)
         omega0 = VolumeDensity.lebesgue(grid)
         omega1 = VolumeDensity.from_modes(grid, [[1, 0.5, 0.0]])
-        for steps, substeps in ((1, 32), (4, 32), (64, 64)):
+        built = []
+        for steps in (1, 4, 64):
             transport = moser_transport(omega0, omega1, steps=steps)
-            assert (transport.steps, transport.substeps, transport.submaps) == (steps, substeps, 8)
+            assert (transport.steps, transport.substeps, transport.submaps) == (steps, 8, 8)
             pushed = transport.pushforward(omega0)
-            assert transport.inverse.steps == substeps
+            assert transport.inverse.steps == 8
             assert np.max(np.abs(pushed.eta.values - omega1.eta.values)) <= 1e-8
+            built.append(transport.inverse.factors)
+        for factors in built[1:]:
+            for factor, first in zip(factors, built[0]):
+                assert np.array_equal(factor.values, first.values)
+                assert np.array_equal(factor.gradients, first.gradients)
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            moser_transport(omega0, omega1, steps=0)
 
     def test_rejects_mismatched_grids(self):
         with pytest.raises(ValueError):

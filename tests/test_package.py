@@ -34,8 +34,8 @@ PUBLIC = [
 MODULE_ONLY = {
     "fields": ["MIN_RESOLUTION", "as_points", "mod1", "sample_coefficients"],
     "exactness": ["MEAN_ZERO_TOL", "weighted_response"],
-    "flow": ["MOSER_STABILITY_LIMIT", "MOSER_SUBMAP_STRETCH", "SERIES_REACH", "SERIES_TERMS",
-             "SERIES_TOL", "SUBMAP_STRETCH", "TAIL_TOL", "flow_maps", "integrate_flow"],
+    "flow": ["MOSER_SUBMAP_STRETCH", "SERIES_REACH", "SERIES_TERMS", "SERIES_TOL",
+             "SUBMAP_STRETCH", "TAIL_TOL", "flow_maps", "integrate_flow"],
     "verify": ["NOISE_FLOOR", "ORDER_RANGE"],
 }
 
@@ -124,6 +124,19 @@ def test_every_private_helper_has_a_caller_in_src():
                     read_elsewhere.add(read)
     assert helpers
     assert sorted(helpers - read_elsewhere) == []
+
+
+def test_only_the_point_integrator_takes_rk4_steps():
+    # every map is the series of its grid system, so a map builder that reads
+    # flow._rk4 (by a call or by passing it on) has drifted back to stepping
+    source = Path(conjresp.__file__).parent
+    readers = []
+    for path in sorted(source.glob("*.py")):
+        for statement in ast.parse(path.read_text()).body:
+            for node in ast.walk(statement):
+                if "_rk4" in (getattr(node, "id", None), getattr(node, "attr", None)):
+                    readers.append(f"{path.stem}.{getattr(statement, 'name', node.lineno)}")
+    assert readers == ["flow.integrate_flow"]
 
 
 # the arguments of one call of each functools.lru_cache'd function in src
