@@ -292,8 +292,7 @@ class ConjugatedMap:
         self.inverse = inverse
 
     def __call__(self, points) -> np.ndarray:
-        down = self.inverse(as_points(points, self.base.dim), jacobian=False)
-        return self.forward(self.base(down.points), jacobian=False).points
+        return mod1(self.lift(points))
 
     def lift(self, points) -> np.ndarray:
         down = self.inverse(as_points(points, self.base.dim), jacobian=False)

@@ -6,17 +6,17 @@
   derivatives, never sampling X off the grid; a map is the product of its
   factors, each stretching little enough to be resolved on the grid, so
   Jacobians are products of I + G.  Each d / d x_j in that system is one
-  product with the axis's spectral differentiation matrix (one cached
-  matrix per axis length), no FFT.  For an autonomous field that grid system
-  is affine with constant coefficients, and a factor is its exact Taylor
-  series, whose terms do not depend on time: phi^t and phi^-t of every t of
-  a build sum one run of terms, and are kept, read-only, for as long as the
-  field lives.  A Moser map's field X_s = flux / eta_s depends on time, but
-  only through its density, which is affine in s, so multiplied through by
-  eta_s and eta_s^2 the grid system has polynomial coefficients and each
-  distinct factor is again its exact Taylor series (`_moser_factors`), all
-  factors of both directions in one batched run when both are asked for.
-  No map takes an RK4 step.
+  product with the axis's spectral differentiation matrix (one cached matrix
+  per axis length, applied by `_advection`), no FFT.  For an autonomous
+  field that grid system is affine with constant coefficients, and a factor
+  is its exact Taylor series, whose terms do not depend on time: phi^t and
+  phi^-t of every t of a build sum one run of terms, and are kept,
+  read-only, for as long as the field lives.  A Moser map's field X_s = flux
+  / eta_s depends on time, but only through its density, which is affine in
+  s, so multiplied through by eta_s and eta_s^2 the grid system has
+  polynomial coefficients and each distinct factor is again its exact Taylor
+  series (`_moser_factors`), all factors of both directions in one batched
+  run when both are asked for.  No map takes an RK4 step.
 * `integrate_flow`, outside the package namespace, moves points
   (Lagrangian) by RK4 (`_rk4`), Jacobians riding along by the variational
   equation J' = DX(phi) J on the same stages.  No map uses it: it is the
@@ -355,11 +355,9 @@ def _build_flow_maps(X: VectorFieldT, times) -> list:
     grid, n = X.grid, X.grid.dim
     velocity = np.stack([c.values for c in X.components])
     shear = np.stack([[c.derivative(j).values for j in range(n)] for c in X.components])
-    stretch = float(np.abs(shear).sum(axis=1).max())  # max_x ||grad X(x)||_inf
-    speed = float(sum(np.abs(v) * size for v, size in zip(velocity, grid.resolution)).max())
-    signed = [(sign * t, max(1, math.ceil(t * stretch / SUBMAP_STRETCH),
-                             math.ceil(t * math.pi * speed / SERIES_REACH)))
-              for t in times for sign in ((1.0, -1.0) if t else (1.0,))]
+    counts = _factor_counts(grid, times, [velocity], [shear], SUBMAP_STRETCH)
+    signed = [(sign * t, m) for t, m in zip(times, counts)
+              for sign in ((1.0, -1.0) if t else (1.0,))]
     # per map: its factor's time s, the weight s^k / k! of term k, and the sum
     s = [t / m for t, m in signed]
     weights, sums = [1.0] * len(signed), [0.0] * len(signed)
@@ -384,16 +382,34 @@ def _build_flow_maps(X: VectorFieldT, times) -> list:
             for total, (t, m) in zip(sums, signed)]
 
 
+def _factor_counts(grid, times, velocities, shears, limit) -> list:
+    """The factor count m = max(1, ceil(t stretch / limit), ceil(t pi speed
+    / SERIES_REACH)) of a map of each time t >= 0 in ``times``: stretch =
+    max_x ||grad X(x)||_inf over the fields' gradients ``shears``, (n, n) +
+    grid.shape each, and speed = max_x sum_i |X_i(x)| N_i over their grid
+    values ``velocities``, (n,) + grid.shape each."""
+    stretch = max(float(np.abs(shear).sum(axis=1).max()) for shear in shears)
+    speed = max(float(sum(np.abs(v) * size for v, size in zip(velocity, grid.resolution)).max())
+                for velocity in velocities)
+    return [max(1, math.ceil(t * stretch / limit), math.ceil(t * math.pi * speed / SERIES_REACH))
+            for t in times]
+
+
 def _series_terms(grid, velocity, shear):
     """For k = 1, 2, ... the terms N_k and M_k (row by row) of `flow_map`'s
     series of the field of grid values ``velocity`` and ``shear``, stacked
-    as one (n + n^2,) + grid.shape array, each from the last."""
+    as one (n + n^2,) + grid.shape array, each from the last: N_(k+1) =
+    M_k X and M_(k+1) = M_k DX + (X . grad) M_k, summed in that order."""
     n = grid.dim
-    rate = _grid_rate(grid)
+    rows = velocity.reshape((n, 1, 1) + grid.shape)
     term = np.concatenate([velocity, shear.reshape((n * n,) + grid.shape)])
     while True:
         yield term
-        term = rate(term[n:].reshape((1, n, n) + grid.shape), velocity, shear, False)[0]
+        M = term[n:].reshape((n, n) + grid.shape)
+        term = np.empty_like(term)
+        np.einsum("ik...,k...->i...", M, velocity, out=term[:n])
+        following = np.einsum("ik...,kj...->ij...", M, shear, out=term[n:].reshape(M.shape))
+        _advection(M, rows, following)
 
 
 def _factor(grid, state: np.ndarray) -> FieldStack:
@@ -403,30 +419,21 @@ def _factor(grid, state: np.ndarray) -> FieldStack:
     return FieldStack(grid, state[:n], state[n:].reshape((n, n) + grid.shape))
 
 
-def _grid_rate(grid):
-    """rate(G, velocity, shear, source=True): at gradients G, (B, n, n) +
-    grid.shape, the rates X + G X and DX + G DX + (X . grad) G of `flow_map`'s
-    grid system, without ``source`` G X and G DX + (X . grad) G, as (B, n +
-    n^2) + grid.shape.  X and DX are one for all entries or one per entry;
-    one product per axis serves the batch, each entry computed as alone.
-    d G / d x_j is the spectral derivative with the Nyquist mode zeroed as
-    one matrix product along axis j (`_derivative_matrix`): D G on the
-    leading axis of a 2-d grid, G D^T on the last."""
-    n = grid.dim
-    matrices = [_derivative_matrix(size) for size in grid.resolution]
-
-    def rate(G, velocity, shear, source=True):
-        batch = "b" if velocity.ndim > n + 1 else ""
-        dD = np.einsum(f"bik...,{batch}k...->bi...", G, velocity)
-        dG = np.einsum(f"bik...,{batch}kj...->bij...", G, shear)
-        if source:
-            dD, dG = velocity + dD, shear + dG
-        rows = velocity.reshape((-1, n, 1, 1) + grid.shape)
-        for j, matrix in enumerate(matrices):
-            dG += rows[:, j] * (matrix @ G if j < n - 1 else G @ matrix.T)
-        return np.concatenate([dD, dG.reshape((-1, n * n) + grid.shape)], axis=1)
-
-    return rate
+def _advection(G: np.ndarray, velocity, out=None) -> np.ndarray:
+    """(v . grad) G = sum_j v_j d G / d x_j of gradient arrays G, (n, n) +
+    grid.shape or a batch of them, v_j = ``velocity[j]`` broadcast against
+    G; with ``out``, each axis' term is added into it in axis order.
+    d / d x_j is one product with the axis' `_derivative_matrix` D, the
+    spectral derivative with the Nyquist mode zeroed: D @ G on the leading
+    axis of a 2-d grid, and G @ D^T = -(G @ D) on the last, D being
+    antisymmetric, so there the minus sign goes to v_j."""
+    n = len(velocity)
+    for j, v in enumerate(velocity):
+        matrix, leading = _derivative_matrix(G.shape[j - n]), j < n - 1
+        term = matrix @ G if leading else G @ matrix
+        term *= v if leading else -v
+        out = term if out is None else np.add(out, term, out=out)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -476,17 +483,13 @@ def _moser_factors(grid, values, gradients, starts, times) -> np.ndarray:
     b_0 = I in the Q1 product only, where A_k = (tau c / e0 . grad) b_k is
     taken once per term and reused by the next, and Q0 = tau (P0 - 2k e0
     Delta I) / e0^2 and Q1 = tau^2 (P1 - (k-1) Delta^2 I) / e0^2 step their
-    diagonals by -2r and -r^2 a term.  The products follow `_grid_rate`, one
-    `einsum` each over the batch.  All entries take one batched run, each
-    ending at its first term within SERIES_TOL of its first (|tau| max|V_s0|
-    and |tau| max|DV_s0|), so each is bit for bit its build alone; an entry
-    past SERIES_TERMS terms raises ConvergenceError naming its map and
-    factor."""
+    diagonals by -2r and -r^2 a term.  Each pointwise product is one
+    `einsum` over the batch, and each A_k one `_advection`.  All entries
+    take one batched run, each ending at its first term within SERIES_TOL
+    of its first (|tau| max|V_s0| and |tau| max|DV_s0|), so each is bit for
+    bit its build alone; an entry past SERIES_TERMS terms raises
+    ConvergenceError naming its map and factor."""
     n = grid.dim
-    # d / d x_j as D G on the leading axis of a 2-d grid and G D^T on the
-    # last, D^T made contiguous for the product
-    matrices = [_derivative_matrix(size) for size in grid.resolution]
-    matrices[-1] = np.ascontiguousarray(matrices[-1].T)
     scalar = (-1,) + (1,) * n
     s0 = np.asarray(starts, dtype=float).reshape(scalar)
     tau = np.asarray(times, dtype=float).reshape(scalar)
@@ -529,12 +532,7 @@ def _moser_factors(grid, values, gradients, starts, times) -> np.ndarray:
                 b_last, advected_last = b_last[keep], advected_last[keep]
         if k == SERIES_TERMS:
             break
-        advected = b @ matrices[-1]
-        advected *= advecting[:, -1]
-        for j in range(n - 1):
-            derivative = matrices[j] @ b
-            derivative *= advecting[:, j]
-            advected += derivative
+        advected = _advection(b, advecting.swapaxes(0, 1))
         for i in range(n):
             q0[:, i, i] -= step0
         rate = np.einsum("bik...,bkj...->bij...", b, q0)
@@ -664,20 +662,17 @@ class MoserFlow:
         self._values = np.stack([f.values for f in fields])
         self._gradients = np.stack([[f.derivative(j).values for j in range(n)] for f in fields])
         flux, gradients = self._values[:n], self._gradients[:n]
-        # the stretch max_x ||grad X_s(x)||_inf, sampled at s = 0, 1/16, ...,
-        # 1, by the quotient rule: only the density eta_s moves
-        stretch = 0.0
-        for s in np.linspace(0.0, 1.0, 17):
+
+        def shear(s):  # grad X_s by the quotient rule: only the density eta_s moves
             es = (1.0 - s) * self._values[n] + s * self._values[n + 1]
             des = (1.0 - s) * self._gradients[n] + s * self._gradients[n + 1]
-            shear = (gradients - (flux / es)[:, None] * des[None]) / es
-            stretch = max(stretch, float(np.abs(shear).sum(axis=1).max()))
-        # |X_s(x)| is largest at s = 0 or 1, as eta_s(x) is linear in s
-        speed = max(float(sum(np.abs(v) * size
-                              for v, size in zip(flux / eta, grid.resolution)).max())
-                    for eta in self._values[n:])
-        self.submaps = max(1, math.ceil(stretch / MOSER_SUBMAP_STRETCH),
-                           math.ceil(math.pi * speed / SERIES_REACH))
+            return (gradients - (flux / es)[:, None] * des[None]) / es
+
+        # the stretch at s = 0, 1/16, ..., 1 and the speed at s = 0 and 1,
+        # where |X_s(x)| is largest, as eta_s(x) is linear in s
+        self.submaps = _factor_counts(grid, (1.0,), [flux / eta for eta in self._values[n:]],
+                                      map(shear, np.linspace(0.0, 1.0, 17)),
+                                      MOSER_SUBMAP_STRETCH)[0]
         self.substeps = self.submaps
         self._maps = {1.0: None, -1.0: None}  # phi_{0->1} and phi_{1->0}, once built
 

@@ -1,22 +1,35 @@
 """RK4 builds of the flow maps' grid system, the tests' oracle for the
-series builds: no map in the package steps its grid system."""
+series builds: no map in the package steps its grid system, so the system's
+rate lives here, on the package's one advection product."""
 
 import numpy as np
 
 from conjresp import flow
 
 
+def grid_rate(G, velocity, shear):
+    """The rates X + G X and DX + G DX + (X . grad) G of `flow_map`'s grid
+    system at gradients G, (B, n, n) + grid.shape, as (B, n + n^2) +
+    grid.shape.  X and DX, ``velocity`` and ``shear``, are (n,) +
+    grid.shape and (n, n) + grid.shape for all entries, or one per entry;
+    (X . grad) G is `flow._advection`."""
+    n, shape = G.shape[1], G.shape[3:]
+    batch = "b" if velocity.ndim > n + 1 else ""
+    dD = velocity + np.einsum(f"bik...,{batch}k...->bi...", G, velocity)
+    dG = shear + np.einsum(f"bik...,{batch}kj...->bij...", G, shear)
+    flow._advection(G, velocity.reshape((-1, n, 1, 1) + shape).swapaxes(0, 1), dG)
+    return np.concatenate([dD, dG.reshape((-1, n * n) + shape)], axis=1)
+
+
 def flow_factor(grid, field, times, steps: int, starts=0.0) -> np.ndarray:
     """D and G of the factors phi = id + D, one per entry of ``times``, each
     flowing its field from its start (``starts``, one for all or one per
     entry) over its time, stacked as (len(times), n + n^2) + grid.shape (G
-    row by row): ``steps`` RK4 substeps (`flow._rk4`) of `flow._grid_rate`
-    on one batched state.  ``field(s)`` gives X and DX at the grid points at
-    the stage times s, (len(times), 1) + (1,) * n: (n,) + grid.shape and
-    (n, n) + grid.shape for every entry (an autonomous field), or one per
-    entry."""
+    row by row): ``steps`` RK4 substeps (`flow._rk4`) of `grid_rate` on one
+    batched state.  ``field(s)`` gives X and DX at the grid points at the
+    stage times s, (len(times), 1) + (1,) * n: (n,) + grid.shape and (n, n)
+    + grid.shape for every entry (an autonomous field), or one per entry."""
     n = grid.dim
-    grid_rate = flow._grid_rate(grid)
 
     def stage(s):
         X = field(s)

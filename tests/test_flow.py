@@ -255,8 +255,9 @@ def count_series_runs(monkeypatch):
     return runs
 
 
-# prints the digest of `_grid_rate`'s bits on a random batch of each grid
-RATE_ALL = """
+# prints the digest of `_advection`'s bits on a random batch of each grid
+# and on its first entry alone, as the Moser and the flow-map series run it
+ADVECTION_ALL = """
 import hashlib, json, sys
 import numpy as np
 from conjresp import TorusGrid, flow
@@ -265,10 +266,9 @@ for resolution in json.loads(sys.argv[1]):
     grid = TorusGrid(resolution)
     n = grid.dim
     rng = np.random.default_rng(sum(grid.shape))
-    G, velocity, shear = (rng.standard_normal((3,) + shape + grid.shape)
-                          for shape in ((n, n), (n,), (n, n)))
-    got = np.ascontiguousarray(flow._grid_rate(grid)(G, velocity, shear))
-    digests[str(resolution)] = hashlib.sha256(got.tobytes()).hexdigest()
+    G, velocity = (rng.standard_normal(shape + grid.shape) for shape in ((3, n, n), (n, 3, 1, 1)))
+    got = [flow._advection(G, velocity), flow._advection(G[0], velocity[:, 0])]
+    digests[str(resolution)] = hashlib.sha256(b"".join(a.tobytes() for a in got)).hexdigest()
 print(json.dumps(digests))
 """
 
@@ -458,7 +458,7 @@ class TestFlowMap:
 
     @pytest.mark.parametrize("resolution", [(64,), (16, 16), (32, 16)])
     def test_stage_derivatives_are_the_n_d_spectral_derivatives(self, resolution):
-        # with X = e_j and DX = 0 the rate of G is d G / d x_j alone; the
+        # with v = e_j the advection (v . grad) G is d G / d x_j alone; the
         # oracle is np.fft.rfftn / irfftn with the derivative symbol cut to
         # the last axis' wavenumbers 0..N/2.  The per-axis transforms differ
         # from it by rounding: at most 4e-16 of max|dG| here, 1e-14 allowed
@@ -467,11 +467,10 @@ class TestFlowMap:
         G = np.random.default_rng(2).standard_normal((3, n, n) + grid.shape)
         coefficients = np.fft.rfftn(G, axes=axes)
         cut = (..., slice(resolution[-1] // 2 + 1))
-        rate = flow._grid_rate(grid)
         for j in range(n):
-            velocity = np.zeros((n,) + grid.shape)
+            velocity = np.zeros((n, 1, 1) + grid.shape)
             velocity[j] = 1.0
-            got = rate(G, velocity, np.zeros((n, n) + grid.shape), False)[:, n:]
+            got = flow._advection(G, velocity)
             want = np.fft.irfftn(coefficients * grid.derivative_symbol(j)[cut], s=grid.shape,
                                  axes=axes).reshape(got.shape)
             bound = 1e-14 * np.abs(want).max()
@@ -504,25 +503,43 @@ class TestFlowMap:
             return made[-1]
 
         monkeypatch.setattr(flow, "_derivative_matrix", recording)
-        flow._grid_rate(TorusGrid((48, 48)))
-        flow._grid_rate(TorusGrid((48, 16)))
+        for shape in ((48, 48), (48, 16)):
+            flow._advection(np.zeros((2, 2) + shape), np.zeros((2, 1, 1) + shape))
         assert [m.shape[0] for m in made] == [48, 48, 48, 16]
         assert made[0] is made[1] is made[2]
         with pytest.raises(ValueError, match="read-only"):
             made[0][0, 1] = 0.0
 
     def test_stage_derivative_bits_do_not_depend_on_the_blas_thread_count(self):
-        shapes = [[48, 48], [64, 64], [128, 128], [256, 128]]
+        # the 2-d shapes of the Moser and torus flow maps, and the 1-d ones
+        # of the circle flow maps
+        shapes = [[48, 48], [64, 64], [128, 128], [256, 128], [128], [256], [512]]
         digests = []
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                        PYTHONPATH=str(Path(flow.__file__).parents[1]))
-            done = subprocess.run([sys.executable, "-c", RATE_ALL, json.dumps(shapes)], env=env,
-                                  capture_output=True, text=True, timeout=300)
+            done = subprocess.run([sys.executable, "-c", ADVECTION_ALL, json.dumps(shapes)],
+                                  env=env, capture_output=True, text=True, timeout=300)
             assert done.returncode == 0, done.stderr
             digests.append(json.loads(done.stdout))
         assert sorted(digests[0]) == sorted(map(str, shapes))
         assert digests[0] == digests[1]
+
+    @pytest.mark.parametrize("resolution", [(128,), (256,), (512,), (32, 16), (48, 48), (64, 64)],
+                             ids=lambda resolution: "x".join(map(str, resolution)))
+    def test_the_sign_folded_last_axis_product_is_the_transposed_one_bit_for_bit(self, resolution):
+        # G @ D^T = -(G @ D), D being antisymmetric: with the minus sign in
+        # the coefficient the advection has the bits of a product with a
+        # contiguous copy of D^T, so the Moser factors kept theirs
+        grid, n = TorusGrid(resolution), len(resolution)
+        rng = np.random.default_rng(sum(resolution))
+        G = rng.standard_normal((3, n, n) + grid.shape)
+        velocity = rng.standard_normal((n, 3, 1, 1) + grid.shape)
+        transposed = np.ascontiguousarray(flow._derivative_matrix(resolution[-1]).T)
+        want = (G @ transposed) * velocity[-1]
+        if n == 2:
+            want += (flow._derivative_matrix(resolution[0]) @ G) * velocity[0]
+        assert flow._advection(G, velocity).tobytes() == want.tobytes()
 
     def test_the_opposite_time_is_built_with_the_map(self, monkeypatch):
         X = single_mode_field(TorusGrid(32))

@@ -139,6 +139,24 @@ def test_only_the_point_integrator_takes_rk4_steps():
     assert readers == ["flow.integrate_flow"]
 
 
+def test_one_advection_product_reads_the_derivative_matrices():
+    # the flow-map and Moser series share one (v . grad) G product, so a
+    # second reader of flow._derivative_matrix, or a `_grid_rate` (the RK4
+    # oracle's rate, which lives in the tests), is a second copy of it
+    source = Path(conjresp.__file__).parent
+    readers, rates = [], []
+    for path in sorted(source.glob("*.py")):
+        for statement in ast.parse(path.read_text()).body:
+            for node in ast.walk(statement):
+                if "_derivative_matrix" in (getattr(node, "id", None), getattr(node, "attr", None)):
+                    readers.append(f"{path.stem}.{getattr(statement, 'name', node.lineno)}")
+                if "_grid_rate" in (getattr(node, "name", None), getattr(node, "id", None),
+                                    getattr(node, "attr", None)):
+                    rates.append(f"{path.stem}:{node.lineno}")
+    assert readers == ["flow._advection"]
+    assert rates == []
+
+
 # the arguments of one call of each functools.lru_cache'd function in src
 CACHED_CALLS = {
     "cli._build_parser": (),
