@@ -171,30 +171,25 @@ def _cos_sin(coords: np.ndarray, n: int) -> np.ndarray:
     """cos(2 pi k x) in rows k = 0..n/2 and sin(2 pi k x) in rows
     n/2 + 1 + k of one real (n + 2, M) table, for an even n.
 
-    `_half_phases`' recurrence in real arithmetic: one cosine and one sine
-    per point, then each block of wavenumbers is the filled block rotated
-    by the angle 2 pi filled x, which is doubled per block.
+    One cosine and one sine per point, then the three-term recurrence
+    f_k = 2 cos(2 pi x) f_{k-1} - f_{k-2}, which cos(2 pi k x) and
+    sin(2 pi k x) both obey, one row at a time: each step reads two
+    contiguous rows of M values and writes the next in place, with no
+    temporary.  Its error grows with k where sin(2 pi x) is near 0
+    (Gautschi, SIAM Rev. 9, 1967): at most about 1e-13 at n = 64 and
+    1e-12 at n = 256.
     """
     half = n // 2
     out = np.empty((2, half + 1, coords.shape[0]))
     cos, sin = out
     cos[0], sin[0] = 1.0, 0.0
     angle = (2.0 * np.pi) * coords
-    c, s = np.cos(angle), np.sin(angle)
-    # one buffer for each block's two products with s; a block has at most
-    # (half + 1) // 2 rows
-    scratch = np.empty(((half + 1) // 2, coords.shape[0]))
-    filled = 1
-    while filled <= half:
-        count = min(filled, half + 1 - filled)
-        new_cos, new_sin = cos[filled:filled + count], sin[filled:filled + count]
-        product = scratch[:count]
-        np.multiply(cos[:count], c, out=new_cos)
-        new_cos -= np.multiply(sin[:count], s, out=product)
-        np.multiply(sin[:count], c, out=new_sin)
-        new_sin += np.multiply(cos[:count], s, out=product)
-        filled += count
-        c, s = c * c - s * s, 2.0 * c * s
+    cos[1], sin[1] = np.cos(angle), np.sin(angle)
+    twice = 2.0 * cos[1]
+    for rows in (list(cos), list(sin)):
+        for before, last, row in zip(rows, rows[1:], rows[2:]):
+            np.multiply(last, twice, out=row)
+            row -= before
     return out.reshape(n + 2, -1)
 
 
@@ -233,7 +228,8 @@ def sample_coefficients(grid: TorusGrid, stack: np.ndarray, points: np.ndarray) 
     bits depended on the BLAS thread count on 32 of the 75 shapes of the
     2-d thread test (32 x 16 to 256 x 256), and the complex half-row GEMM's
     on all 15 at 256 x 256.  The contraction is an einsum, which calls no
-    BLAS.
+    BLAS.  Each table is filled row by row by the three-term recurrence,
+    from one cosine and one sine per point.
     """
     pts = as_points(points, grid.dim)
     pts = pts - np.floor(pts)

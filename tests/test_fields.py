@@ -370,6 +370,19 @@ class TestInterpolation:
         assert got.shape == (4096, count)
         assert np.all(np.abs(got - sample_complex_half_sum(grid, stack, points)) <= 1e-13 * scale)
 
+    @pytest.mark.parametrize("n, bound", [(48, 1e-13), (64, 1e-13), (256, 1.5e-12)])
+    def test_cos_sin_table_matches_one_cosine_per_mode(self, n, bound):
+        # the recurrence loses the most where sin(2 pi x) is near 0; the
+        # largest errors on these points are 4.4e-14, 7.1e-14 and 9.9e-13
+        offsets = np.geomspace(1e-12, 0.1, 2000)
+        near = (np.array([0.0, 0.25, 0.5, 0.75, 1.0])[:, None]
+                + np.concatenate([-offsets, [0.0], offsets])).ravel() % 1.0
+        x = np.concatenate([near, [1e-9], np.random.default_rng(n).random(4096)])
+        phase = 2.0 * np.pi * ((np.arange(n // 2 + 1)[:, None] * x) % 1.0)
+        got = fields._cos_sin(x, n)
+        assert got.shape == (n + 2, x.size)
+        assert np.max(np.abs(got - np.concatenate([np.cos(phase), np.sin(phase)]))) <= bound
+
     @pytest.mark.parametrize("resolution", [(8, 8), (32, 16), (16, 32)])
     def test_two_d_sum_needs_no_symmetry_of_the_coefficients(self, resolution):
         # the real fold takes Re sum_k c_k e(k . x) of any coefficients, as the
