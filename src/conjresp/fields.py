@@ -12,7 +12,12 @@ Conventions:
     f(x) = sum_k c_k exp(2 pi i k . x), stored in numpy FFT order
     (wavenumbers 0, 1, ..., N/2 - 1, -N/2, ..., -1);
   * off-grid values are the interpolant Re sum_k c_k exp(2 pi i k . x) over
-    those wavenumbers (see `sample_coefficients`), for real fields only;
+    those wavenumbers (see `sample_coefficients`), for real fields only,
+    summed over the band of the nonzero coefficients: wavenumbers whose
+    coefficients are exactly 0 add nothing, and an axis that is exactly 0
+    from |k| = N/4 on is cut before the sum;
+  * mode-list fields (`ScalarField.from_modes`) hold their exact
+    coefficients, every one outside the listed +/-k and k = 0 exactly 0;
   * 2-d arrays are row-major with axis 0 slowest, matching the serialized
     layout;
   * fields are immutable: every operation returns a new object.
@@ -193,6 +198,38 @@ def _cos_sin(coords: np.ndarray, n: int) -> np.ndarray:
     return out.reshape(n + 2, -1)
 
 
+def _band(stack: np.ndarray) -> np.ndarray:
+    """``stack`` cut, axis by axis, to the band of its nonzero coefficients.
+
+    An axis of length N whose coefficients are all exactly zero at every
+    |k| >= N/4 is cut to the even length 2K + 2, K the largest |k| with a
+    nonzero coefficient: wavenumbers 0..K, then the slot of -(K + 1), which
+    becomes the Nyquist slot and holds 0, then -K..-1.  The interpolation
+    sum of the cut stack is the same sum.  Any other axis is kept whole, so
+    a stack with a nonzero coefficient at N/4 or above on every axis, such
+    as every flow-map factor, is returned as it came.  Only exact zeros are
+    cut; there is no threshold.  Before the scan one coefficient is read,
+    the first field's at k = N/2 - 1 on the axis and 0 on the others: FFT
+    round-off makes it nonzero in nearly every full-band stack, which then
+    costs about a microsecond, and a stack whose probe is 0 is scanned.
+    (Some 1-d stacks of the circle maps hold exact zeros at k = N/4, or at
+    every odd k.)
+    """
+    for axis in range(1, stack.ndim):
+        n = stack.shape[axis]
+        edge = -(-n // 4)  # the smallest |k| >= n/4
+        probe = [0] * stack.ndim
+        probe[axis] = max(edge, n // 2 - 1)
+        if stack[tuple(probe)] or stack[(slice(None),) * axis + (slice(edge, n - edge + 1),)].any():
+            continue
+        others = tuple(a for a in range(stack.ndim) if a != axis)
+        occupied = np.flatnonzero(stack.any(axis=others))
+        top = int(np.minimum(occupied, n - occupied).max(initial=0))
+        if 2 * top + 2 < n:
+            stack = stack.take([*range(top + 1), *range(n - top - 1, n)], axis=axis)
+    return stack
+
+
 def sample_coefficients(grid: TorusGrid, stack: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Trigonometric interpolation of several real fields at once.
 
@@ -201,6 +238,13 @@ def sample_coefficients(grid: TorusGrid, stack: np.ndarray, points: np.ndarray) 
     Re sum_k c_k e(k . x) over the FFT-ordered wavenumbers, so a Nyquist
     mode enters with wavenumber -N/2.  Sharing the phase tables across the
     F fields is what keeps flow integration cheap.
+
+    The sum runs over the stack's band (`_band`): an axis whose
+    coefficients are exactly zero from |k| = N/4 on is first cut to the
+    smallest even length that holds its nonzero wavenumbers, so a mode-list
+    field with |k| <= 2 is summed over an axis of length 6, not N.  The
+    sizes below are those of the cut stack, which may be shorter than
+    `MIN_RESOLUTION`; only ``grid.dim`` is read from ``grid``.
 
     1-d: the coefficients must be those of real fields, c_{-k} = conj(c_k)
     with indices mod N (as `ScalarField` coefficients and their spectral
@@ -233,9 +277,10 @@ def sample_coefficients(grid: TorusGrid, stack: np.ndarray, points: np.ndarray) 
     """
     pts = as_points(points, grid.dim)
     pts = pts - np.floor(pts)
+    stack = _band(stack)
     count = stack.shape[0]
     if grid.dim == 1:
-        n = grid.resolution[0]
+        n = stack.shape[1]
         half = n // 2
         weights = np.full(half + 1, 2.0)
         weights[[0, half]] = 1.0
@@ -243,7 +288,7 @@ def sample_coefficients(grid: TorusGrid, stack: np.ndarray, points: np.ndarray) 
         # (2F, 2M): columns alternate Re e, Im e
         out = np.concatenate([rows.real, rows.imag]) @ _half_phases(pts[:, 0], n).T.view(float)
         return out[:count, 0::2].T - out[count:, 1::2].T
-    n0, n1 = grid.resolution
+    n0, n1 = stack.shape[1:]
     h0, h1 = n0 // 2, n1 // 2
     # axis 0: the weight of C_j is c_0, c_j + c_-j or c_-N/2, that of S_j is
     # 0, i (c_j - c_-j) or -i c_-N/2, for j = 0, 0 < j < N/2 or j = N/2
@@ -306,25 +351,12 @@ class ScalarField:
     def from_modes(cls, grid: TorusGrid, modes) -> "ScalarField":
         """Band-limited field from entries [k1(,k2), re, im], each adding
         re*cos(2 pi k.x) + im*sin(2 pi k.x).  Each entry is a list (or tuple)
-        of integer wavenumbers and numeric amplitudes; booleans are neither."""
-        if not isinstance(modes, (list, tuple)):
-            raise ValueError(f"mode list must be a list of entries, got {modes!r}")
-        out = np.zeros(grid.shape)
-        meshes = grid.meshes()
-        for entry in modes:
-            if (not isinstance(entry, (list, tuple)) or len(entry) != grid.dim + 2
-                    or not all(_is_integer(k) for k in entry[: grid.dim])
-                    or not all(isinstance(a, numbers.Real) and not isinstance(a, bool)
-                               for a in entry[grid.dim :])):
-                raise ValueError(
-                    f"mode entry must be a list [k..., re, im] with {grid.dim} integer "
-                    f"wavenumber(s) and 2 numeric amplitudes, got "
-                    f"{json.dumps(entry, default=repr)}"
-                )
-            kvec, re, im = entry[: grid.dim], float(entry[-2]), float(entry[-1])
-            phase = 2.0 * np.pi * sum(k * m for k, m in zip(kvec, meshes))
-            out += re * np.cos(phase) + im * np.sin(phase)
-        return cls(grid, out)
+        of integer wavenumbers and numeric amplitudes; booleans are neither.
+        Every wavenumber must lie below N/2 in size on its axis, so that the
+        grid holds the mode (a ValueError names the entry otherwise).  The
+        coefficients are exact, (re -/+ i im)/2 at +/-k and re at k = 0, and
+        every other one is exactly 0; the values are their inverse FFT."""
+        return cls.from_coefficients(grid, _mode_coefficients(grid, modes))
 
     @property
     def coefficients(self) -> np.ndarray:
@@ -399,6 +431,35 @@ class ScalarField:
         return f"ScalarField(grid={self.grid!r}, mean={self.mean:.3g}, max_abs={self.max_abs:.3g})"
 
 
+def _mode_coefficients(grid: TorusGrid, modes) -> np.ndarray:
+    """The exact Fourier coefficients of a mode list (`ScalarField.from_modes`)."""
+    if not isinstance(modes, (list, tuple)):
+        raise ValueError(f"mode list must be a list of entries, got {modes!r}")
+    out = np.zeros(grid.shape, dtype=complex)
+    for entry in modes:
+        if (not isinstance(entry, (list, tuple)) or len(entry) != grid.dim + 2
+                or not all(_is_integer(k) for k in entry[: grid.dim])
+                or not all(isinstance(a, numbers.Real) and not isinstance(a, bool)
+                           for a in entry[grid.dim :])):
+            raise ValueError(
+                f"mode entry must be a list [k..., re, im] with {grid.dim} integer "
+                f"wavenumber(s) and 2 numeric amplitudes, got "
+                f"{json.dumps(entry, default=repr)}"
+            )
+        kvec, re, im = tuple(entry[: grid.dim]), float(entry[-2]), float(entry[-1])
+        if any(2 * abs(k) >= n for k, n in zip(kvec, grid.resolution)):
+            raise ValueError(
+                f"mode entry {json.dumps(entry, default=repr)} does not fit the grid: "
+                f"each |k| must be below N/2, and N = {list(grid.resolution)}"
+            )
+        if any(kvec):
+            out[kvec] += complex(re, -im) / 2.0
+            out[tuple(-k for k in kvec)] += complex(re, im) / 2.0
+        else:
+            out[kvec] += re
+    return out
+
+
 def _require_same_grid(*objects):
     grids = {obj.grid for obj in objects}
     if len(grids) > 1:
@@ -456,8 +517,11 @@ class VolumeDensity:
 
     @classmethod
     def from_modes(cls, grid: TorusGrid, modes) -> "VolumeDensity":
-        """Density 1 + sum of the given modes (the constant part is implied)."""
-        return cls(ScalarField.from_modes(grid, modes) + 1.0)
+        """Density 1 + sum of the given modes (the constant part is implied),
+        its 1 added to the exact coefficient at k = 0 (`ScalarField.from_modes`)."""
+        coefficients = _mode_coefficients(grid, modes)
+        coefficients.flat[0] += 1.0
+        return cls(ScalarField.from_coefficients(grid, coefficients))
 
     def __repr__(self):
         return f"VolumeDensity(grid={self.grid!r}, min={float(self.eta.values.min()):.3g})"

@@ -165,6 +165,28 @@ class TestSolve:
         assert main(["solve", "--config", path, "--out", str(tmp_path / "o")]) == 2
         assert "centre" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, key, entry, resolution", [
+        ("solve", "rho.modes", [64, 0.0, 1.0], [128]),  # k = N/2: im vanishes on the grid
+        ("solve", "rho.modes", [-200, 1.0, 0.0], [256]),  # would alias to k = 56
+        ("verify", "map.eta_modes", [1, 8, 0.1, 0.0], [32, 16]),
+        ("sweep", "rho.modes", [20, 1.0, 0.0], [128]),  # fits 128 but not a resolution 32
+    ])
+    def test_mode_the_grid_cannot_hold_exits_2_naming_it(self, tmp_path, capsys, command,
+                                                         key, entry, resolution):
+        cfg = _doubling_sweep_config() if command == "sweep" else doubling_config()
+        if len(resolution) == 2:
+            cfg = _cat_config()
+            cfg["map"] = {"kind": "custom", "A": [[2, 1], [1, 1]], "eta_modes": [entry]}
+        else:
+            cfg["grid"]["resolution"] = resolution
+            cfg["rho"]["modes"] = [entry]
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "o"
+        assert main([command, "--config", path, "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert f"{key}: mode entry {json.dumps(entry)}" in err
+        assert "below N/2" in err and not out.exists()
+
 
 class TestVerify:
     def test_flow_map_past_its_term_cap_exits_3_naming_t(self, tmp_path, capsys, monkeypatch):

@@ -8,6 +8,7 @@ and higher-resolution self-consistency for off-grid sampling.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -32,7 +33,7 @@ from conjresp import (
     save_field,
     load_field,
 )
-from conjresp import fields
+from conjresp import fields, flow
 from conjresp.fields import sample_coefficients
 
 
@@ -96,12 +97,16 @@ import hashlib, itertools, json, sys
 import numpy as np
 from conjresp import ScalarField, TorusGrid
 from conjresp.fields import sample_coefficients
+band = int(sys.argv[2])  # 0: white noise; else mode lists with |k_i| <= band
 digests = {}
 for n, count, m in itertools.product(*json.loads(sys.argv[1]).values()):
     grid = TorusGrid(n)
     rng = np.random.default_rng(sum(grid.shape) + count)
-    stack = np.stack([ScalarField(grid, rng.standard_normal(grid.shape)).coefficients
-                      for _ in range(count)])
+    fields = [ScalarField.from_modes(grid, [[*map(int, rng.integers(-band, band + 1, grid.dim)),
+                                             *rng.standard_normal(2)] for _ in range(3)])
+              if band else ScalarField(grid, rng.standard_normal(grid.shape))
+              for _ in range(count)]
+    stack = np.stack([f.coefficients for f in fields])
     points = np.random.default_rng(m).uniform(-1.0, 2.0, (m, grid.dim))
     got = np.ascontiguousarray(sample_coefficients(grid, stack, points))
     digests[f"{n}/{count}/{m}"] = hashlib.sha256(got.tobytes()).hexdigest()
@@ -109,14 +114,16 @@ print(json.dumps(digests))
 """
 
 
-def thread_dependent_shapes(shapes):
+def thread_dependent_shapes(shapes, band=0):
     """The shapes whose `sample_coefficients` bytes differ between one and
-    two OpenBLAS threads, each run in its own process, and the shape count."""
+    two OpenBLAS threads, each run in its own process, and the shape count:
+    on white-noise fields, or with ``band`` on mode-list fields whose
+    wavenumbers are at most ``band`` in size."""
     digests = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=str(Path(fields.__file__).parents[1]))
-        done = subprocess.run([sys.executable, "-c", SAMPLE_ALL, json.dumps(shapes)],
+        done = subprocess.run([sys.executable, "-c", SAMPLE_ALL, json.dumps(shapes), str(band)],
                               env=env, capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
         digests.append(json.loads(done.stdout))
@@ -311,6 +318,8 @@ class TestInterpolation:
         got = flat.sample(points)
         assert got.shape == (57,) and np.array_equal(got, want)
         assert np.array_equal(flat.sample(points[:1]), want[:1])
+        listed = ScalarField.from_modes(grid, [[0] * grid.dim + [value, 0.3]])  # sin 0 = 0
+        assert np.array_equal(listed.sample(points), want)
         with pytest.raises(AssertionError, match="interpolated"):
             bumped.sample(points)
 
@@ -357,6 +366,13 @@ class TestInterpolation:
         # as its left operand on 32 of these shapes, 32 x 16 to 256 x 256
         assert thread_dependent_shapes(THREAD_SHAPES_2D) == ([], 75)
 
+    @pytest.mark.parametrize("shapes, total", [(THREAD_SHAPES, 90), (THREAD_SHAPES_2D, 75)],
+                             ids=["1d", "2d"])
+    def test_band_sum_does_not_depend_on_the_blas_thread_count(self, shapes, total):
+        # mode lists with |k| <= 4 are summed on their band, 10 wavenumbers
+        # per axis, so the GEMMs take other shapes than on white noise
+        assert thread_dependent_shapes(shapes, band=4) == ([], total)
+
     @pytest.mark.parametrize("resolution", [(64, 64), (48, 48), (256, 256)])
     @pytest.mark.parametrize("count", [1, 2, 6])
     def test_two_d_sum_matches_the_complex_half_sum_at_many_points(self, resolution, count):
@@ -393,6 +409,116 @@ class TestInterpolation:
         got = sample_coefficients(grid, stack, points)
         scale = np.abs(stack).reshape(3, -1).sum(axis=1)
         assert np.all(np.abs(got - sample_direct(grid, stack, points)) <= 1e-13 * scale)
+
+
+def mode_entries(grid, seed, kmax, count=4):
+    """``count`` random entries [k..., re, im] with |k_i| <= kmax on each
+    axis (capped below N_i/2), amplitudes in [-1, 1], the last at k = 0."""
+    rng = np.random.default_rng(seed)
+    caps = [min(kmax, n // 2 - 1) for n in grid.resolution]
+    entries = [[int(rng.integers(-cap, cap + 1)) for cap in caps] + list(rng.uniform(-1, 1, 2))
+               for _ in range(count - 1)]
+    return entries + [[0] * grid.dim + list(rng.uniform(-1, 1, 2))]
+
+
+def mode_sum(grid, entries):
+    """The direct sum of re cos(2 pi k.x) + im sin(2 pi k.x) at the grid
+    points, each phase taken from the exact k.j mod N."""
+    index = np.meshgrid(*[np.arange(n) for n in grid.resolution], indexing="ij")
+    total = np.zeros(grid.shape)
+    for *k, real, imag in entries:
+        turns = sum((ki * j) % n / n for ki, j, n in zip(k, index, grid.resolution)) % 1.0
+        total += real * np.cos(2 * np.pi * turns) + imag * np.sin(2 * np.pi * turns)
+    return total
+
+
+def sample_whole(monkeypatch, grid, stack, points):
+    """`sample_coefficients` summing every wavenumber of the stack."""
+    with monkeypatch.context() as patch:
+        patch.setattr(fields, "_band", lambda rows: rows)
+        return sample_coefficients(grid, stack, points)
+
+
+MODE_GRIDS = [(8,), (64,), (256,), (8, 8), (64, 64), (32, 16), (48, 48)]
+
+
+class TestModeListsAndBands:
+    @pytest.mark.parametrize("resolution", MODE_GRIDS)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mode_list_coefficients_are_exact(self, resolution, seed):
+        grid = TorusGrid(resolution)
+        entries = mode_entries(grid, seed, kmax=max(resolution))
+        f = ScalarField.from_modes(grid, entries)
+        want = np.zeros(grid.shape, dtype=complex)
+        for *k, real, imag in entries:
+            if any(k):
+                want[tuple(k)] += (real - 1j * imag) / 2
+                want[tuple(-ki for ki in k)] += (real + 1j * imag) / 2
+            else:
+                want[tuple(k)] += real
+        support = want != 0
+        assert np.array_equal(f.coefficients, want) and not f.coefficients[~support].any()
+        scale = sum(abs(real) + abs(imag) for *_, real, imag in entries)
+        assert np.max(np.abs(f.values - mode_sum(grid, entries))) <= 1e-15 * scale
+        # the density's 1 joins the exact coefficients at k = 0
+        waves = [entry[:-2] + [0.1 * a for a in entry[-2:]] for entry in entries if any(entry[:-2])]
+        want = ScalarField.from_modes(grid, waves).coefficients.copy()
+        want.flat[0] += 1.0
+        assert np.array_equal(VolumeDensity.from_modes(grid, waves).eta.coefficients, want)
+
+    @pytest.mark.parametrize("resolution", [(8,), (256,), (8, 8), (32, 16)])
+    def test_a_mode_the_grid_cannot_hold_is_refused(self, resolution):
+        grid = TorusGrid(resolution)
+        sizes = ", ".join(map(str, resolution))
+        for axis, n in enumerate(resolution):
+            for k in (n // 2, -(n // 2), n - 1):
+                entry = [0] * grid.dim + [1.0, 0.5]
+                entry[axis] = k
+                named = rf"mode entry {re.escape(json.dumps(entry))} does not fit the grid: "
+                with pytest.raises(ValueError, match=named + rf".*N = \[{sizes}\]"):
+                    ScalarField.from_modes(grid, [[1] * grid.dim + [0.1, 0.0], entry])
+            entry = [0] * grid.dim + [1.0, 0.5]
+            entry[axis] = n // 2 - 1
+            ScalarField.from_modes(grid, [entry])  # the largest |k| that fits
+
+    @pytest.mark.parametrize("resolution", MODE_GRIDS)
+    @pytest.mark.parametrize("kmax", [0, 1, 4])
+    @pytest.mark.parametrize("m", [1, 57, 4096])
+    def test_band_sum_is_the_whole_sum(self, monkeypatch, resolution, kmax, m):
+        grid = TorusGrid(resolution)
+        f = ScalarField.from_modes(grid, mode_entries(grid, kmax, kmax))
+        g = ScalarField.from_modes(grid, mode_entries(grid, kmax + 10, kmax))
+        stack = np.stack([f.coefficients, g.coefficients, f.derivative(grid.dim - 1).coefficients])
+        points = np.random.default_rng(m).uniform(-1.0, 2.0, (m, grid.dim))
+        got = sample_coefficients(grid, stack, points)
+        scale = np.abs(stack).reshape(3, -1).sum(axis=1)
+        assert got.shape == (m, 3)
+        assert np.all(np.abs(got - sample_whole(monkeypatch, grid, stack, points)) <= 1e-15 * scale)
+        cut = fields._band(stack).shape[1:]
+        for n, length in zip(resolution, cut):
+            assert length == (n if 4 * kmax >= n else 2 * min(kmax, n // 2 - 1) + 2)
+
+    @pytest.mark.parametrize("resolution", [(8,), (10,), (64,), (256,), (64, 64), (32, 16)])
+    def test_a_coefficient_at_a_quarter_of_n_keeps_the_axis_whole(self, resolution):
+        grid = TorusGrid(resolution)
+        for axis, n in enumerate(resolution):
+            edge = -(-n // 4)  # the smallest |k| >= n/4
+            for k, length in ((edge, n), (-edge, n), (edge - 1, 2 * edge)):
+                stack = np.zeros((2,) + grid.shape, dtype=complex)
+                index = [0] * grid.dim
+                index[axis] = k
+                stack[(1, *index)] = 1.0
+                cut = fields._band(stack).shape[1:]
+                assert cut[axis] == length
+                assert all(size == 2 for other, size in enumerate(cut) if other != axis)
+
+    @pytest.mark.parametrize("resolution", [64, 256])
+    def test_a_factor_stack_with_a_zero_nyquist_is_not_cut(self, resolution):
+        grid = TorusGrid(resolution)
+        X = VectorFieldT([ScalarField.from_modes(grid, [[1, 0.0, 0.1], [2, 0.03, 0.0]])])
+        stack = np.array(flow.flow_map(X, 0.5).factors[0].coefficients)
+        stack[:, resolution // 2] = 0.0
+        assert fields._band(stack) is stack
 
 
 class TestArithmetic:
