@@ -27,7 +27,7 @@ grid = TorusGrid(128)
 omega0 = VolumeDensity.lebesgue(grid)
 omega1 = VolumeDensity.from_modes(grid, [[1, 0.5, 0.0]])  # 1 + 0.5 cos(2 pi x)
 
-transport = moser_transport(omega0, omega1, steps=256)
+transport = moser_transport(omega0, omega1)
 pushed = transport.pushforward(omega0)
 print("transport from Lebesgue to 1 + 0.5 cos(2 pi x):")
 print(f"  max|psi_* eta0 - eta1| = {np.max(np.abs(pushed.eta.values - omega1.eta.values)):.2e}")

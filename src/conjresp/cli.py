@@ -144,7 +144,6 @@ def cmd_moser(cfg: dict, out: Path, quiet: bool) -> int:
     eta1_modes = required(cfg, "moser", "eta1_modes")
     with naming("moser.eta1_modes"):
         omega1 = VolumeDensity.from_modes(grid, eta1_modes)
-    steps = moser_cfg["steps"]
     torus_map = None
     if moser_cfg["check_conjugated"]:
         torus_map = build_map(cfg, grid)
@@ -159,7 +158,7 @@ def cmd_moser(cfg: dict, out: Path, quiet: bool) -> int:
                 f"max|eta0 - map density| = {mismatch:.3e}"
             )
 
-    transport = moser_transport(omega0, omega1, steps=steps)
+    transport = moser_transport(omega0, omega1)
     if torus_map is not None:  # the conjugated check reads both directions: one build
         transport.maps((1.0, -1.0))
     pushed = transport.pushforward(omega0)
@@ -183,8 +182,8 @@ def cmd_moser(cfg: dict, out: Path, quiet: bool) -> int:
     passed = not failing
     report = {
         "scenario_id": cfg["scenario_id"],
-        "steps": steps,
-        "substeps": transport.substeps,
+        "steps": moser_cfg["steps"],
+        "substeps": transport.submaps,
         "submaps": transport.submaps,
         "pushforward_residual": residual,
         "pushforward_tol": PUSHFORWARD_TOL,

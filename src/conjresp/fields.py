@@ -541,6 +541,11 @@ class _ComponentTuple:
             )
         self.components = components
 
+    @classmethod
+    def zero(cls, grid: TorusGrid):
+        """The object of this type with every component 0."""
+        return cls([ScalarField.constant(grid, 0.0) for _ in range(grid.dim)])
+
     @property
     def grid(self) -> TorusGrid:
         return self.components[0].grid
@@ -575,10 +580,6 @@ class VectorFieldT(_ComponentTuple):
     also represents sections over a map (one R^n value per source point)."""
 
     @classmethod
-    def zero(cls, grid: TorusGrid) -> "VectorFieldT":
-        return cls([ScalarField.constant(grid, 0.0) for _ in range(grid.dim)])
-
-    @classmethod
     def from_arrays(cls, grid: TorusGrid, arrays) -> "VectorFieldT":
         return cls([ScalarField(grid, a) for a in arrays])
 
@@ -599,10 +600,6 @@ class CoVectorForm(_ComponentTuple):
     """(n-1)-form: a single 0-form f on the 1-torus, or a pair (a, b)
     representing a dx + b dy on the 2-torus.  Only `flux` and `from_flux`
     know this layout; d theta = div(theta.flux()) vol in any dimension."""
-
-    @classmethod
-    def zero(cls, grid: TorusGrid) -> "CoVectorForm":
-        return cls([ScalarField.constant(grid, 0.0) for _ in range(grid.dim)])
 
     def flux(self) -> VectorFieldT:
         """The field J with i_J vol = theta: f on the 1-torus, (b, -a) for

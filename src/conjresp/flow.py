@@ -642,21 +642,15 @@ class MoserFlow:
     transported omega0 to compare against omega1, built from `inverse`'s
     factors one at a time.
 
-    steps     -- the requested steps, accepted (>= 1) and unread: the series
-                 sets the accuracy
-    substeps  -- the Taylor steps taken over [0, 1] by either direction,
-                 one per factor, so ``submaps``
-    submaps   -- number of factors of either direction
+    submaps   -- number of factors of either direction, and its Taylor
+                 steps over [0, 1], one per factor (`FlowMap.steps`); the
+                 series, not a step count, sets the accuracy
     """
 
-    def __init__(self, theta, omega0: VolumeDensity, omega1: VolumeDensity,
-                 steps: int):
-        if steps < 1:
-            raise ValueError(f"steps must be >= 1, got {steps}")
+    def __init__(self, theta, omega0: VolumeDensity, omega1: VolumeDensity):
         self.theta = theta
         self.omega0 = omega0
         self.omega1 = omega1
-        self.steps = int(steps)
         grid, n = self.grid, self.grid.dim
         fields = list(theta.flux().components) + [omega0.eta, omega1.eta]
         self._values = np.stack([f.values for f in fields])
@@ -673,7 +667,6 @@ class MoserFlow:
         self.submaps = _factor_counts(grid, (1.0,), [flux / eta for eta in self._values[n:]],
                                       map(shear, np.linspace(0.0, 1.0, 17)),
                                       MOSER_SUBMAP_STRETCH)[0]
-        self.substeps = self.submaps
         self._maps = {1.0: None, -1.0: None}  # phi_{0->1} and phi_{1->0}, once built
 
     @property
@@ -696,7 +689,7 @@ class MoserFlow:
             for t, batch in zip(missing, np.split(states, len(missing))):
                 factors = [_factor(self.grid, state) for state in batch]
                 # phi_{0->1} runs the factors from s = 0 up, phi_{1->0} from s = 1 down
-                self._maps[t] = FlowMap(factors if t > 0 else factors[::-1], t, self.substeps)
+                self._maps[t] = FlowMap(factors if t > 0 else factors[::-1], t, m)
         return [self._maps[t] for t in times]
 
     @property
@@ -740,19 +733,18 @@ class MoserFlow:
         return _gated_density(grid, values, inverse.time, inverse.steps)
 
 
-def moser_transport(omega0: VolumeDensity, omega1: VolumeDensity,
-                    steps: int = 256) -> MoserFlow:
+def moser_transport(omega0: VolumeDensity, omega1: VolumeDensity) -> MoserFlow:
     """Factory for the time-one transport between two unit-mass densities.
 
     The fixed primitive theta solves d theta = (eta0 - eta1) vol; the tiny
     mass mismatch allowed by the density gates is projected out before the
     exactness solve.  The interpolated density stays positive automatically
-    (a convex combination of positive endpoints).  ``steps`` is accepted
-    (>= 1) and unread; see `MoserFlow` for the maps' factors, which are
-    built on first use, each the exact series of its grid system.
+    (a convex combination of positive endpoints).  See `MoserFlow` for the
+    maps' factors, which are built on first use, each the exact series of
+    its grid system.
     """
     if omega0.grid != omega1.grid:
         raise ValueError("densities live on different grids")
     difference = omega0.eta - omega1.eta
     theta = exact_primitive(difference - difference.mean)
-    return MoserFlow(theta, omega0, omega1, steps)
+    return MoserFlow(theta, omega0, omega1)

@@ -19,6 +19,7 @@ from .fields import ScalarField, VectorFieldT, VolumeDensity, wrap_difference
 from .flow import flow_map, flow_maps, transported_density
 
 NOISE_FLOOR = 1e-11
+LONE_ERROR_TOL = 1e-9  # the bound on an error that is alone above NOISE_FLOOR
 ORDER_RANGE = (1.8, 2.3)
 
 __all__ = [
@@ -37,6 +38,10 @@ class ConvergenceReport:
     fitted_order is None when fewer than two errors sit above the noise
     floor, and order_stderr, the standard error of its least-squares slope,
     when fewer than three do.  constant is the measured e(t_min) / t_min^2.
+
+    passed is the verdict: every error at or below NOISE_FLOOR passes; a
+    lone error above it passes iff it is <= LONE_ERROR_TOL; otherwise the
+    fitted order must lie in ORDER_RANGE.
     """
 
     t_values: tuple
@@ -67,7 +72,7 @@ def _fit_report(t_values, errors) -> ConvergenceReport:
     tu, eu = t[above], e[above]
     if tu.size < 2:
         # a single error above round-off: no order can be fitted
-        passed = bool(eu[0] <= 1e-9)
+        passed = bool(eu[0] <= LONE_ERROR_TOL)
         return ConvergenceReport(tuple(t), tuple(e), None, constant, passed)
     x, y = np.log(tu), np.log(eu)
     slope, intercept = (float(c) for c in np.polyfit(x, y, 1))

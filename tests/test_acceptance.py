@@ -275,7 +275,7 @@ def test_criterion_8_moser_transport():
     grid = TorusGrid(128)
     omega0 = VolumeDensity.lebesgue(grid)
     omega1 = VolumeDensity.from_modes(grid, [[1, 0.5, 0.0]])
-    transport = moser_transport(omega0, omega1, steps=256)
+    transport = moser_transport(omega0, omega1)
     pushed = transport.pushforward(omega0)
     push_residual = float(np.max(np.abs(pushed.eta.values - omega1.eta.values)))
 

@@ -19,6 +19,7 @@ against the composed one.
 
 import functools
 import gc
+import inspect
 import itertools
 import json
 import math
@@ -36,6 +37,7 @@ from hypothesis import strategies as st
 from conjresp import (
     ConvergenceError,
     FlowEvaluation,
+    MoserFlow,
     QualityError,
     ScalarField,
     TorusGrid,
@@ -751,7 +753,7 @@ def moser_oracle(resolution, kind, direction):
     n = grid.dim
     omega0, omega1 = (VolumeDensity.from_modes(grid, modes)
                       for modes in TestSharedStepper.MOSER_DENSITIES[resolution])
-    transport = moser_transport(omega0, omega1, steps=16)
+    transport = moser_transport(omega0, omega1)
     stack = FieldStack.of(list(transport.theta.flux().components) + [omega0.eta, omega1.eta])
 
     def field(s, p):
@@ -870,7 +872,7 @@ class TestMoserTransport:
     def test_identical_densities_give_identity(self):
         grid = TorusGrid(64)
         omega = VolumeDensity.from_modes(grid, [[1, 0.3, 0.0]])
-        transport = moser_transport(omega, omega, steps=16)
+        transport = moser_transport(omega, omega)
         assert all(c.max_abs == 0.0 for c in transport.theta.components)
         rng = np.random.default_rng(13)
         pts = rng.random((20, 1))
@@ -881,7 +883,7 @@ class TestMoserTransport:
         grid = TorusGrid(128)
         omega0 = VolumeDensity.lebesgue(grid)
         omega1 = VolumeDensity.from_modes(grid, [[1, 0.5, 0.0]])
-        transport = moser_transport(omega0, omega1, steps=256)
+        transport = moser_transport(omega0, omega1)
         pushed = transport.pushforward(omega0)
         assert np.max(np.abs(pushed.eta.values - omega1.eta.values)) <= 1e-6
 
@@ -889,7 +891,7 @@ class TestMoserTransport:
         grid = TorusGrid(128)
         omega0 = VolumeDensity.lebesgue(grid)
         omega1 = VolumeDensity.from_modes(grid, [[1, 0.4, 0.2]])
-        transport = moser_transport(omega0, omega1, steps=128)
+        transport = moser_transport(omega0, omega1)
         rng = np.random.default_rng(14)
         pts = rng.random((30, 1))
         fwd = transport.transport(pts)
@@ -902,7 +904,7 @@ class TestMoserTransport:
         grid = TorusGrid(128)
         omega0 = VolumeDensity.from_modes(grid, [[1, 0.25, 0.15]])
         omega1 = VolumeDensity.from_modes(grid, [[1, 0.25, -0.15]])
-        transport = moser_transport(omega0, omega1, steps=256)
+        transport = moser_transport(omega0, omega1)
         rng = np.random.default_rng(15)
         pts = rng.random((25, 1))
         reflected_push = (-transport.transport((-pts) % 1.0).points) % 1.0
@@ -919,10 +921,10 @@ class TestMoserTransport:
         # at most c has ||G||_inf = ||DPhi - I||_inf <= e^c - 1 (Gronwall)
         grid = TorusGrid(resolution)
         omega0 = VolumeDensity.from_modes(grid, modes0) if modes0 else VolumeDensity.lebesgue(grid)
-        transport = moser_transport(omega0, VolumeDensity.from_modes(grid, modes1), steps=16)
-        assert transport.submaps > 1 and transport.substeps == transport.submaps
+        transport = moser_transport(omega0, VolumeDensity.from_modes(grid, modes1))
+        assert transport.submaps > 1
         for phi in (transport.forward, transport.inverse):
-            assert (phi.submaps, phi.steps) == (transport.submaps, transport.substeps)
+            assert (phi.submaps, phi.steps) == (transport.submaps, transport.submaps)
             assert len({id(factor) for factor in phi.factors}) == phi.submaps
             for factor in phi.factors:
                 stretch = np.abs(factor.gradients).sum(axis=1).max()
@@ -934,7 +936,7 @@ class TestMoserTransport:
         grid = TorusGrid((32, 16))
         omega0, omega1 = (VolumeDensity.from_modes(grid, modes)
                           for modes in TestSharedStepper.MOSER_DENSITIES[(32, 16)])
-        transport = moser_transport(omega0, omega1, steps=16)
+        transport = moser_transport(omega0, omega1)
         m = transport.submaps
         assert m > 1
         ends = np.arange(m + 1) / m
@@ -946,19 +948,19 @@ class TestMoserTransport:
                                                           transport._gradients, [start],
                                                           [-time / m])[0])
 
-    # (resolution, eta0 modes or None for Lebesgue, eta1 modes, steps): Moser
-    # maps of several factors, at the moser-transport benchmark's step counts
+    # (resolution, eta0 modes or None for Lebesgue, eta1 modes): Moser maps
+    # of several factors, on the moser-transport benchmark's grids
     SPLIT_TRANSPORTS = [
-        (128, None, [[3, -0.407072, 0.56784]], 128),
-        ((48, 48), [[1, 2, -0.280811, -0.04292]], [[-2, -2, -0.147534, 0.218544]], 16),
-        ((32, 16), *TestSharedStepper.MOSER_DENSITIES[(32, 16)], 16),
+        (128, None, [[3, -0.407072, 0.56784]]),
+        ((48, 48), [[1, 2, -0.280811, -0.04292]], [[-2, -2, -0.147534, 0.218544]]),
+        ((32, 16), *TestSharedStepper.MOSER_DENSITIES[(32, 16)]),
     ]
 
     @staticmethod
-    def split_transport(resolution, modes0, modes1, steps):
+    def split_transport(resolution, modes0, modes1):
         grid = TorusGrid(resolution)
         omega0 = VolumeDensity.from_modes(grid, modes0) if modes0 else VolumeDensity.lebesgue(grid)
-        return moser_transport(omega0, VolumeDensity.from_modes(grid, modes1), steps=steps)
+        return moser_transport(omega0, VolumeDensity.from_modes(grid, modes1))
 
     @pytest.mark.parametrize("case", SPLIT_TRANSPORTS, ids=["128", "48x48", "32x16"])
     def test_both_directions_in_one_batch_are_each_direction_alone_bit_for_bit(
@@ -1020,26 +1022,20 @@ class TestMoserTransport:
         assert err.value.iterations == 3 and err.value.residual > flow.SERIES_TOL
         assert transport._maps == {1.0: None, -1.0: None}  # nothing is kept of a failed build
 
-    def test_steps_are_unread(self):
-        # the series sets the accuracy: 8 factors, one Taylor step each,
-        # bit for bit the same whatever the steps
+    def test_submaps_is_the_one_step_number(self):
+        # the series sets the accuracy: 8 factors, one Taylor step each, and
+        # no step count to pass in or to read back beside submaps
+        assert list(inspect.signature(moser_transport).parameters) == ["omega0", "omega1"]
+        assert list(inspect.signature(MoserFlow).parameters) == ["theta", "omega0", "omega1"]
         grid = TorusGrid(64)
         omega0 = VolumeDensity.lebesgue(grid)
         omega1 = VolumeDensity.from_modes(grid, [[1, 0.5, 0.0]])
-        built = []
-        for steps in (1, 4, 64):
-            transport = moser_transport(omega0, omega1, steps=steps)
-            assert (transport.steps, transport.substeps, transport.submaps) == (steps, 8, 8)
-            pushed = transport.pushforward(omega0)
-            assert transport.inverse.steps == 8
-            assert np.max(np.abs(pushed.eta.values - omega1.eta.values)) <= 1e-8
-            built.append(transport.inverse.factors)
-        for factors in built[1:]:
-            for factor, first in zip(factors, built[0]):
-                assert np.array_equal(factor.values, first.values)
-                assert np.array_equal(factor.gradients, first.gradients)
-        with pytest.raises(ValueError, match="steps must be >= 1"):
-            moser_transport(omega0, omega1, steps=0)
+        transport = moser_transport(omega0, omega1)
+        assert transport.submaps == 8
+        assert not hasattr(transport, "steps") and not hasattr(transport, "substeps")
+        pushed = transport.pushforward(omega0)
+        assert transport.forward.steps == transport.inverse.steps == 8
+        assert np.max(np.abs(pushed.eta.values - omega1.eta.values)) <= 1e-8
 
     def test_rejects_mismatched_grids(self):
         with pytest.raises(ValueError):
@@ -1052,7 +1048,7 @@ class TestMoserTransport:
         grid = TorusGrid((32, 32))
         omega0 = VolumeDensity.lebesgue(grid)
         omega1 = VolumeDensity.from_modes(grid, [[1, 0, 0.3, 0.0], [0, 1, 0.0, 0.2]])
-        transport = moser_transport(omega0, omega1, steps=128)
+        transport = moser_transport(omega0, omega1)
         pushed = transport.pushforward(omega0)
         assert np.max(np.abs(pushed.eta.values - omega1.eta.values)) <= 1e-6
 
@@ -1060,7 +1056,7 @@ class TestMoserTransport:
         grid = TorusGrid((32, 32))
         omega0 = VolumeDensity.from_modes(grid, [[1, 0, 0.2, 0.1], [1, 1, 0.0, 0.1]])
         omega1 = VolumeDensity.from_modes(grid, [[0, 1, 0.15, -0.1], [2, 1, 0.05, 0.0]])
-        transport = moser_transport(omega0, omega1, steps=32)
+        transport = moser_transport(omega0, omega1)
         pts = np.random.default_rng(17).random((20, 2))
         reference = central_difference_jacobian(
             lambda p: transport.transport(p, jacobian=False).lifts, pts)
@@ -1105,7 +1101,7 @@ class TestMoserPushforward:
     def test_under_resolved_density_names_the_tail(self):
         grid = TorusGrid(32)
         transport = moser_transport(VolumeDensity.lebesgue(grid),
-                                    VolumeDensity.from_modes(grid, [[8, 0.3, 0.0]]), steps=16)
+                                    VolumeDensity.from_modes(grid, [[8, 0.3, 0.0]]))
         with pytest.raises(QualityError, match=r"is under-resolved .*spectral tail/peak 1\.5e-01"
                                                r".*under-resolve.*raise N"):
             transport.pushforward(transport.omega0)
