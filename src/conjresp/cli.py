@@ -25,7 +25,7 @@ from .config import (PUSHFORWARD_TOL, TRANSFER_TOL, build_grid, build_map, build
 from .dynamics import ConjugatedMap
 from .errors import ConfigError, ConstructionError, ConvergenceError, QualityError
 from .exactness import lie_derivative_density, solve_for_field, solve_potential
-from .fields import ScalarField, VolumeDensity, save_field
+from .fields import ScalarField, VolumeDensity, form_of_flux, save_field
 from .flow import flow_maps, moser_transport
 from .verify import derivative_check, pushforward_density, response_check, transfer_check
 
@@ -90,7 +90,7 @@ def cmd_solve(cfg: dict, out: Path, quiet: bool) -> int:
 
     potential, X = solve_potential(rho, omega, strategy)
     named = ([("u", potential)] if isinstance(potential, ScalarField)
-             else [(f"theta{i}", c) for i, c in enumerate(potential.components)])
+             else [(f"theta{i}", c) for i, c in enumerate(form_of_flux(potential))])
     for name, field in named + [(f"X{i}", c) for i, c in enumerate(X.components)]:
         save_field(field, out / f"{prefix}_{name}.{fmt}", fmt)
 

@@ -14,7 +14,8 @@ Two algebraic steps produce X:
      Laplacian u = -(rho eta), which is unique, dimension-uniform and
      spectrally exact.
   2. contraction inversion: solve i_X (eta vol) = theta, a pointwise
-     division of the flux of theta (`CoVectorForm.flux`) by eta.
+     division by eta of the flux J of theta, i_J vol = theta: every
+     (n-1)-form here is held by its flux, so d theta = div(J) vol.
 
 theta is not unique: any closed (n-1)-form may be added.  On the 1-torus the
 closed forms are the constants; on the 2-torus they also contain every exact
@@ -31,12 +32,13 @@ import numpy as np
 
 from .errors import ConvergenceError, NormalizationError
 from .fields import (
-    CoVectorForm,
     ScalarField,
     TorusGrid,
     VectorFieldT,
     VolumeDensity,
     divergence,
+    flux_of_form,
+    form_of_flux,
     gradient,
 )
 
@@ -66,7 +68,7 @@ class SolutionStrategy:
 
     kind      -- "canonical", "gradient" or "custom"
     harmonic  -- constant coefficients of the added harmonic form (custom);
-                 one number on the 1-torus, two on the 2-torus
+                 one number on the 1-torus, those of dx and dy on the 2-torus
     alpha     -- optional 0-form potential whose exterior derivative is added
                  (2-torus only)
     """
@@ -118,10 +120,10 @@ def solve_laplace(f: ScalarField) -> ScalarField:
     return ScalarField.from_coefficients(f.grid, c)
 
 
-def exact_primitive(h: ScalarField) -> CoVectorForm:
-    """The canonical (n-1)-form theta with d theta = h * (volume element):
-    the form whose flux is grad u, for the potential u with Laplacian u = h."""
-    return CoVectorForm.from_flux(gradient(solve_laplace(h)))
+def exact_primitive(h: ScalarField) -> VectorFieldT:
+    """The canonical (n-1)-form theta with d theta = h * (volume element),
+    by its flux: grad u, for the potential u with Laplacian u = h."""
+    return gradient(solve_laplace(h))
 
 
 def weighted_response(rho: ScalarField, omega: VolumeDensity) -> ScalarField:
@@ -139,39 +141,38 @@ def weighted_response(rho: ScalarField, omega: VolumeDensity) -> ScalarField:
     return weighted
 
 
-def solve_exactness(rho: ScalarField, omega: VolumeDensity) -> CoVectorForm:
-    """theta with d theta = -(rho eta) vol; requires zero mean of rho eta."""
+def solve_exactness(rho: ScalarField, omega: VolumeDensity) -> VectorFieldT:
+    """theta with d theta = -(rho eta) vol, by its flux; needs zero mean of rho eta."""
     return exact_primitive(-weighted_response(rho, omega))
 
 
-def exterior_derivative(theta: CoVectorForm) -> ScalarField:
-    """Density of d theta with respect to the volume element: div of the flux."""
-    return divergence(theta.flux())
+def exterior_derivative(theta: VectorFieldT) -> ScalarField:
+    """Density of d theta with respect to the volume element: div of its flux."""
+    return divergence(theta)
 
 
-def add_closed_form(theta: CoVectorForm, strategy: SolutionStrategy) -> CoVectorForm:
-    """theta plus the closed form a custom strategy describes; d is unchanged."""
+def add_closed_form(theta: VectorFieldT, strategy: SolutionStrategy) -> VectorFieldT:
+    """theta plus the closed form a custom strategy describes, added to
+    theta's components (`form_of_flux`); d is unchanged."""
     strategy.validate_for(theta.grid)
     if strategy.kind != "custom":
         return theta
     harmonic = strategy.harmonic or (0.0,) * theta.dim
-    parts = [c + h for c, h in zip(theta.components, harmonic)]
+    parts = [c + h for c, h in zip(form_of_flux(theta), harmonic)]
     if strategy.alpha is not None:
         parts = [p + strategy.alpha.derivative(i) for i, p in enumerate(parts)]
-    return CoVectorForm(parts)
+    return flux_of_form(parts)
 
 
-def contract(X: VectorFieldT, omega: VolumeDensity) -> CoVectorForm:
-    """The contraction i_X (eta vol): the form whose flux is eta X."""
-    return CoVectorForm.from_flux(
-        VectorFieldT([omega.eta * c for c in X.components])
-    )
+def contract(X: VectorFieldT, omega: VolumeDensity) -> VectorFieldT:
+    """The contraction i_X (eta vol), by its flux eta X."""
+    return VectorFieldT([omega.eta * c for c in X.components])
 
 
-def contract_inverse(theta: CoVectorForm, omega: VolumeDensity) -> VectorFieldT:
-    """The unique X with i_X (eta vol) = theta: the flux of theta divided by
-    eta, a quotient that raises PositivityError unless eta > 0 on the grid."""
-    return VectorFieldT([c / omega.eta for c in theta.flux().components])
+def contract_inverse(theta: VectorFieldT, omega: VolumeDensity) -> VectorFieldT:
+    """The unique X with i_X (eta vol) = theta: its flux divided by eta, a
+    quotient that raises PositivityError unless eta > 0 on the grid."""
+    return VectorFieldT([c / omega.eta for c in theta.components])
 
 
 def lie_derivative_density(X: VectorFieldT, omega: VolumeDensity) -> ScalarField:
@@ -285,7 +286,7 @@ def solve_potential(
     rho: ScalarField,
     omega: VolumeDensity,
     strategy: SolutionStrategy,
-) -> tuple[ScalarField | CoVectorForm, VectorFieldT]:
+) -> tuple[ScalarField | VectorFieldT, VectorFieldT]:
     """The strategy's potential and the vector field X it gives, with
     div(eta X) = -(rho eta):
 

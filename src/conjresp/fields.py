@@ -2,9 +2,9 @@
 
 Everything downstream (form solvers, flows, map deformations) is built from
 the objects defined here: scalar fields sampled on uniform grids over
-[0, 1)^n with lazily cached Fourier coefficients, vector fields and
-(n-1)-forms stored as tuples of scalar components, and strictly positive
-unit-mass densities.
+[0, 1)^n with lazily cached Fourier coefficients, vector fields stored as
+tuples of scalar components, (n-1)-forms held by their flux, a vector field
+(`flux_of_form`), and strictly positive unit-mass densities.
 
 Conventions:
   * grid points are x_j = j / N per axis, with n in {1, 2};
@@ -41,7 +41,6 @@ __all__ = [
     "ScalarField",
     "VolumeDensity",
     "VectorFieldT",
-    "CoVectorForm",
     "gradient",
     "divergence",
     "wrap_difference",
@@ -236,51 +235,40 @@ def sample_coefficients(grid: TorusGrid, stack: np.ndarray, points: np.ndarray) 
     ``stack`` has shape (F,) + grid.shape and holds Fourier coefficients in
     FFT order; ``points`` is (M, dim).  Returns the (M, F) real array
     Re sum_k c_k e(k . x) over the FFT-ordered wavenumbers, so a Nyquist
-    mode enters with wavenumber -N/2.  Sharing the phase tables across the
-    F fields is what keeps flow integration cheap.
+    mode enters with wavenumber -N/2; the F fields share the phase tables.
+    The sum runs over the stack's band (`_band`), so a mode-list field with
+    |k| <= 2 is summed over an axis of length 6, not N; the sizes below are
+    those of the cut stack, and only ``grid.dim`` is read from ``grid``.
 
-    The sum runs over the stack's band (`_band`): an axis whose
-    coefficients are exactly zero from |k| = N/4 on is first cut to the
-    smallest even length that holds its nonzero wavenumbers, so a mode-list
-    field with |k| <= 2 is summed over an axis of length 6, not N.  The
-    sizes below are those of the cut stack, which may be shorter than
-    `MIN_RESOLUTION`; only ``grid.dim`` is read from ``grid``.
+    1-d: real fields only, c_{-k} = conj(c_k) (as `ScalarField`
+    coefficients and their spectral derivatives are), so only k = 0..N/2
+    are summed, 0 and N/2 once and the others twice, with the Nyquist phase
+    cos(pi N x): one real GEMM of the rows' stacked real and imaginary
+    parts with the float view of the `_half_phases` table (Re(c e) = Re c
+    Re e - Im c Im e), which copies nothing.  A complex GEMM gives the same
+    sum with bits that depend on the BLAS thread count.
 
-    1-d: the coefficients must be those of real fields, c_{-k} = conj(c_k)
-    with indices mod N (as `ScalarField` coefficients and their spectral
-    derivatives are).  By the symmetry only k = 0..N/2 are summed, 0 and
-    N/2 once and every other wavenumber twice, with the Nyquist phase
-    cos(pi N x).  The sum is one real GEMM of the rows' real and imaginary
-    parts, stacked, with the float view of the `_half_phases` table:
-    Re(c e) = Re c Re e - Im c Im e.  The view copies nothing, as the table
-    is filled wavenumber-major.  A complex GEMM gives the same sum with
-    bits that depend on the BLAS thread count.
-
-    2-d: the real separable form.  On each axis e(k x) = C_|k| + i sgn(k)
-    S_|k|, with C_j = cos(2 pi j x) and S_j = sin(2 pi j x) for j = 0..N/2,
-    so the sum is sum W[f, a, b] t0[a] t1[b] over the real `_cos_sin`
-    tables t0, t1 of the two axes.  The fold W = Re(E0^T c E1), with
-    E[k, C_|k|] = 1 and E[k, S_|k|] = i sgn(k), is made once per call in
-    O(F N0 N1); it takes the negative wavenumbers, the Nyquist rows and the
-    corner mode into the cos.cos, cos.sin, sin.cos and sin.sin weights of
-    wavenumbers 0..N/2 (the corner's cos(pi (N0 x0 + N1 x1)) as
-    +c C C - c S S), and needs no symmetry of c.  Then one real GEMM,
-    (F (N0 + 2), N1 + 2) @ (N1 + 2, M), and a per-point contraction with
-    t0, about N0 N1 multiply-adds per point and field: half those of the
-    complex half-row GEMM.  The GEMM keeps the weights as its left operand
-    and the points on its columns: with the table on the left instead, its
-    bits depended on the BLAS thread count on 32 of the 75 shapes of the
-    2-d thread test (32 x 16 to 256 x 256), and the complex half-row GEMM's
-    on all 15 at 256 x 256.  The contraction is an einsum, which calls no
-    BLAS.  Each table is filled row by row by the three-term recurrence,
-    from one cosine and one sine per point.
+    2-d and up: the real separable form.  On each axis e(k x) = C_|k| +
+    i sgn(k) S_|k|, C_j = cos(2 pi j x) and S_j = sin(2 pi j x), j =
+    0..N/2, so `_fold`, applied to every axis (the last in real
+    arithmetic), turns c once per call into the real weights of the
+    products of the axes' real `_cos_sin` tables; they take in the negative
+    wavenumbers, the Nyquist rows and the corner modes (in 2-d the corner's
+    cos(pi (N0 x0 + N1 x1)) as +c C C - c S S), and need no symmetry of c.
+    Then one real GEMM on the last axis, (F (N0 + 2) ..., N_last + 2) @
+    (N_last + 2, M), and one per-point einsum, which calls no BLAS, with
+    the other axes' tables: in 2-d about N0 N1 multiply-adds per point and
+    field.  The GEMM keeps the weights on its left and the points on its
+    columns: with the table on the left, its bits depended on the BLAS
+    thread count on 32 of the 75 shapes of the 2-d thread test (32 x 16 to
+    256 x 256).  Each table is filled row by row by the three-term
+    recurrence, from one cosine and one sine per point.
     """
     pts = as_points(points, grid.dim)
     pts = pts - np.floor(pts)
     stack = _band(stack)
-    count = stack.shape[0]
     if grid.dim == 1:
-        n = stack.shape[1]
+        count, n = stack.shape
         half = n // 2
         weights = np.full(half + 1, 2.0)
         weights[[0, half]] = 1.0
@@ -288,28 +276,43 @@ def sample_coefficients(grid: TorusGrid, stack: np.ndarray, points: np.ndarray) 
         # (2F, 2M): columns alternate Re e, Im e
         out = np.concatenate([rows.real, rows.imag]) @ _half_phases(pts[:, 0], n).T.view(float)
         return out[:count, 0::2].T - out[count:, 1::2].T
-    n0, n1 = stack.shape[1:]
-    h0, h1 = n0 // 2, n1 // 2
-    # axis 0: the weight of C_j is c_0, c_j + c_-j or c_-N/2, that of S_j is
-    # 0, i (c_j - c_-j) or -i c_-N/2, for j = 0, 0 < j < N/2 or j = N/2
-    pos, neg = stack[:, 1:h0], stack[:, :h0:-1]
-    fold0 = np.empty((count, 2, h0 + 1, n1), dtype=complex)
-    on_cos, on_sin = fold0[:, 0], fold0[:, 1]
-    on_cos[:, 0], on_cos[:, h0] = stack[:, 0], stack[:, h0]
-    np.add(pos, neg, out=on_cos[:, 1:h0])
-    on_sin[:, 0], on_sin[:, h0] = 0.0, -1j * stack[:, h0]
-    np.subtract(pos, neg, out=on_sin[:, 1:h0])
-    on_sin[:, 1:h0] *= 1j
-    # axis 1 likewise, keeping the real part: Re(i (z_j - z_-j)) = Im z_-j - Im z_j
-    re, im = (part.reshape(count, n0 + 2, n1) for part in (fold0.real, fold0.imag))
-    fold = np.empty((count, n0 + 2, 2, h1 + 1))
-    on_cos, on_sin = fold[..., 0, :], fold[..., 1, :]
-    on_cos[..., 0], on_cos[..., h1] = re[..., 0], re[..., h1]
-    np.add(re[..., 1:h1], re[..., :h1:-1], out=on_cos[..., 1:h1])
-    on_sin[..., 0], on_sin[..., h1] = 0.0, im[..., h1]
-    np.subtract(im[..., :h1:-1], im[..., 1:h1], out=on_sin[..., 1:h1])
-    partial = fold.reshape(-1, n1 + 2) @ _cos_sin(pts[:, 1], n1)
-    return np.einsum("fam,am->mf", partial.reshape(count, n0 + 2, -1), _cos_sin(pts[:, 0], n0))
+    last = grid.dim
+    folded = stack
+    for axis in range(1, last + 1):
+        folded = _fold(folded, axis, real=axis == last)
+    partial = folded.reshape(-1, folded.shape[-1]) @ _cos_sin(pts[:, -1], stack.shape[-1])
+    # the other axes' tables in one einsum: (f, a, ..., m), (a, m), ... -> (m, f)
+    operands = [partial.reshape(folded.shape[:-1] + (-1,)), list(range(last + 1))]
+    for axis in range(1, last):
+        operands += [_cos_sin(pts[:, axis - 1], stack.shape[axis]), [axis, last]]
+    return np.einsum(*operands, [last, 0])
+
+
+def _fold(coefficients: np.ndarray, axis: int, real: bool = False) -> np.ndarray:
+    """``coefficients`` with ``axis`` (FFT order, even length N) folded into
+    N + 2 slots with the same sum, the weights of C_0..C_N/2 and then of
+    S_0..S_N/2 (C_j = cos(2 pi j x), S_j = sin(2 pi j x)): c_0, c_j + c_-j
+    and c_-N/2 on C_j, and 0, i (c_j - c_-j) and -i c_-N/2 on S_j, for j =
+    0, 0 < j < N/2 and N/2.  With ``real`` only their real parts, in real
+    arithmetic: Re(i (z_j - z_-j)) = Im z_-j - Im z_j and Re(-i z) = Im z."""
+    n = coefficients.shape[axis]
+    half = n // 2
+    shape = coefficients.shape[:axis] + (n + 2,) + coefficients.shape[axis + 1 :]
+    out = np.empty(shape, dtype=float if real else complex)
+    # both with the folded axis swapped to the front, as views
+    c, folded = coefficients.swapaxes(0, axis), out.swapaxes(0, axis)
+    on_cos, on_sin = folded[: half + 1], folded[half + 1 :]
+    even = c.real if real else c
+    on_cos[0], on_cos[half], on_sin[0] = even[0], even[half], 0.0
+    np.add(even[1:half], even[:half:-1], out=on_cos[1:half])
+    if real:
+        on_sin[half] = c.imag[half]
+        np.subtract(c.imag[:half:-1], c.imag[1:half], out=on_sin[1:half])
+    else:
+        on_sin[half] = -1j * c[half]
+        np.subtract(c[1:half], c[:half:-1], out=on_sin[1:half])
+        on_sin[1:half] *= 1j
+    return out
 
 
 class ScalarField:
@@ -527,8 +530,11 @@ class VolumeDensity:
         return f"VolumeDensity(grid={self.grid!r}, min={float(self.eta.values.min()):.3g})"
 
 
-class _ComponentTuple:
-    """Shared mechanics for objects stored as a tuple of scalar components."""
+class VectorFieldT:
+    """Periodic vector field, a tuple of scalar components; on the
+    parallelizable torus it also represents sections over a map (one R^n
+    value per source point) and (n-1)-forms theta, by their flux J,
+    i_J vol = theta (`flux_of_form`), so d theta = div(J) vol."""
 
     def __init__(self, components):
         components = tuple(components)
@@ -542,9 +548,13 @@ class _ComponentTuple:
         self.components = components
 
     @classmethod
-    def zero(cls, grid: TorusGrid):
-        """The object of this type with every component 0."""
+    def zero(cls, grid: TorusGrid) -> "VectorFieldT":
+        """The field with every component 0."""
         return cls([ScalarField.constant(grid, 0.0) for _ in range(grid.dim)])
+
+    @classmethod
+    def from_arrays(cls, grid: TorusGrid, arrays) -> "VectorFieldT":
+        return cls([ScalarField(grid, a) for a in arrays])
 
     @property
     def grid(self) -> TorusGrid:
@@ -553,35 +563,6 @@ class _ComponentTuple:
     @property
     def dim(self) -> int:
         return len(self.components)
-
-    def _combine(self, other, op):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        _require_same_grid(self, other)
-        return type(self)([op(a, b) for a, b in zip(self.components, other.components)])
-
-    def __add__(self, other):
-        return self._combine(other, lambda a, b: a + b)
-
-    def __sub__(self, other):
-        return self._combine(other, lambda a, b: a - b)
-
-    def __mul__(self, scalar):
-        return type(self)([c * float(scalar) for c in self.components])
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return type(self)([-c for c in self.components])
-
-
-class VectorFieldT(_ComponentTuple):
-    """Periodic vector field; on the parallelizable torus the same container
-    also represents sections over a map (one R^n value per source point)."""
-
-    @classmethod
-    def from_arrays(cls, grid: TorusGrid, arrays) -> "VectorFieldT":
-        return cls([ScalarField(grid, a) for a in arrays])
 
     @property
     def sup_norm(self) -> float:
@@ -595,27 +576,38 @@ class VectorFieldT(_ComponentTuple):
         stack = np.stack([c.coefficients for c in self.components])
         return sample_coefficients(self.grid, stack, points)
 
+    def _combine(self, other, op):
+        if not isinstance(other, VectorFieldT):
+            return NotImplemented
+        _require_same_grid(self, other)
+        return VectorFieldT([op(a, b) for a, b in zip(self.components, other.components)])
 
-class CoVectorForm(_ComponentTuple):
-    """(n-1)-form: a single 0-form f on the 1-torus, or a pair (a, b)
-    representing a dx + b dy on the 2-torus.  Only `flux` and `from_flux`
-    know this layout; d theta = div(theta.flux()) vol in any dimension."""
+    def __add__(self, other):
+        return self._combine(other, lambda a, b: a + b)
 
-    def flux(self) -> VectorFieldT:
-        """The field J with i_J vol = theta: f on the 1-torus, (b, -a) for
-        theta = a dx + b dy."""
-        if self.dim == 1:
-            return VectorFieldT(self.components)
-        a, b = self.components
-        return VectorFieldT((b, -a))
+    def __sub__(self, other):
+        return self._combine(other, lambda a, b: a - b)
 
-    @classmethod
-    def from_flux(cls, J: VectorFieldT) -> "CoVectorForm":
-        """The form i_J vol; inverse of `flux`."""
-        if J.dim == 1:
-            return cls(J.components)
-        j1, j2 = J.components
-        return cls((-j2, j1))
+    def __mul__(self, scalar):
+        return VectorFieldT([c * float(scalar) for c in self.components])
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return VectorFieldT([-c for c in self.components])
+
+
+def flux_of_form(parts) -> VectorFieldT:
+    """The flux J, i_J vol = theta, of the (n-1)-form theta of components
+    ``parts``: J = f for f on the 1-torus, (b, -a) for a dx + b dy."""
+    parts = tuple(parts)
+    return VectorFieldT((parts[1], -parts[0]) if len(parts) == 2 else parts)
+
+
+def form_of_flux(J: VectorFieldT) -> tuple:
+    """The components of the (n-1)-form i_J vol, inverse of `flux_of_form`:
+    J itself on the 1-torus, (a, b) = (-J_1, J_0) on the 2-torus."""
+    return (-J.components[1], J.components[0]) if J.dim == 2 else J.components
 
 
 def gradient(u: ScalarField) -> VectorFieldT:

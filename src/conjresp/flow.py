@@ -424,13 +424,14 @@ def _advection(G: np.ndarray, velocity, out=None) -> np.ndarray:
     grid.shape or a batch of them, v_j = ``velocity[j]`` broadcast against
     G; with ``out``, each axis' term is added into it in axis order.
     d / d x_j is one product with the axis' `_derivative_matrix` D, the
-    spectral derivative with the Nyquist mode zeroed: D @ G on the leading
-    axis of a 2-d grid, and G @ D^T = -(G @ D) on the last, D being
-    antisymmetric, so there the minus sign goes to v_j."""
+    spectral derivative with the Nyquist mode zeroed: D @ G on a leading
+    axis, swapped with the axis before the last (where @ acts) and back,
+    and G @ D^T = -(G @ D) on the last, D being antisymmetric, so there the
+    minus sign goes to v_j."""
     n = len(velocity)
     for j, v in enumerate(velocity):
         matrix, leading = _derivative_matrix(G.shape[j - n]), j < n - 1
-        term = matrix @ G if leading else G @ matrix
+        term = (matrix @ G.swapaxes(j - n, -2)).swapaxes(j - n, -2) if leading else G @ matrix
         term *= v if leading else -v
         out = term if out is None else np.add(out, term, out=out)
     return out
@@ -620,8 +621,8 @@ def _high_modes(grid) -> np.ndarray:
 
 class MoserFlow:
     """Time-one transport pushing omega0 forward to omega1, the flow of the
-    field X_s = flux / eta_s from s = 0 to 1, where flux is that of theta
-    and eta_s = (1 - s) eta0 + s eta1.
+    field X_s = theta / eta_s from s = 0 to 1, where theta is the flux of
+    the primitive (a `VectorFieldT`) and eta_s = (1 - s) eta0 + s eta1.
 
     Both directions are `FlowMap`s on the grid, each built on first use
     (`forward`, `inverse`) unless `maps` builds them together first.  [0, 1]
@@ -652,7 +653,7 @@ class MoserFlow:
         self.omega0 = omega0
         self.omega1 = omega1
         grid, n = self.grid, self.grid.dim
-        fields = list(theta.flux().components) + [omega0.eta, omega1.eta]
+        fields = list(theta.components) + [omega0.eta, omega1.eta]
         self._values = np.stack([f.values for f in fields])
         self._gradients = np.stack([[f.derivative(j).values for j in range(n)] for f in fields])
         flux, gradients = self._values[:n], self._gradients[:n]
@@ -736,15 +737,18 @@ class MoserFlow:
 def moser_transport(omega0: VolumeDensity, omega1: VolumeDensity) -> MoserFlow:
     """Factory for the time-one transport between two unit-mass densities.
 
-    The fixed primitive theta solves d theta = (eta0 - eta1) vol; the tiny
-    mass mismatch allowed by the density gates is projected out before the
-    exactness solve.  The interpolated density stays positive automatically
-    (a convex combination of positive endpoints).  See `MoserFlow` for the
-    maps' factors, which are built on first use, each the exact series of
-    its grid system.
+    The fixed primitive theta, held by its flux, solves d theta = (eta0 -
+    eta1) vol; the tiny mass mismatch allowed by the density gates is
+    projected out before the exactness solve.  The interpolated density
+    stays positive automatically (a convex combination of positive
+    endpoints).  See `MoserFlow` for the maps' factors, which are built on
+    first use, each the exact series of its grid system.
     """
     if omega0.grid != omega1.grid:
         raise ValueError("densities live on different grids")
     difference = omega0.eta - omega1.eta
-    theta = exact_primitive(difference - difference.mean)
-    return MoserFlow(theta, omega0, omega1)
+    first, *others = exact_primitive(difference - difference.mean).components
+    # components past the first keep only their grid values, so the maps take
+    # their derivatives from the FFT of those: the Moser maps' bits rest on it
+    return MoserFlow(VectorFieldT([first, *(ScalarField(c.grid, c.values) for c in others)]),
+                     omega0, omega1)

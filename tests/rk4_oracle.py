@@ -44,11 +44,10 @@ def flow_factor(grid, field, times, steps: int, starts=0.0) -> np.ndarray:
 
 def moser_field(transport):
     """s -> (V_s, DV_s) at the grid points of a `MoserFlow`'s factors, V_s =
-    -X_s = -flux / eta_s, taken from theta's flux and the two densities by
-    the quotient rule, at times s of shape (B, 1) + (1,) * n."""
+    -X_s = -flux / eta_s, taken from theta (held by its flux) and the two
+    densities by the quotient rule, at times s of shape (B, 1) + (1,) * n."""
     grid, n = transport.grid, transport.grid.dim
-    fields = list(transport.theta.flux().components) + [transport.omega0.eta,
-                                                         transport.omega1.eta]
+    fields = list(transport.theta.components) + [transport.omega0.eta, transport.omega1.eta]
     values = np.stack([f.values for f in fields])
     gradients = np.stack([[f.derivative(j).values for j in range(n)] for f in fields])
 

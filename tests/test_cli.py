@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 import conjresp
-from conjresp import CoVectorForm, contract_inverse, flow, gradient, load_field, solve_for_field
+from conjresp import contract_inverse, flow, gradient, load_field, solve_for_field
 from conjresp import cli
 from conjresp.cli import main
 from conjresp.config import build_grid, build_map, build_rho, build_strategy, load_config
+from conjresp.fields import flux_of_form
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -71,8 +72,25 @@ class TestSolve:
         assert all(np.array_equal(w, x.values) for w, x in zip(written, X.components))
         loaded = [load_field(out / f"solve_{n}.json") for n in potential]
         rebuilt = (gradient(loaded[0]) if strategy == "gradient"
-                   else contract_inverse(CoVectorForm(loaded), omega))
+                   else contract_inverse(flux_of_form(loaded), omega))
         assert all(np.array_equal(r.values, w) for r, w in zip(rebuilt.components, written))
+
+    def test_theta_files_hold_the_coefficients_of_dx_and_dy(self, tmp_path):
+        # a custom strategy adds h0 dx + h1 dy + d alpha to the canonical theta
+        # = theta0 dx + theta1 dy, so each written file moves by its own piece
+        cfg = _cat_config()
+        cfg["map"], custom = SOLVE_INPUTS[2]
+        cfg["rho"]["center"] = True
+        written = []
+        for strategy in ("canonical", {"custom": custom}):
+            path = write_config(tmp_path, dict(cfg, strategy=strategy))
+            out = tmp_path / f"out{len(written)}"
+            assert main(["solve", "--config", path, "--out", str(out), "--quiet"]) == 0
+            written.append([load_field(out / f"solve_theta{i}.json").values for i in range(2)])
+        canonical, shifted = written
+        alpha = build_strategy(load_config(path), build_grid(load_config(path))).alpha
+        for i, h in enumerate(custom["harmonic"]):
+            assert np.array_equal(shifted[i], (canonical[i] + h) + alpha.derivative(i).values)
 
     def test_doubling_canonical_writes_oracle_field(self, tmp_path, capsys):
         cfg = write_config(tmp_path, doubling_config())

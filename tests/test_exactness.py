@@ -9,10 +9,11 @@ end to end.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conjresp import (
     ConvergenceError,
-    CoVectorForm,
     NormalizationError,
     ScalarField,
     SolutionStrategy,
@@ -32,6 +33,7 @@ from conjresp import (
     solve_laplace,
     solve_weighted_poisson,
 )
+from conjresp.fields import flux_of_form, form_of_flux
 
 
 def random_band_limited(grid, seed, max_mode=4):
@@ -113,7 +115,7 @@ class TestSolveExactness:
         rho = ScalarField.from_modes(grid, [[1, 0, 1.0, 0.0]])
         theta = solve_exactness(rho, VolumeDensity.lebesgue(grid))
         x, _ = grid.meshes()
-        a, b = theta.components
+        a, b = form_of_flux(theta)
         assert a.max_abs <= 1e-14
         assert np.max(np.abs(b.values + np.sin(2 * np.pi * x) / (2 * np.pi))) <= 1e-12
         residual = exterior_derivative(theta) + rho
@@ -161,7 +163,7 @@ class TestClosedForms:
 
     def test_circle_constant_is_closed(self):
         grid = TorusGrid(32)
-        theta = add_closed_form(CoVectorForm.zero(grid), SolutionStrategy.custom((1.0,)))
+        theta = add_closed_form(VectorFieldT.zero(grid), SolutionStrategy.custom((1.0,)))
         assert np.max(np.abs(theta.components[0].values - 1.0)) == 0.0
         assert exterior_derivative(theta).max_abs <= 1e-14
 
@@ -169,12 +171,22 @@ class TestClosedForms:
         # alpha = sin(2 pi y): d(alpha) = 2 pi cos(2 pi y) dy
         grid = TorusGrid((32, 32))
         alpha = ScalarField.from_modes(grid, [[0, 1, 0.0, 1.0]])
-        theta = add_closed_form(CoVectorForm.zero(grid),
+        theta = add_closed_form(VectorFieldT.zero(grid),
                                 SolutionStrategy.custom((0.0, 0.0), alpha))
         _, y = grid.meshes()
-        assert theta.components[0].max_abs <= 1e-13
-        assert np.max(np.abs(theta.components[1].values - 2 * np.pi * np.cos(2 * np.pi * y))) <= 1e-12
+        a, b = form_of_flux(theta)
+        assert a.max_abs <= 1e-13
+        assert np.max(np.abs(b.values - 2 * np.pi * np.cos(2 * np.pi * y))) <= 1e-12
         assert exterior_derivative(theta).max_abs <= 1e-12
+
+    def test_harmonic_coefficients_are_those_of_dx_and_dy(self):
+        # theta = 0.3 dx - 0.2 dy has the constant flux (-0.2, -0.3)
+        grid = TorusGrid((16, 16))
+        theta = add_closed_form(VectorFieldT.zero(grid), SolutionStrategy.custom((0.3, -0.2)))
+        assert [c.values.tolist() for c in theta.components] == [
+            np.full(grid.shape, -0.2).tolist(), np.full(grid.shape, -0.3).tolist()]
+        assert [c.values.tolist() for c in form_of_flux(theta)] == [
+            np.full(grid.shape, 0.3).tolist(), np.full(grid.shape, -0.2).tolist()]
 
     def test_derivative_unchanged(self):
         grid = TorusGrid((32, 32))
@@ -200,20 +212,21 @@ class TestContraction:
     def test_circle_division(self):
         grid = TorusGrid(64)
         x = grid.axis_points(0)
-        theta = CoVectorForm((ScalarField(grid, -np.sin(2 * np.pi * x) / (2 * np.pi)),))
+        theta = flux_of_form((ScalarField(grid, -np.sin(2 * np.pi * x) / (2 * np.pi)),))
         X = contract_inverse(theta, VolumeDensity.lebesgue(grid))
         assert np.max(np.abs(X.components[0].values - theta.components[0].values)) == 0.0
 
     def test_zero(self):
         grid = TorusGrid(16)
-        X = contract_inverse(CoVectorForm.zero(grid), VolumeDensity.lebesgue(grid))
+        X = contract_inverse(VectorFieldT.zero(grid), VolumeDensity.lebesgue(grid))
         assert all(c.max_abs == 0.0 for c in X.components)
 
     def test_two_torus_component_swap(self):
         grid = TorusGrid((32, 32))
         x, _ = grid.meshes()
         b = ScalarField(grid, -np.sin(2 * np.pi * x) / (2 * np.pi))
-        theta = CoVectorForm((ScalarField.constant(grid, 0.0), b))
+        # theta = b dy, whose flux is (b, -0)
+        theta = flux_of_form((ScalarField.constant(grid, 0.0), b))
         X = contract_inverse(theta, VolumeDensity.lebesgue(grid))
         assert np.max(np.abs(X.components[0].values - b.values)) == 0.0
         assert X.components[1].max_abs == 0.0
@@ -223,12 +236,12 @@ class TestContraction:
     def test_round_trip(self, seed, resolution):
         grid = TorusGrid(resolution)
         omega = random_density(grid, seed)
-        theta = CoVectorForm([random_band_limited(grid, seed + i) for i in range(grid.dim)])
+        parts = [random_band_limited(grid, seed + i) for i in range(grid.dim)]
+        theta = flux_of_form(parts)
         back = contract(contract_inverse(theta, omega), omega)
         for got, want in zip(back.components, theta.components):
             assert np.max(np.abs(got.values - want.values)) <= 1e-12 * max(1.0, want.max_abs)
-        flux_back = CoVectorForm.from_flux(theta.flux())
-        for got, want in zip(flux_back.components, theta.components):
+        for got, want in zip(form_of_flux(theta), parts):
             assert np.array_equal(got.values, want.values)
 
 
@@ -346,3 +359,61 @@ class TestSolveForField:
         xg = solve_for_field(rho, omega, SolutionStrategy.gradient())
         diff = xc - xg
         assert lie_derivative_density(diff, omega).max_abs <= 1e-8
+
+
+def mode_lists(dim, kmax, size, nonzero=False):
+    """Hypothesis lists of 1..size mode entries [k..., re, im], |k_i| <= kmax
+    and amplitudes in [-1, 1] in steps of 1e-3; with ``nonzero`` no entry
+    has k = 0."""
+    wavevectors = st.lists(st.integers(-kmax, kmax), min_size=dim, max_size=dim)
+    if nonzero:
+        wavevectors = wavevectors.filter(any)
+    amplitude = st.integers(-1000, 1000).map(lambda i: i / 1000)
+    entry = st.tuples(wavevectors, amplitude, amplitude).map(lambda e: [*e[0], e[1], e[2]])
+    return st.lists(entry, min_size=1, max_size=size)
+
+
+def scaled(modes, factor):
+    """``modes`` with every amplitude times ``factor``."""
+    return [[*k, re * factor, im * factor] for *k, re, im in modes]
+
+
+@st.composite
+def form_problems(draw):
+    """A grid, a density with min eta >= 0.2, a centred band-limited rho
+    with no constant mode and a strategy of each kind: a custom one with
+    harmonic coefficients and, on the 2-torus, an optional alpha."""
+    grid = TorusGrid(draw(st.sampled_from([(64,), (16, 16), (32, 16)])))
+    # 1 + modes whose amplitudes sum to at most 0.8 stays >= 0.2
+    density = draw(mode_lists(grid.dim, 3, 3, nonzero=True))
+    total = sum(abs(re) + abs(im) for *_, re, im in density)
+    scale = draw(st.floats(0.0, 0.8)) / max(total, 1.0)
+    omega = VolumeDensity.from_modes(grid, scaled(density, scale))
+    modes = draw(mode_lists(grid.dim, 4, 4, nonzero=True))
+    rho = remove_weighted_mean(ScalarField.from_modes(grid, modes), omega)
+    kind = draw(st.sampled_from(["canonical", "gradient", "custom"]))
+    if kind != "custom":
+        return grid, omega, rho, SolutionStrategy(kind)
+    harmonic = draw(st.lists(st.floats(-0.5, 0.5), min_size=grid.dim, max_size=grid.dim))
+    alpha_modes = draw(st.one_of(st.none(), mode_lists(2, 3, 2))) if grid.dim == 2 else None
+    alpha = None if alpha_modes is None else ScalarField.from_modes(grid, scaled(alpha_modes, 0.1))
+    return grid, omega, rho, SolutionStrategy.custom(harmonic, alpha)
+
+
+class TestFormProperties:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(problem=form_problems())
+    def test_closed_forms_keep_d_and_every_strategy_solves_the_response(self, problem):
+        # the bounds of TestClosedForms (1e-12 on d theta), TestSolveExactness
+        # (1e-10 relative, canonical and custom) and TestSolveForField (1e-8
+        # relative, the gradient strategy's CG)
+        grid, omega, rho, strategy = problem
+        assert float(omega.eta.values.min()) >= 0.2
+        theta = solve_exactness(rho, omega)
+        shifted = add_closed_form(theta, strategy)
+        assert (exterior_derivative(shifted) - exterior_derivative(theta)).max_abs <= 1e-12
+        X = solve_for_field(rho, omega, strategy)
+        target = rho * omega.eta
+        bound = 1e-8 if strategy.kind == "gradient" else 1e-10
+        residual = (lie_derivative_density(X, omega) + target).max_abs
+        assert residual <= bound * max(1.0, target.max_abs)

@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -409,6 +410,21 @@ class TestInterpolation:
         got = sample_coefficients(grid, stack, points)
         scale = np.abs(stack).reshape(3, -1).sum(axis=1)
         assert np.all(np.abs(got - sample_direct(grid, stack, points)) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("shape", [(8, 8, 8), (8, 10, 12)], ids=["8^3", "8x10x12"])
+    def test_three_axis_stacks_take_the_same_fold(self, shape):
+        # every axis is folded alike, so a stack of three axes is summed
+        # exactly as the direct sum does; no 3-d grid exists yet, and the
+        # sampler reads only grid.dim
+        rng = np.random.default_rng(sum(shape))
+        stack = rng.standard_normal((2,) + shape) + 1j * rng.standard_normal((2,) + shape)
+        points = rng.uniform(-1.0, 2.0, (57, 3))
+        k = np.stack([axis.ravel() for axis in np.meshgrid(
+            *[np.fft.fftfreq(n, 1.0 / n) for n in shape], indexing="ij")], axis=1)
+        want = (np.exp(2j * np.pi * ((points % 1.0) @ k.T)) @ stack.reshape(2, -1).T).real
+        got = sample_coefficients(SimpleNamespace(dim=3), stack, points)
+        scale = np.abs(stack).reshape(2, -1).sum(axis=1)
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
 
 
 def mode_entries(grid, seed, kmax, count=4):

@@ -15,7 +15,7 @@ from conjresp import TorusGrid
 ROOT = Path(__file__).resolve().parents[1]
 
 PUBLIC = [
-    "CoVectorForm", "ConfigError", "ConjugatedMap", "ConstructionError",
+    "ConfigError", "ConjugatedMap", "ConstructionError",
     "ConvergenceError", "ConvergenceReport", "ExpansionError",
     "FlowEvaluation", "FlowMap", "MoserFlow", "NormalizationError", "PositivityError",
     "QualityError", "ScalarField", "SolutionStrategy", "TorusGrid", "TorusMap",
@@ -32,7 +32,8 @@ PUBLIC = [
 
 # module-level names kept out of the package namespace
 MODULE_ONLY = {
-    "fields": ["MIN_RESOLUTION", "as_points", "mod1", "sample_coefficients"],
+    "fields": ["MIN_RESOLUTION", "as_points", "flux_of_form", "form_of_flux", "mod1",
+               "sample_coefficients"],
     "exactness": ["MEAN_ZERO_TOL", "weighted_response"],
     "flow": ["MOSER_SUBMAP_STRETCH", "SERIES_REACH", "SERIES_TERMS", "SERIES_TOL",
              "SUBMAP_STRETCH", "TAIL_TOL", "flow_maps", "integrate_flow"],
