@@ -23,7 +23,7 @@ import numpy as np
 from .config import (PUSHFORWARD_TOL, TRANSFER_TOL, build_grid, build_map, build_rho,
                      build_strategy, load_config, naming, required)
 from .dynamics import ConjugatedMap
-from .errors import ConfigError, ConstructionError, ConvergenceError, QualityError
+from .errors import ConfigError, ConvergenceError, QualityError
 from .exactness import lie_derivative_density, solve_for_field, solve_potential
 from .fields import ScalarField, VolumeDensity, form_of_flux, save_field
 from .flow import flow_maps, moser_transport
@@ -255,7 +255,7 @@ def main(argv=None) -> int:
             shutil.rmtree(created, ignore_errors=True)
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (ConvergenceError, ConstructionError, QualityError) as exc:
+    except (ConvergenceError, QualityError) as exc:
         print(f"convergence error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
 

@@ -13,7 +13,7 @@ import json
 import math
 from contextlib import contextmanager
 
-from .dynamics import TorusMap, make_warped_doubling
+from .dynamics import ConjugatedMap, TorusMap, make_warped_doubling
 from .errors import ConfigError, ConstructionError
 from .exactness import SolutionStrategy, remove_weighted_mean
 from .fields import ScalarField, TorusGrid, VectorFieldT, VolumeDensity
@@ -171,7 +171,7 @@ def build_grid(cfg: dict, resolution_override: int | None = None) -> TorusGrid:
         return TorusGrid(resolution)
 
 
-def build_map(cfg: dict, grid: TorusGrid) -> TorusMap:
+def build_map(cfg: dict, grid: TorusGrid) -> TorusMap | ConjugatedMap:
     section = cfg["map"]
     if required(cfg, "map", "kind") == "warped_doubling":
         modes = required(cfg, "map", "generator_modes")

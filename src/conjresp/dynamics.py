@@ -6,7 +6,8 @@ T(x) = A x + g(x) mod 1 -- the normal form any continuous torus map's lift
 forces -- together with an invariant density.  Integer-linear maps with a
 flat density are certified exactly; other expanding circle maps carry a
 runtime invariance certificate (a transfer-operator residual); everything
-else is accepted on trust and flagged uncertified.
+else is accepted on trust and flagged uncertified.  A warped doubling map
+is held as the conjugacy h o D o h^{-1} itself (`ConjugatedMap`).
 
 Deforming by the flow of a field X gives the conjugate family
 T_t = phi^t o T o phi^{-t}; its t-derivative at 0 is the section
@@ -252,51 +253,53 @@ def transfer_check(T_t, eta_t: VolumeDensity, resolution: int) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def make_warped_doubling(generator: VectorFieldT) -> TorusMap:
-    """Doubling map D conjugated by the time-one flow h of the generator:
-    T = h o D o h^{-1} (`ConjugatedMap`, with h^{+-1} the generator's
-    `flow_maps` at times 1 and -1, factored by the rule of every flow map),
-    whose invariant density is the pushforward of Lebesgue by h
-    (`transported_density`, so an under-resolved one raises QualityError).
-    The map carries the invariance certificate.  The program built that
-    density, so a transfer residual above CERTIFICATE_TOL means the grid
-    under-resolves the construction: the ConstructionError names N, the
-    residual, and says to raise N.
-    """
+def make_warped_doubling(generator: VectorFieldT) -> ConjugatedMap:
+    """Doubling map D conjugated by the time-one flow h of the generator, held
+    as the conjugacy h o D o h^{-1} (h^{+-1} the generator's `flow_maps` at
+    times 1 and -1) with its invariant density, the pushforward of Lebesgue
+    by h (`transported_density`: an under-resolved one raises QualityError).
+    Its preimages go through D, so its transfer residual is round-off."""
     grid = generator.grid
     if grid.dim != 1:
         raise ValueError("warped doubling is a circle-map construction")
     forward, inverse = flow_maps(generator, (1.0, -1.0))
     density = transported_density(VolumeDensity.lebesgue(grid), inverse)
-    x = grid.points()
-    g_values = ConjugatedMap(TorusMap(grid, [[2]]), forward, inverse).lift(x) - 2.0 * x
-    displacement = VectorFieldT([ScalarField(grid, g_values.reshape(grid.shape))])
-    try:
-        return TorusMap(grid, [[2]], displacement, density)
-    except ConstructionError as exc:
-        raise ConstructionError(
-            f"warped doubling map under-resolved at N = {grid.resolution[0]}: transfer "
-            f"residual {exc.residual:.3e} exceeds {CERTIFICATE_TOL:.0e}; raise N",
-            exc.residual,
-        ) from exc
+    return ConjugatedMap(TorusMap(grid, [[2]]), forward, inverse, density)
 
 
 class ConjugatedMap:
     """h o T o h^{-1} for a diffeomorphism h given as a pair of transports
     (for example a Moser time-one flow and its inverse, or the flow maps of
-    a field at times t and -t)."""
+    a field at times t and -t), with the invariant ``density`` it carries,
+    if any.  Its grid, and whether it is expanding (its preimages go through
+    T), are T's; it never permutes the grid."""
 
-    def __init__(self, base: TorusMap, forward, inverse):
+    grid_image = None
+
+    def __init__(self, base, forward, inverse, density: VolumeDensity | None = None):
         self.base = base
         self.forward = forward
         self.inverse = inverse
+        self.density = density
+        self.grid = base.grid
+
+    @property
+    def expanding(self) -> bool:
+        return self.base.expanding
 
     def __call__(self, points) -> np.ndarray:
         return mod1(self.lift(points))
 
     def lift(self, points) -> np.ndarray:
-        down = self.inverse(as_points(points, self.base.dim), jacobian=False)
+        down = self.inverse(as_points(points, self.grid.dim), jacobian=False)
         return self.forward(self.base.lift(down.lifts), jacobian=False).lifts
+
+    def jacobian(self, points) -> np.ndarray:
+        """D(h o T o h^{-1})(x) = Dh(T(h^{-1}x)) DT(h^{-1}x) Dh^{-1}(x) by the
+        chain rule, shape (M, n, n)."""
+        down = self.inverse(as_points(points, self.grid.dim), jacobian=True)
+        up = self.forward(self.base.lift(down.lifts), jacobian=True)
+        return up.jacobians @ self.base.jacobian(down.lifts) @ down.jacobians
 
     @property
     def degree(self) -> int:
@@ -332,7 +335,7 @@ class DeformedMap(ConjugatedMap):
     preimages_with_derivative = ConjugatedMap.preimages_with_derivative
 
 
-def deformation_derivative(T: TorusMap, X: VectorFieldT) -> VectorFieldT:
+def deformation_derivative(T: TorusMap | ConjugatedMap, X: VectorFieldT) -> VectorFieldT:
     """The t-derivative at 0 of phi^t o T o phi^{-t}: -DT(X) + X o T,
     returned as a vector-valued function of the source point.  X o T is
     gathered from X's grid values when T permutes the grid
@@ -351,7 +354,7 @@ def deformation_derivative(T: TorusMap, X: VectorFieldT) -> VectorFieldT:
     )
 
 
-def invariance_defect(T: TorusMap, V: VectorFieldT):
+def invariance_defect(T: TorusMap | ConjugatedMap, V: VectorFieldT):
     """Pointwise magnitude and sup of DT(V)(x) - V(T(x)), the deformation
     derivative of V up to sign; the sup vanishes exactly when V is
     T-invariant."""

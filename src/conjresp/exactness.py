@@ -204,6 +204,9 @@ def solve_weighted_poisson(
     residual drops below tol * max|g|, or stalls after
     POISSON_ITERATIONS_PER_POINT * max(N) iterations.  Nyquist content of g
     lies in the kernel of the discretized operator and is projected out.
+    Nor does any u reach the mean of g, which the mean-zero gate takes for
+    zero: a g whose rest is no larger, max|g - mean g| <= |mean g|, is
+    round-off (as a centred constant rho leaves), and its u is 0.
     """
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -213,9 +216,6 @@ def solve_weighted_poisson(
             g.mean,
         )
     grid = g.grid
-    if g.max_abs == 0.0:
-        return ScalarField.constant(grid, 0.0)
-
     eta = omega.eta.values
     symbols = [grid.derivative_symbol(axis) for axis in range(grid.dim)]
     lap = grid.laplacian_symbol()
@@ -239,6 +239,9 @@ def solve_weighted_poisson(
     for axis, n in enumerate(grid.resolution):
         b_hat[(slice(None),) * axis + (n // 2,)] = 0.0
     b = np.fft.ifftn(b_hat).real
+    mean = float(b.mean())
+    if float(np.max(np.abs(b - mean))) <= abs(mean):
+        return ScalarField.constant(grid, 0.0)
     scale = float(np.max(np.abs(b)))
     cap = POISSON_ITERATIONS_PER_POINT * max(grid.resolution)
 
@@ -253,8 +256,8 @@ def solve_weighted_poisson(
     for iteration in range(1, cap + 1):
         Ap = neg_operator(p)
         curvature = float(np.vdot(p, Ap).real)
-        if curvature <= 0.0 or not np.isfinite(curvature):
-            # search direction exhausted (round-off floor reached)
+        if curvature <= 0.0 or not np.isfinite(curvature) or rz == 0.0:
+            # no search direction left in reach (round-off floor reached)
             iterations = iteration
             break
         alpha = rz / curvature

@@ -470,15 +470,15 @@ def _require_same_grid(*objects):
 
 
 def _require_positive(f: ScalarField, what: str) -> None:
-    """Raise PositivityError, naming the minimum and where it sits, unless
-    f is strictly positive at every grid point."""
-    minimum = float(f.values.min())
-    if minimum <= 0.0:
-        idx = np.unravel_index(int(np.argmin(f.values)), f.values.shape)
+    """Raise PositivityError, naming the minimum and where it sits (or the
+    first NaN value), unless f is strictly positive at every grid point."""
+    minimum = float(f.values.min())  # NaN if any value is
+    if not minimum > 0.0:
+        idx = np.unravel_index(int(np.argmin(f.values)), f.values.shape)  # the first NaN
         location = tuple(int(i) / n for i, n in zip(idx, f.grid.resolution))
+        found = "a NaN value" if np.isnan(minimum) else f"minimum {minimum:.6g}"
         raise PositivityError(
-            f"{what} must be strictly positive; minimum {minimum:.6g} "
-            f"at grid point {location}",
+            f"{what} must be strictly positive; {found} at grid point {location}",
             minimum,
             location,
         )
@@ -504,7 +504,7 @@ class VolumeDensity:
     def __init__(self, eta: ScalarField):
         _require_positive(eta, "density")
         mean = eta.mean
-        if abs(mean - 1.0) > MASS_TOL:
+        if not abs(mean - 1.0) <= MASS_TOL:  # an infinite or NaN mean fails
             raise NormalizationError(
                 f"density must have unit mass; mean is {mean!r}", mean
             )

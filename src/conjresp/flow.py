@@ -591,11 +591,12 @@ def _gated_density(grid, values: np.ndarray, time: float, steps: int) -> VolumeD
     # the tail is resolved, so what is left to name is the flow itself
     flowed = f"after a flow of |t| = {abs(time):g} in {steps} steps (Taylor steps, one per factor)"
     mass_defect = abs(float(values.mean()) - 1.0)
-    if mass_defect > 1e-8:
-        raise QualityError(f"transported density lost mass: |mean - 1| = {mass_defect:.3e} "
-                           f"{flowed}", mass_defect)
+    if not mass_defect <= 1e-8:  # NaN too, named as such
+        lost = (f"lost mass: |mean - 1| = {mass_defect:.3e}" if np.isfinite(mass_defect)
+                else "has non-finite values")
+        raise QualityError(f"transported density {lost} {flowed}", mass_defect)
     minimum = float(values.min())
-    if minimum <= 0.0:
+    if not minimum > 0.0:
         raise QualityError(f"transported density lost positivity: minimum {minimum:.6g} "
                            f"{flowed}", minimum)
     return VolumeDensity(transported)

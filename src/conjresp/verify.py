@@ -107,7 +107,7 @@ def response_check(omega: VolumeDensity, rho: ScalarField, X: VectorFieldT,
                                      (rho * omega.eta).values)
 
 
-def derivative_check(T: TorusMap, X: VectorFieldT, t_values) -> ConvergenceReport:
+def derivative_check(T: TorusMap | ConjugatedMap, X: VectorFieldT, t_values) -> ConvergenceReport:
     """Check -DT(X) + X o T against central differences of the deformed map
     T_t = phi^t o T o phi^{-t}, using shortest-lift differencing on the
     torus.  T_t and T_{-t} share the flow maps of X at t and -t.  One

@@ -23,6 +23,14 @@ TORUS_REQUEST = {
     "verify": {"t_values": [1e-2, 5e-3]},
 }
 
+# the warped doubling rows' shared request: N = 256, the canonical strategy
+WARPED_REQUEST = {
+    "grid": {"resolution": [256]},
+    "rho": {"modes": [[1, 1.0, 0.0]], "center": True},
+    "strategy": "canonical",
+    "verify": {"t_values": [1e-2, 5e-3]},
+}
+
 
 def row(cfg, code, cause=None, order=None, marks=()):
     """One atlas row, named by its scenario: the exit code, the cause its
@@ -47,13 +55,25 @@ ROWS = [
     row({**TORUS_REQUEST, "scenario_id": "identity-eta",
          "map": {"kind": "custom", "A": [[1, 0], [0, 1]], "eta_modes": [[1, 1, 0.2, 0.1]]}},
         0),
-    row({"scenario_id": "warped-doubling-256",
-         "grid": {"resolution": [256]},
-         "map": {"kind": "warped_doubling", "generator_modes": [[3, 0.009585, 0.031682]]},
-         "rho": {"modes": [[1, 1.0, 0.0]], "center": True},
-         "strategy": "canonical",
-         "verify": {"t_values": [1e-2, 5e-3]}},
-        3, r"warped doubling map under-resolved at N = 256: .*; raise N"),
+    # held as the conjugacy h o D o h^{-1}, with exact preimages at any
+    # amplitude: only a density the grid under-resolves fails
+    row({**WARPED_REQUEST, "scenario_id": "warped-doubling-256",
+         "map": {"kind": "warped_doubling", "generator_modes": [[3, 0.009585, 0.031682]]}},
+        0, order=1.9966),
+    row({**WARPED_REQUEST, "scenario_id": "warped-under-resolved-256",
+         "map": {"kind": "warped_doubling", "generator_modes": [[3, 0.1, 0.0]]}},
+        3, r"under-resolved.*tail/peak 1\.2e-03.*raise N"),
+    row({**WARPED_REQUEST, "scenario_id": "warped-amplitude-0.2",
+         "map": {"kind": "warped_doubling", "generator_modes": [[1, 0.2, 0.0]]}},
+        0, order=1.9986),
+    # a centred constant rho: a request at round-off, whose X is 0
+    row({"scenario_id": "gradient-round-off-request",
+         "grid": {"resolution": [64]},
+         "map": {"kind": "custom", "A": [[1]],
+                 "eta_modes": [[2, 0.0005, 0.0], [1, 0.0, 0.0003]]},
+         "rho": {"modes": [[0, 0.007, 0.0]], "center": True},
+         "strategy": "gradient",
+         "verify": {"t_values": [1e-2, 5e-3]}}, 0),
     row({**TORUS_REQUEST, "scenario_id": "rotation-eta",
          "map": {"kind": "custom", "A": [[1, 0], [0, 1]],
                  "displacement_modes": [[[0, 0, 0.381966, 0.0]], [[0, 0, 0.236068, 0.0]]],

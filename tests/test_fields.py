@@ -579,6 +579,19 @@ class TestVectorAndDensity:
             VolumeDensity(ScalarField.constant(grid, 1.5))
         VolumeDensity.from_modes(grid, [[1, 0.5, 0.0]])  # fine
 
+    def test_density_gates_refuse_a_nan_value(self):
+        # a NaN compares False with anything, so each gate asks for what must hold
+        grid = TorusGrid((16, 16))
+        values = np.ones(grid.shape)
+        values[3, 5] = np.nan
+        with pytest.raises(PositivityError,
+                           match=r"a NaN value at grid point \(0\.1875, 0\.3125\)"):
+            VolumeDensity(ScalarField(grid, values))
+        with pytest.raises(PositivityError, match="a NaN value"):
+            ScalarField.constant(grid, 1.0) / ScalarField(grid, values)
+        with pytest.raises(NormalizationError, match="mean is inf"):
+            VolumeDensity(ScalarField(grid, np.where(np.isnan(values), np.inf, values)))
+
     def test_gradient_divergence_roundtrip(self):
         grid = TorusGrid((32, 32))
         u = random_band_limited(grid, 9, max_mode=4)

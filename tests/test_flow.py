@@ -820,6 +820,18 @@ class TestTransportedDensity:
             pushforward_density(omega, X, 1000.0)
         assert "raise N" not in str(raised.value)
 
+    def test_non_finite_density_is_named(self):
+        # an inverse transport whose Jacobian is NaN at one grid point
+        grid = TorusGrid(64)
+
+        def inverse(points, jacobian=True):
+            jacobians = np.ones((len(points), 1, 1))
+            jacobians[7] = np.nan
+            return FlowEvaluation(np.array(points, dtype=float), jacobians, 1.0, 2)
+
+        with pytest.raises(QualityError, match=r"has non-finite values after a flow of \|t\| = 1"):
+            transported_density(VolumeDensity.lebesgue(grid), inverse)
+
     def test_resolved_density_passes(self):
         coefficients = np.abs(self.transported(128).eta.coefficients)
         tail = coefficients[32:97].max() / coefficients.max()  # |k| >= 32
