@@ -6,8 +6,10 @@ T(x) = A x + g(x) mod 1 -- the normal form any continuous torus map's lift
 forces -- together with an invariant density.  Integer-linear maps with a
 flat density are certified exactly; other expanding circle maps carry a
 runtime invariance certificate (a transfer-operator residual); everything
-else is accepted on trust and flagged uncertified.  A warped doubling map
-is held as the conjugacy h o D o h^{-1} itself (`ConjugatedMap`).
+else is accepted on trust and flagged uncertified.  The residual sums over
+preimages: in closed form on a linear lift, by bisection on any other.  A
+warped doubling map is held as the conjugacy h o D o h^{-1} itself
+(`ConjugatedMap`), with the doubling map's preimages.
 
 Deforming by the flow of a field X gives the conjugate family
 T_t = phi^t o T o phi^{-t}; its t-derivative at 0 is the section
@@ -34,8 +36,7 @@ from .fields import (
 )
 from .flow import FieldStack, flow_maps, transported_density
 
-NEWTON_ITERATIONS = 60  # cap on a preimage solve: bisection's 2^-60 worst case
-NEWTON_TOL = 4 * np.finfo(float).eps  # largest last step of a finished preimage solve
+PREIMAGE_HALVINGS = 60  # bisection steps on a bent branch: a bracket of 2^-60
 EXPANSION_MARGIN = 0.01
 CERTIFICATE_RESOLUTION = 256
 CERTIFICATE_TOL = 1e-6
@@ -168,11 +169,11 @@ class TorusMap:
     def preimages_with_derivative(self, y):
         """All |degree| preimages in [0, 1) of circle points under an
         expanding map, with the lift derivative there; shapes (d, M).
-
-        Each monotone branch of the lift F is inverted by safeguarded,
-        bracketed Newton (`_branch_newton`), vectorized over targets; F' at
-        the roots comes from one `jacobian` call.
-        """
+        Branch j of the lift F on [0, 1] takes the target
+        y + ceil(min(F(0), F(1)) - y) + j: in closed form when F is linear
+        (g = 0), else by PREIMAGE_HALVINGS halvings of [0, 1], which read
+        only `lift` (each branch is strictly monotone).  F' at the roots
+        comes from one `jacobian` call."""
         if self.dim != 1:
             raise ValueError("preimage enumeration is only implemented for circle maps")
         if not self.expanding:
@@ -181,59 +182,17 @@ class TorusMap:
                 f"min |F'| - 1 = {self.expansion_margin():.3g} < {EXPANSION_MARGIN}"
             )
         y = as_points(y, 1)[:, 0] % 1.0
-        z = _branch_newton(self._lift_with_derivative, self.lift(np.array([0.0, 1.0]))[:, 0],
-                           abs(self.degree), y)
-        deriv = self.jacobian(z.reshape(-1, 1))[:, 0, 0].reshape(z.shape)
-        return z % 1.0, deriv
-
-    def _lift_with_derivative(self, z: np.ndarray):
-        """F(z) and F'(z) of a circle map's lift at the points z, from one
-        `FieldStack` call."""
-        degree = float(self.degree)
+        f0, f1 = self.lift(np.array([0.0, 1.0]))[:, 0]
+        targets = y + np.ceil(min(f0, f1) - y) + np.arange(abs(self.degree))[:, None]
         if self._stack is None:
-            return degree * z, np.full_like(z, degree)
-        values, grads = self._stack(z.reshape(-1, 1))
-        return degree * z + values[:, 0], degree + grads[:, 0, 0]
-
-
-def _branch_newton(lift_with_derivative, ends: np.ndarray, branches: int,
-                   targets_mod1: np.ndarray) -> np.ndarray:
-    """Solve F(z) = y (mod 1) on [0, 1] for a strictly monotone lift F of an
-    expanding circle map with |degree| = branches, given F(0), F(1) in
-    ``ends``: one root per branch and target, shape (branches, M).
-
-    Safeguarded Newton (rtsafe, Numerical Recipes 9.4): each root keeps a
-    bracket, starts from the chord of the lift over [0, 1], and bisects
-    instead of a Newton step that would leave the bracket or be more than
-    half the step before last.  A root is done, and not evaluated again,
-    once its step is at most NEWTON_TOL; the rest stop after
-    NEWTON_ITERATIONS, bisection's worst case.
-    """
-    f0, f1 = float(ends[0]), float(ends[1])
-    sign = 1.0 if f1 > f0 else -1.0  # sign * (F - target) increases in z
-    first = np.ceil(min(f0, f1) - targets_mod1)
-    targets = (targets_mod1[None, :] + first[None, :] + np.arange(branches)[:, None]).ravel()
-    z = np.clip((targets - f0) / (f1 - f0), 0.0, 1.0)
-    lo, hi = np.zeros_like(z), np.ones_like(z)
-    step, before = np.ones_like(z), np.ones_like(z)  # the last two steps
-    active = np.arange(z.size)
-    for _ in range(NEWTON_ITERATIONS):
-        at, a, b = z[active], lo[active], hi[active]
-        value, slope = lift_with_derivative(at)
-        residual = sign * (value - targets[active])
-        slope = np.abs(slope)
-        a, b = np.where(residual < 0.0, at, a), np.where(residual < 0.0, b, at)
-        newton = at - residual / slope
-        slow = np.abs(2.0 * residual) > np.abs(before[active] * slope)
-        bisect = (np.abs(newton - at) > NEWTON_TOL) & ((newton <= a) | (newton >= b) | slow)
-        # a step within NEWTON_TOL may cross a bracket end by rounding: clip it
-        z[active] = np.where(bisect, 0.5 * (a + b), np.clip(newton, a, b))
-        lo[active], hi[active] = a, b
-        before[active], step[active] = step[active], z[active] - at
-        active = active[np.abs(step[active]) > NEWTON_TOL]
-        if active.size == 0:
-            break
-    return z.reshape(branches, -1)
+            z = (targets - f0) / (f1 - f0)
+        else:  # z is the lower end of a bracket of width 2^-k around the root
+            z = np.zeros_like(targets)
+            for k in range(1, PREIMAGE_HALVINGS + 1):
+                mid = z + 0.5**k
+                short = (self.lift(mid.reshape(-1, 1)).reshape(mid.shape) - targets) * (f1 - f0)
+                z = np.where(short < 0.0, mid, z)
+        return z % 1.0, self.jacobian(z.reshape(-1, 1))[:, 0, 0].reshape(z.shape)
 
 
 def transfer_check(T_t, eta_t: VolumeDensity, resolution: int) -> float:

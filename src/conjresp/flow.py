@@ -110,7 +110,7 @@ class FlowEvaluation:
     The determinants of the Jacobians are taken in closed form, as grids
     are 1-d or 2-d: the entry, or J00 J11 - J01 J10, within a few ulp of
     |J00 J11| + |J01 J10| of an LU determinant.  A non-positive one raises
-    QualityError naming the smallest.
+    QualityError naming the smallest, and a NaN one naming the first.
     """
 
     lifts: np.ndarray
@@ -126,8 +126,12 @@ class FlowEvaluation:
             J = self.jacobians
             self._determinants = (J[:, 0, 0].copy() if J.shape[1] == 1
                                   else J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0])
-            worst = float(self._determinants.min())
-            if worst <= 0.0:
+            worst = float(self._determinants.min())  # NaN if any determinant is
+            if not worst > 0.0:
+                if np.isnan(worst):
+                    first = int(np.argmin(self._determinants))  # the first NaN
+                    raise QualityError("flow Jacobian is not finite: a NaN determinant at "
+                                       f"point {first} of {len(J)}", worst)
                 raise QualityError(
                     "flow Jacobian lost positive orientation (step size too "
                     f"large for this field?); smallest determinant {worst:.6g}",

@@ -34,7 +34,7 @@ from conjresp import (
     flow_map,
 )
 from conjresp import dynamics, fields, flow
-from conjresp.dynamics import EXPANSION_MARGIN, _branch_newton
+from conjresp.dynamics import EXPANSION_MARGIN
 from conjresp.fields import mod1, sample_coefficients
 from conjresp.flow import FlowMap, flow_maps, integrate_flow, transported_density
 from rk4_oracle import flow_factor
@@ -602,9 +602,9 @@ class TestPreimages:
 
 
 def bisection_preimages(T, y):
-    """The independent oracle of the Newton preimages: 60 bisection steps on
-    each monotone branch of T's lift over [0, 1], shape (|degree|, M), roots
-    on the lift (a root at a branch end may be 1.0)."""
+    """The independent oracle of the preimages: 60 bisection steps on each
+    monotone branch of T's lift over [0, 1], shape (|degree|, M), roots on
+    the lift (a root at a branch end may be 1.0)."""
     lift = lambda z: T.lift(z.reshape(-1, 1))[:, 0]
     f0, f1 = lift(np.array([0.0, 1.0]))
     y = np.asarray(y, dtype=float) % 1.0
@@ -618,14 +618,30 @@ def bisection_preimages(T, y):
 
 
 def counting_lift_evaluations(T):
-    """Make T count its Newton evaluations of (F, F'); returns the counter."""
+    """Make the TorusMap T count the points of each call of its lift;
+    returns the counter."""
     calls = []
-    evaluate = T._lift_with_derivative
-    T._lift_with_derivative = lambda z: calls.append(z.size) or evaluate(z)
+    lift = T.lift
+    T.lift = lambda points: calls.append(np.size(points)) or lift(points)
     return calls
 
 
-class TestNewtonPreimages:
+def steep_conjugate(degree):
+    """h o D o h^{-1} for D = degree z, held as a TorusMap: its displacement
+    is the conjugacy's lift less D at the points of a 1024 grid, and its
+    invariant density the transport of Lebesgue by h.  log h' is near the
+    cosine sum -0.29 cos 2 pi w - 0.31 cos 4 pi w - 0.61 cos 6 pi w, so at
+    |degree| 3, |F'| = 3 h'(3w) / h'(w) spans 1.15 to 14.9."""
+    grid = TorusGrid(1024)
+    modes = [[k, 0.0, c / (2 * np.pi * k)] for k, c in ((1, -0.29), (2, -0.31), (3, -0.61))]
+    h, h_inv = flow_maps(VectorFieldT([ScalarField.from_modes(grid, modes)]), (1.0, -1.0))
+    x = grid.points()
+    lift = ConjugatedMap(TorusMap(grid, [[degree]]), h, h_inv).lift(x) - degree * x
+    return TorusMap(grid, [[degree]], VectorFieldT([ScalarField(grid, lift[:, 0])]),
+                    transported_density(VolumeDensity.lebesgue(grid), h_inv))
+
+
+class TestPreimageSolves:
     @settings(max_examples=20, deadline=None, derandomize=True, database=None)
     @given(amplitude=st.floats(0.0, 0.05), phase=st.floats(0.0, 2 * np.pi),
            seed=st.integers(0, 2**32 - 1))
@@ -639,6 +655,9 @@ class TestNewtonPreimages:
                             [0.0, 1.0 - 1e-17, -1e-17, f0 % 1.0, (f0 + 0.5) % 1.0]])
         calls = counting_lift_evaluations(T.base)
         pre, deriv = T.preimages_with_derivative(y)
+        # through the conjugacy the roots are the doubling map's, in closed
+        # form: its lift is read at the two branch ends only
+        assert calls == [2]
         assert pre.shape == deriv.shape == (2, y.size)
         assert np.all((pre >= 0.0) & (pre < 1.0))
         lifts = T.lift(pre.reshape(-1, 1))[:, 0].reshape(pre.shape)
@@ -650,40 +669,31 @@ class TestNewtonPreimages:
         assert np.max(np.minimum(*gaps)) <= 1e-13
         jac = T.jacobian(pre.reshape(-1, 1))[:, 0, 0].reshape(pre.shape)
         assert np.max(np.abs(deriv / jac - 1.0)) <= 1e-14
-        # through the conjugacy the roots are the doubling map's, in closed
-        # form: one evaluation of its lift per target and branch
-        assert calls == [2 * y.size]
 
     @pytest.mark.parametrize("matrix", [[[2]], [[-2]], [[3]]])
-    def test_linear_maps_take_one_evaluation(self, matrix):
+    def test_linear_maps_read_the_lift_at_the_branch_ends_only(self, matrix):
         T = TorusMap(TorusGrid(64), matrix)
         y = np.random.default_rng(11).uniform(0.0, 1.0, 50)
         calls = counting_lift_evaluations(T)
         pre, deriv = T.preimages_with_derivative(y)
-        assert calls == [y.size * abs(matrix[0][0])]
+        assert calls == [2]
         assert np.max(np.abs(wrap_difference(pre - bisection_preimages(T, y)))) <= 1e-13
         assert np.all(deriv == matrix[0][0])
 
-    @pytest.mark.parametrize("degree", [2, -2, 3])
-    def test_steep_branches_need_and_get_the_safeguard(self, degree):
-        # F = degree z + 0.99 (B - z) sign(degree), with B the lift of the circle
-        # homeomorphism tan(pi B) = 14 tan(pi z): at |degree| 2, |F'| runs from
-        # 1.08 to 15, and unguarded Newton from the chord runs to the cap
-        def lift_with_derivative(z):
-            w = z - np.round(z)
-            b = np.round(z) + np.arctan(14.0 * np.tan(np.pi * w)) / np.pi
-            db = 14.0 / (np.cos(np.pi * w) ** 2 + (14.0 * np.sin(np.pi * w)) ** 2)
-            sign = np.sign(degree)
-            calls.append(z.size)
-            return degree * z + 0.99 * sign * (b - z), degree + 0.99 * sign * (db - 1.0)
-
-        calls = []
+    @pytest.mark.parametrize("degree", [3, -3])
+    def test_steep_branches_solve_the_lift(self, degree):
+        T = steep_conjugate(degree)
+        slopes = np.abs(T.jacobian(np.linspace(0.0, 1.0, 4096).reshape(-1, 1))[:, 0, 0])
+        assert slopes.min() < 1.2 and slopes.max() > 14.0
         y = np.random.default_rng(12).uniform(0.0, 1.0, 500)
-        z = _branch_newton(lift_with_derivative, np.array([0.0, float(degree)]), abs(degree), y)
-        assert len(calls) <= 12
-        assert np.all((z >= 0.0) & (z <= 1.0))
-        lifts = lift_with_derivative(z.ravel())[0].reshape(z.shape)
+        pre, deriv = T.preimages_with_derivative(y)
+        assert pre.shape == (3, y.size) and np.all((pre >= 0.0) & (pre < 1.0))
+        lifts = T.lift(pre.reshape(-1, 1))[:, 0].reshape(pre.shape)
         assert np.max(np.abs(wrap_difference(lifts - y))) <= 1e-13
+        # one root per branch: the three preimages of each target are distinct
+        gaps = np.abs(wrap_difference(pre - np.roll(pre, 1, axis=0)))
+        assert np.min(gaps) > 1e-3
+        assert np.array_equal(deriv, T.jacobian(pre.reshape(-1, 1))[:, 0, 0].reshape(pre.shape))
 
     def test_a_root_at_the_branch_end_one_is_reported_as_zero(self):
         # the reversed doubling map's lift -2z takes the target -2 at z = 1

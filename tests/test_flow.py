@@ -28,6 +28,7 @@ import subprocess
 import sys
 import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -195,6 +196,14 @@ class TestDeterminants:
         with pytest.raises(QualityError, match=f"smallest determinant {smallest}$") as raised:
             FlowEvaluation(np.zeros(J.shape[:2]), J, 1.0, 1)
         assert raised.value.defect == float(smallest)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_a_nan_determinant_is_refused_as_such(self, n):
+        J = np.tile(np.eye(n), (4, 1, 1))
+        J[2, 0, n - 1] = np.nan
+        with pytest.raises(QualityError, match="a NaN determinant at point 2 of 4$") as raised:
+            FlowEvaluation(np.zeros((4, n)), J, 1.0, 1)
+        assert np.isnan(raised.value.defect)
 
 
 # grid -> (largest |k_i| of a field mode, largest |t| * mode amplitude): the
@@ -821,13 +830,15 @@ class TestTransportedDensity:
         assert "raise N" not in str(raised.value)
 
     def test_non_finite_density_is_named(self):
-        # an inverse transport whose Jacobian is NaN at one grid point
+        # an inverse transport with a NaN determinant at one grid point; a
+        # FlowEvaluation refuses to hold one, so this evaluation is a stand-in
         grid = TorusGrid(64)
 
         def inverse(points, jacobian=True):
-            jacobians = np.ones((len(points), 1, 1))
-            jacobians[7] = np.nan
-            return FlowEvaluation(np.array(points, dtype=float), jacobians, 1.0, 2)
+            determinants = np.ones(len(points))
+            determinants[7] = np.nan
+            return SimpleNamespace(points=np.array(points, dtype=float), time=1.0, steps=2,
+                                   determinants=lambda: determinants)
 
         with pytest.raises(QualityError, match=r"has non-finite values after a flow of \|t\| = 1"):
             transported_density(VolumeDensity.lebesgue(grid), inverse)
